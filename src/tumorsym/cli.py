@@ -264,7 +264,7 @@ def _figure_csv(sol, component, t, grid):
             if r > rad or r < r_min:
                 lines.append(f"{x!r},{y!r},")
             else:
-                v = sol.values(t, x, y)[component]
+                v = float(sol.values(t, x, y)[component])
                 lines.append(f"{x!r},{y!r},{v!r}")
     return "\n".join(lines) + "\n"
 
@@ -280,6 +280,8 @@ _PLOT_SCRIPT = """\
 def cmd_figure(args):
     if args.figure not in _FIGURES:
         return _fail(f"unknown figure id {args.figure}; choose 1-5", 2)
+    if args.grid < 2:
+        return _fail(f"grid must be at least 2, got {args.grid}", 2)
     family_id, params, panels = _FIGURES[args.figure]
     sol = FAMILY_IDS[family_id](**params)
     out_dir = args.out or "figures"

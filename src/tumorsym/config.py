@@ -75,6 +75,15 @@ def _floats(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def _number(section, key, text, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"bad [{section}] {key}: {text!r} is not "
+                          f"{'an integer' if kind is int else 'a number'}"
+                          ) from None
+
+
 def _check_keys(section, keys, allowed):
     unknown = set(keys) - set(allowed)
     if unknown:
@@ -146,15 +155,16 @@ def load_config(path: str) -> RunConfig:
         if engine not in ("analytic", "fd"):
             raise ConfigError(
                 f"engine kind must be 'analytic' or 'fd', got {engine!r}")
-        h = float(sec.get("h", h))
-        order = int(sec.get("scheme_order", order))
+        h = _number("engine", "h", sec.get("h", h))
+        order = _number("engine", "scheme_order",
+                        sec.get("scheme_order", order), int)
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in parser:
         sec = parser["tolerances"]
         _check_keys("tolerances", sec, _TOLERANCE_KEYS)
         for k in sec:
-            tolerances[k] = float(sec[k])
+            tolerances[k] = _number("tolerances", k, sec[k])
         if any(v <= 0 or not math.isfinite(v)
                for v in tolerances.values()):
             raise ConfigError("tolerances must be positive and finite")
@@ -170,7 +180,7 @@ def load_config(path: str) -> RunConfig:
                            "time-translation", "scale"):
             raise ConfigError(f"unknown orbit element {element!r}")
         orbit = {"element": element,
-                 "eps": float(sec.get("eps", 0.5)),
+                 "eps": _number("orbit", "eps", sec.get("eps", 0.5)),
                  "f": sec.get("f", "const"),
                  "axis": sec.get("axis", "x")}
         if orbit["f"] not in ("const", "sin"):

@@ -1,10 +1,11 @@
-"""Field jets: values of (alpha, u1, u2, p) at a space-time point together
+"""Field jets: values of (alpha, u1, u2, p) at space-time points together
 with every partial derivative the governing and boundary residuals consume.
 
 A *field* is any object with a ``values(t, x, y) -> (alpha, u1, u2, p)``
 method written in generic arithmetic, so it accepts dual-number seeds.  The
-analytic engine builds jets from nested dual evaluations; the
-finite-difference engine rebuilds the spatial entries from value calls only
+analytic engine builds jets from nested dual evaluations on whole arrays of
+points at one time (vector forward mode); the finite-difference engine
+rebuilds the spatial entries from value calls only, one point at a time,
 and serves as the independent cross-check.  Time derivatives always come
 from the analytic path: two families carry fractional powers of t that make
 time differencing unreliable.
@@ -12,18 +13,35 @@ time differencing unreliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .numerics import fd_derivative
 from .numerics.dd import DD
 from .numerics.dual import Dual, seed1, seed2, seed_pair, value
 
 __all__ = ["FieldJet", "Field", "JetEngine", "AnalyticEngine", "FdEngine",
-           "JetProvider", "FIRST_SPACE", "SECOND_SPACE"]
+           "JetProvider", "SingularityError", "JET_ENTRIES"]
+
+
+class SingularityError(ValueError):
+    """Evaluation at the origin of a field that is singular there.
+
+    For an array of points ``mask`` marks the singular ones; it is None for
+    a single point.
+    """
+
+    def __init__(self, message, mask=None):
+        super().__init__(message)
+        self.mask = mask
 
 
 @dataclass(frozen=True)
 class FieldJet:
+    """The jet at one point (float entries) or at an array of points at one
+    time (ndarray entries; ``t`` stays a float)."""
+
     t: float
     x: float
     y: float
@@ -53,10 +71,9 @@ class FieldJet:
     p_yy: float
 
 
-FIRST_SPACE = ("alpha_x", "alpha_y", "u1_x", "u1_y", "u2_x", "u2_y",
-               "p_x", "p_y")
-SECOND_SPACE = ("u1_xx", "u1_xy", "u1_yy", "u2_xx", "u2_xy", "u2_yy",
-                "p_xx", "p_yy")
+# the 24 field entries: everything but the point itself
+JET_ENTRIES = tuple(f.name for f in fields(FieldJet)
+                    if f.name not in ("t", "x", "y"))
 
 
 class Field:
@@ -64,10 +81,6 @@ class Field:
 
     def values(self, t, x, y):
         raise NotImplementedError
-
-
-def _v(z):
-    return value(z)
 
 
 def _d(z):
@@ -84,11 +97,17 @@ def _d2(z):
 
 
 def analytic_jet(field: Field, t, x, y, extended: bool = True) -> FieldJet:
-    """Jet via nested forward-mode AD: four field evaluations per point.
+    """Jet via nested forward-mode AD: four field evaluations.
 
+    ``x`` and ``y`` are floats or equal-length arrays of points at the one
+    time ``t``; every arithmetic step is elementwise, so each array entry
+    has the bits of the call at that point alone.  A field singular at
+    some of the points raises :class:`SingularityError` with their mask.
     With ``extended`` the dual components carry double-double scalars, so
     each returned entry is correct to about one ulp even where the field
     formulas lose a dozen digits to cancellation near the inner rim.
+    Without it, powers of plain arrays come from numpy, which may differ
+    from the per-point result in the last bit.
     """
     if extended:
         t, x, y = DD.of(t), DD.of(x), DD.of(y)
@@ -103,21 +122,26 @@ def analytic_jet(field: Field, t, x, y, extended: bool = True) -> FieldJet:
     _, u1_xy, u2_xy, _ = exy
     a_t, u1_t, u2_t, p_t = et
 
-    return FieldJet(
-        t=_v(t), x=_v(x), y=_v(y),
-        alpha=_v(a_xx), u1=_v(u1_xx), u2=_v(u2_xx), p=_v(p_xx),
+    entries = dict(
+        alpha=value(a_xx), u1=value(u1_xx), u2=value(u2_xx), p=value(p_xx),
         alpha_t=_d(a_t), u1_t=_d(u1_t), u2_t=_d(u2_t), p_t=_d(p_t),
         alpha_x=_d(a_xx), alpha_y=_d(a_yy),
         u1_x=_d(u1_xx), u1_y=_d(u1_yy),
         u2_x=_d(u2_xx), u2_y=_d(u2_yy),
         u1_xx=_d2(u1_xx), u1_xy=_d2(u1_xy), u1_yy=_d2(u1_yy),
         u2_xx=_d2(u2_xx), u2_xy=_d2(u2_xy), u2_yy=_d2(u2_yy),
-        p_x=_d(p_xx), p_y=_d(p_yy), p_xx=_d2(p_xx), p_yy=_d2(p_yy),
-    )
+        p_x=_d(p_xx), p_y=_d(p_yy), p_xx=_d2(p_xx), p_yy=_d2(p_yy))
+    x, y = value(x), value(y)
+    if np.ndim(x):
+        # entries that do not depend on the point come out as constants
+        entries = {k: np.full(x.shape, v) if np.ndim(v) == 0 else v
+                   for k, v in entries.items()}
+    return FieldJet(t=value(t), x=x, y=y, **entries)
 
 
 def fd_jet(field: Field, t, x, y, h, scheme_order=4) -> FieldJet:
-    """Jet with spatial derivatives from central differences of the values.
+    """Jet at one point with spatial derivatives from central differences
+    of the values.
 
     Time derivatives still come from the analytic path (see module note).
     """
@@ -176,7 +200,25 @@ class FdEngine:
         return f"fd{{order={self.scheme_order},h={self.h}}}"
 
     def jet(self, field, t, x, y):
-        return fd_jet(field, t, x, y, self.h, self.scheme_order)
+        """:func:`fd_jet` at each point; arrays of points give the stacked
+        jet, or a :class:`SingularityError` masking every point whose
+        stencil touches a singularity."""
+        if np.ndim(x) == 0:
+            return fd_jet(field, t, x, y, self.h, self.scheme_order)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        jets, mask = [], np.zeros(x.shape, dtype=bool)
+        for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+            try:
+                jets.append(fd_jet(field, t, xi, yi, self.h,
+                                   self.scheme_order))
+            except SingularityError:
+                mask[i] = True
+        if mask.any():
+            raise SingularityError("field is singular in an FD stencil",
+                                   mask)
+        return FieldJet(t=t, x=x, y=y, **{
+            name: np.array([getattr(j, name) for j in jets], dtype=float)
+            for name in JET_ENTRIES})
 
 
 JetEngine = AnalyticEngine | FdEngine

@@ -8,15 +8,48 @@ numbers, which track roughly 32 significant digits, and rounds only the
 finished jet entries.  Error-free transforms (two_sum, two_prod) follow
 Dekker and Knuth; products are split multiplicatively because fused
 multiply-add is not available.
+
+The words hi and lo may be floats or equal-shape numpy arrays: every
+operation is elementwise, so a DD of arrays gives, element for element, the
+bits of the DD of each element alone.  Elementary functions therefore take
+their double seeds from libm (``math``) one element at a time; numpy's
+vector kernels differ from libm in the last bit for a few percent of
+inputs.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["DD", "two_sum", "two_prod", "split"]
+import numpy as np
+
+__all__ = ["DD", "two_sum", "two_prod", "split", "elementwise"]
 
 _SPLITTER = 134217729.0  # 2^27 + 1
+_PLAIN = (int, float, np.ndarray)
+
+
+def elementwise(f, x):
+    """``f(x)`` for a float; ``f`` of each element for an ndarray."""
+    if isinstance(x, np.ndarray):
+        return np.array([f(v) for v in x.ravel().tolist()],
+                        dtype=float).reshape(x.shape)
+    return f(x)
+
+
+def _special(mask, fill, y, general):
+    """``general(y)``, but DD(fill) wherever ``mask`` holds.
+
+    ``general`` never sees a masked element: a scalar takes the branch, an
+    array has its masked elements replaced by 1.0 before the call.
+    """
+    if not isinstance(mask, np.ndarray):
+        return DD(fill) if mask else general(y)
+    if not mask.any():
+        return general(y)
+    with np.errstate(all="ignore"):
+        out = general(np.where(mask, 1.0, y))
+    return DD(np.where(mask, fill, out.hi), np.where(mask, 0.0, out.lo))
 
 
 def two_sum(a: float, b: float):
@@ -51,6 +84,7 @@ class DD:
     """A double-double number hi + lo with |lo| <= ulp(hi)/2."""
 
     __slots__ = ("hi", "lo")
+    __array_ufunc__ = None  # ndarray (op) DD defers to DD's reflected op
 
     def __init__(self, hi: float, lo: float = 0.0):
         self.hi = hi
@@ -60,6 +94,8 @@ class DD:
     def of(x):
         if isinstance(x, DD):
             return x
+        if isinstance(x, np.ndarray):
+            return DD(x.astype(float, copy=False))
         return DD(float(x))
 
     def to_float(self) -> float:
@@ -74,7 +110,7 @@ class DD:
         if isinstance(other, DD):
             s, e = two_sum(self.hi, other.hi)
             e += self.lo + other.lo
-        elif isinstance(other, (int, float)):
+        elif isinstance(other, _PLAIN):
             s, e = two_sum(self.hi, other)
             e += self.lo
         else:
@@ -91,7 +127,7 @@ class DD:
         if isinstance(other, DD):
             s, e = two_sum(self.hi, -other.hi)
             e += self.lo - other.lo
-        elif isinstance(other, (int, float)):
+        elif isinstance(other, _PLAIN):
             s, e = two_sum(self.hi, -other)
             e += self.lo
         else:
@@ -106,7 +142,7 @@ class DD:
         if isinstance(other, DD):
             p, e = two_prod(self.hi, other.hi)
             e += self.hi * other.lo + self.lo * other.hi
-        elif isinstance(other, (int, float)):
+        elif isinstance(other, _PLAIN):
             p, e = two_prod(self.hi, other)
             e += self.lo * other
         else:
@@ -117,7 +153,7 @@ class DD:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (DD, int, float)):
+        if not isinstance(other, (DD, *_PLAIN)):
             return NotImplemented
         o = DD.of(other)
         q1 = self.hi / o.hi
@@ -129,12 +165,16 @@ class DD:
         return DD(s, e) + q3
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, float)):
+        if not isinstance(other, _PLAIN):
             return NotImplemented
         return DD.of(other) / self
 
     def __abs__(self):
-        return -self if self.hi < 0.0 else self
+        neg = self.hi < 0.0
+        if isinstance(neg, np.ndarray):
+            return DD(np.where(neg, -self.hi, self.hi),
+                      np.where(neg, -self.lo, self.lo))
+        return -self if neg else self
 
     def __pow__(self, p):
         if isinstance(p, int) or (isinstance(p, float) and p == int(p)
@@ -177,7 +217,7 @@ class DD:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (DD, int, float)):
+        if isinstance(other, (DD, *_PLAIN)):
             return self._cmp(other) == 0
         return NotImplemented
 
@@ -190,40 +230,43 @@ class DD:
         # one Newton-style refinement of the double result; relative error
         # ~ eps * |x|, which is far below eps where the small-argument
         # accuracy actually matters
-        y = math.exp(self.hi)
-        if y == 0.0 or math.isinf(y):
-            return DD(y)
-        corr = (self.hi - math.log(y)) + self.lo
-        return DD.of(y) * (1.0 + corr)
+        def refine(y):
+            corr = (self.hi - elementwise(math.log, y)) + self.lo
+            return DD.of(y) * (1.0 + corr)
+
+        y = elementwise(math.exp, self.hi)
+        return _special((y == 0.0) | (y == math.inf), y, y, refine)
 
     def expm1(self):
-        m = math.expm1(self.hi)
-        if math.isinf(m):
-            return DD(m)
-        corr = (self.hi - math.log1p(m)) + self.lo
-        return DD.of(m) + (1.0 + m) * corr
+        def refine(m):
+            corr = (self.hi - elementwise(math.log1p, m)) + self.lo
+            return DD.of(m) + (1.0 + m) * corr
+
+        m = elementwise(math.expm1, self.hi)
+        return _special(m == math.inf, m, m, refine)
 
     def log(self):
-        y = math.log(self.hi)
+        y = elementwise(math.log, self.hi)
         # refine: log x = y + log(x * e^-y) with the residual near zero
         r = self * DD(-y).exp() - 1.0
         return r.to_float() + DD.of(y)
 
     def sqrt(self):
-        y = math.sqrt(self.hi)
-        if y == 0.0:
-            return DD(0.0)
-        r = self - DD.of(y) * y
-        return DD.of(y) + r.to_float() / (2.0 * y)
+        def refine(y):
+            r = self - DD.of(y) * y
+            return DD.of(y) + r.to_float() / (2.0 * y)
+
+        y = elementwise(math.sqrt, self.hi)
+        return _special(y == 0.0, 0.0, y, refine)
 
     def sin(self):
-        h = math.sin(self.hi)
-        return DD.of(h) + self.lo * math.cos(self.hi)
+        h = elementwise(math.sin, self.hi)
+        return DD.of(h) + self.lo * elementwise(math.cos, self.hi)
 
     def cos(self):
-        h = math.cos(self.hi)
-        return DD.of(h) - self.lo * math.sin(self.hi)
+        h = elementwise(math.cos, self.hi)
+        return DD.of(h) - self.lo * elementwise(math.sin, self.hi)
 
     def atan(self):
-        h = math.atan(self.hi)
+        h = elementwise(math.atan, self.hi)
         return DD.of(h) + self.lo / (1.0 + self.hi * self.hi)

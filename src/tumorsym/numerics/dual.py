@@ -1,23 +1,27 @@
-"""Forward-mode automatic differentiation on scalars.
+"""Forward-mode automatic differentiation.
 
 A :class:`Dual` carries a value and a directional derivative.  Nesting duals
 (``Dual(Dual(...), Dual(...))``) yields exact second derivatives; all field
 jets in this package are built that way.  Floats mix freely with duals, so
 model formulas are written once in plain arithmetic and evaluated either on
-floats or on seeded duals.
+floats or on seeded duals.  Components may be numpy arrays or DDs of arrays
+(vector forward mode): one evaluation then differentiates at many points.
 """
 
 from __future__ import annotations
 
 import math
 
-from .dd import DD
+import numpy as np
+
+from .dd import DD, elementwise
 
 
 class Dual:
     """Value plus directional derivative; components may themselves be duals."""
 
     __slots__ = ("val", "dot")
+    __array_ufunc__ = None  # ndarray (op) Dual defers to Dual's reflected op
 
     def __init__(self, val, dot):
         self.val = val
@@ -83,12 +87,15 @@ class Dual:
 
 
 def value(z):
-    """Deep float value of a (possibly nested) dual or plain number."""
+    """Deep value of a (possibly nested) dual: a float, or an ndarray for
+    array components."""
+    if type(z) is float:
+        return z
     while isinstance(z, Dual):
         z = z.val
     if isinstance(z, DD):
         return z.to_float()
-    return float(z)
+    return z if isinstance(z, np.ndarray) else float(z)
 
 
 def _unary(z, fval, fder):
@@ -100,63 +107,80 @@ def _unary(z, fval, fder):
     return fval(z)
 
 
+# Plain floats are tested first: model formulas evaluated on floats (the
+# figure grids) pay one type check per elementary function or value().
+
 def exp(z):
+    if type(z) is float:
+        return math.exp(z)
     if isinstance(z, Dual):
         e = exp(z.val)
         return Dual(e, z.dot * e)
     if isinstance(z, DD):
         return z.exp()
-    return math.exp(z)
+    return elementwise(math.exp, z)
 
 
 def expm1(z):
     # e^z - 1 without cancellation near z = 0; derivative is e^z
+    if type(z) is float:
+        return math.expm1(z)
     if isinstance(z, Dual):
         return Dual(expm1(z.val), z.dot * exp(z.val))
     if isinstance(z, DD):
         return z.expm1()
-    return math.expm1(z)
+    return elementwise(math.expm1, z)
 
 
 def log(z):
+    if type(z) is float:
+        return math.log(z)
     if isinstance(z, Dual):
         return Dual(log(z.val), z.dot / z.val)
     if isinstance(z, DD):
         return z.log()
-    return math.log(z)
+    return elementwise(math.log, z)
 
 
 def sin(z):
+    if type(z) is float:
+        return math.sin(z)
     if isinstance(z, Dual):
         return Dual(sin(z.val), z.dot * cos(z.val))
     if isinstance(z, DD):
         return z.sin()
-    return math.sin(z)
+    return elementwise(math.sin, z)
 
 
 def cos(z):
+    if type(z) is float:
+        return math.cos(z)
     if isinstance(z, Dual):
         return Dual(cos(z.val), -z.dot * sin(z.val))
     if isinstance(z, DD):
         return z.cos()
-    return math.cos(z)
+    return elementwise(math.cos, z)
 
 
 def sqrt(z):
+    if type(z) is float:
+        return math.sqrt(z)
     if isinstance(z, Dual):
         s = sqrt(z.val)
         return Dual(s, z.dot / (2.0 * s))
     if isinstance(z, DD):
         return z.sqrt()
-    return math.sqrt(z)
+    return elementwise(math.sqrt, z)
 
 
 def atan(z):
+    if type(z) is float:
+        return math.atan(z)
     if isinstance(z, Dual):
         return Dual(atan(z.val), z.dot / (1.0 + z.val * z.val))
     if isinstance(z, DD):
         return z.atan()
-    return math.atan(z)
+    return elementwise(math.atan, z)
 
 
 def atan2(y, x):
@@ -179,7 +203,8 @@ def atan2(y, x):
 
 def lift(z, fval, fder):
     """Public wrapper for :func:`_unary`: lift ``fval`` (float -> float) with
-    analytic derivative ``fder`` (dual-aware) onto dual arguments.
+    analytic derivative ``fder`` (dual-aware) onto dual arguments.  Array
+    arguments reach ``fval`` whole, so it must act elementwise on them.
 
     Used for quantities whose value comes from quadrature or a special
     function but whose derivative is known in closed form (Leibniz rule), so

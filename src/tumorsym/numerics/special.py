@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import expi
 
+from .dd import elementwise
 from .quadrature import QuadratureSpec, quad_adaptive
 
 __all__ = ["SingularEndpointError", "exp_over_z_integral", "exp_over_z_quadrature"]
@@ -32,8 +34,11 @@ def exp_over_z_integral(a, r, delta):
     """int_r^delta exp(-a z^2)/z dz via the exponential-integral form.
 
     ``r > delta`` is allowed and flips the sign; ``a = 0`` reduces to
-    ``ln(delta/r)`` exactly.
+    ``ln(delta/r)`` exactly.  ``r`` may be an ndarray; each element of the
+    result then equals the call on that element alone.
     """
+    if isinstance(r, np.ndarray):
+        return _exp_over_z_integral_array(a, r, delta)
     _check_endpoints(r, delta)
     if r == delta:
         return 0.0
@@ -42,6 +47,17 @@ def exp_over_z_integral(a, r, delta):
     # d/du Ei(-a u) = exp(-a u)/u, so the substitution u = z^2 gives
     # 1/2 * [Ei(-a delta^2) - Ei(-a r^2)].
     return 0.5 * (expi(-a * delta * delta) - expi(-a * r * r))
+
+
+def _exp_over_z_integral_array(a, r, delta):
+    # the scalar branches element by element: expi is the same kernel for
+    # arrays, the logarithm comes from libm, and log(delta/r) is 0 exactly
+    # where r == delta
+    _check_endpoints(r.min(initial=delta), delta)
+    if a == 0.0:
+        return elementwise(math.log, delta / r)
+    return np.where(r == delta, 0.0,
+                    0.5 * (expi(-a * delta * delta) - expi(-a * r * r)))
 
 
 def exp_over_z_quadrature(a, r, delta, spec: QuadratureSpec | None = None):

@@ -3,19 +3,25 @@
 The four governing residuals are assembled term by term exactly as the
 model system is written, from jet entries only.  This module is coded
 independently of the polar reduced system so that the two formulations
-cross-check each other.
+cross-check each other.  Jets are requested once per sample time, for all
+points at that time together; the assembly is elementwise and each
+point's sum is still one exactly rounded fsum, so every residual has the
+bits of a point-by-point evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .core_model import ConstitutiveTriplet, PhysConstants, constitutive_eval
-from .jets import FieldJet, JetProvider
+from .jets import JET_ENTRIES, FieldJet, JetProvider, SingularityError
 from .numerics import neumaier_sum
 from .numerics.dd import two_prod
-from .solutions import BoundaryCircle, SingularityError
+from .solutions import BoundaryCircle
 
 __all__ = ["SampleSet", "EquationNorms", "ResidualReport",
            "governing_residual", "boundary_residual", "cross_engine_check",
@@ -97,7 +103,7 @@ class ResidualReport:
 
 
 def _acc(terms):
-    """Exactly accumulated sum of c*a*b terms.
+    """Exactly accumulated sum of c*a*b terms (per point for arrays).
 
     Individual momentum terms grow like r^-3 near the inner sampling rim
     while the residual stays near zero, so every product is split into its
@@ -107,26 +113,38 @@ def _acc(terms):
     for c, a, b in terms:
         p, e = two_prod(a, b)
         q, f = two_prod(p, c)
-        parts.append(q)
-        parts.append(f)
-        parts.append(e * c)
-    return math.fsum(parts)
+        parts += (q, f, e * c)
+    table = np.stack(np.broadcast_arrays(*parts), axis=-1)
+    if table.ndim == 1:
+        return math.fsum(table.tolist())
+    return [math.fsum(row) for row in table.tolist()]
+
+
+def _constitutive(triplet, alpha):
+    """(S, D, dD, d_alpha_sigma) at alpha, evaluated point by point so the
+    powers come from libm; arrays for an array alpha."""
+    if not isinstance(alpha, np.ndarray):
+        c = constitutive_eval(triplet, alpha)
+        return c.S, c.D, c.dD, c.d_alpha_sigma
+    cs = [constitutive_eval(triplet, a) for a in alpha.tolist()]
+    return tuple(np.array([getattr(c, k) for c in cs], dtype=float)
+                 for k in ("S", "D", "dD", "d_alpha_sigma"))
 
 
 def governing_residual_at(jet: FieldJet, triplet: ConstitutiveTriplet,
                           phys: PhysConstants):
-    """The four governing residuals at a single jet."""
+    """The four governing residuals at a jet (lists for an array jet)."""
     lam = phys.lam
-    c = constitutive_eval(triplet, jet.alpha)
+    S, D, dD, d_alpha_sigma = _constitutive(triplet, jet.alpha)
     r_mass = _acc([
         (1.0, jet.alpha_t, 1.0),
         (1.0, jet.alpha_x, jet.u1), (1.0, jet.alpha, jet.u1_x),
         (1.0, jet.alpha_y, jet.u2), (1.0, jet.alpha, jet.u2_y),
-        (-1.0, c.S, 1.0)])
+        (-1.0, S, 1.0)])
     r_div = _acc([
         (1.0, jet.u1_x, 1.0), (1.0, jet.u2_y, 1.0),
-        (-c.dD, jet.alpha_x, jet.p_x), (-c.dD, jet.alpha_y, jet.p_y),
-        (-c.D, jet.p_xx, 1.0), (-c.D, jet.p_yy, 1.0)])
+        (-dD, jet.alpha_x, jet.p_x), (-dD, jet.alpha_y, jet.p_y),
+        (-D, jet.p_xx, 1.0), (-D, jet.p_yy, 1.0)])
     r_mx = _acc([
         (2.0 + lam, jet.alpha_x, jet.u1_x),
         (2.0 + lam, jet.alpha, jet.u1_xx),
@@ -134,7 +152,7 @@ def governing_residual_at(jet: FieldJet, triplet: ConstitutiveTriplet,
         (1.0, jet.alpha_y, jet.u1_y), (1.0, jet.alpha_y, jet.u2_x),
         (1.0, jet.alpha, jet.u1_yy), (1.0, jet.alpha, jet.u2_xy),
         (-1.0, jet.p_x, 1.0),
-        (-c.d_alpha_sigma, jet.alpha_x, 1.0)])
+        (-d_alpha_sigma, jet.alpha_x, 1.0)])
     r_my = _acc([
         (1.0, jet.alpha_x, jet.u1_y), (1.0, jet.alpha_x, jet.u2_x),
         (1.0, jet.alpha, jet.u1_xy), (1.0, jet.alpha, jet.u2_xx),
@@ -142,7 +160,7 @@ def governing_residual_at(jet: FieldJet, triplet: ConstitutiveTriplet,
         (2.0 + lam, jet.alpha, jet.u2_yy),
         (lam, jet.alpha_y, jet.u1_x), (lam, jet.alpha, jet.u1_xy),
         (-1.0, jet.p_y, 1.0),
-        (-c.d_alpha_sigma, jet.alpha_y, 1.0)])
+        (-d_alpha_sigma, jet.alpha_y, 1.0)])
     return r_mass, r_div, r_mx, r_my
 
 
@@ -160,25 +178,48 @@ def _collect(names, rows, locations, engine, rejected):
                           tuple(rejected))
 
 
+def _time_slices(points):
+    """Group t-major (t, x, y) points into (t, points, x array, y array)."""
+    for t, group in itertools.groupby(points, key=lambda p: p[0]):
+        pts = list(group)
+        yield (t, pts, np.array([p[1] for p in pts]),
+               np.array([p[2] for p in pts]))
+
+
+def _jet_slice(jets: JetProvider, t, x, y):
+    """One jet over the points at time t, leaving out those where the
+    field is singular: returns (jet or None, mask of the kept points)."""
+    try:
+        return jets.jet(t, x, y), np.ones(x.shape, dtype=bool)
+    except SingularityError as e:
+        if e.mask is None:
+            raise
+        keep = ~e.mask
+    if not keep.any():
+        return None, keep
+    return jets.jet(t, x[keep], y[keep]), keep
+
+
 def governing_residual(jets: JetProvider, triplet: ConstitutiveTriplet,
                        phys: PhysConstants, samples: SampleSet,
                        boundary: BoundaryCircle) -> ResidualReport:
     rows, locations, rejected = [], [], []
-    for idx, (t, x, y) in enumerate(samples.points(boundary)):
-        try:
-            jet = jets.jet(t, x, y)
-        except SingularityError:
-            rejected.append(idx)
+    start = 0
+    for t, pts, x, y in _time_slices(samples.points(boundary)):
+        jet, keep = _jet_slice(jets, t, x, y)
+        rejected += (start + np.flatnonzero(~keep)).tolist()
+        start += len(pts)
+        if jet is None:
             continue
-        rows.append(governing_residual_at(jet, triplet, phys))
-        locations.append((t, x, y))
+        rows += zip(*governing_residual_at(jet, triplet, phys))
+        locations += itertools.compress(pts, keep.tolist())
     return _collect(GOVERNING_NAMES, rows, locations, jets.descriptor,
                     rejected)
 
 
 def boundary_residual_at(jet: FieldJet, boundary: BoundaryCircle,
                          phys: PhysConstants):
-    """The four moving-boundary condition residuals at a front point."""
+    """The four moving-boundary condition residuals at front point(s)."""
     lam = phys.lam
     gx, gy = 2.0 * jet.x, 2.0 * jet.y
     b_kin = jet.u1 * gx + jet.u2 * gy + boundary.level_t(jet.t)
@@ -196,22 +237,15 @@ def boundary_residual(jets: JetProvider, boundary: BoundaryCircle,
     if t <= 0:
         raise ValueError("t must be positive")
     rad = boundary.radius(t)
-    rows, locations = [], []
+    locations = []
     for j in range(n_theta):
         theta = 2.0 * math.pi * j / n_theta
-        x, y = rad * math.cos(theta), rad * math.sin(theta)
-        jet = jets.jet(t, x, y)
-        rows.append(boundary_residual_at(jet, boundary, phys))
-        locations.append((t, x, y))
+        locations.append((t, rad * math.cos(theta), rad * math.sin(theta)))
+    jet = jets.jet(t, np.array([p[1] for p in locations]),
+                   np.array([p[2] for p in locations]))
+    rows = np.stack(np.broadcast_arrays(
+        *boundary_residual_at(jet, boundary, phys)), axis=-1).tolist()
     return _collect(BOUNDARY_NAMES, rows, locations, jets.descriptor, [])
-
-
-_JET_ENTRIES = ("alpha", "u1", "u2", "p",
-                "alpha_t", "u1_t", "u2_t", "p_t",
-                "alpha_x", "alpha_y",
-                "u1_x", "u1_y", "u2_x", "u2_y",
-                "u1_xx", "u1_xy", "u1_yy", "u2_xx", "u2_xy", "u2_yy",
-                "p_x", "p_y", "p_xx", "p_yy")
 
 
 def cross_engine_check(analytic: JetProvider, fd: JetProvider,
@@ -219,12 +253,13 @@ def cross_engine_check(analytic: JetProvider, fd: JetProvider,
                        boundary: BoundaryCircle) -> float:
     """Worst relative disagreement between the two jet engines."""
     worst = 0.0
-    for t, x, y in samples.points(boundary):
+    for t, _, x, y in _time_slices(samples.points(boundary)):
         ja = analytic.jet(t, x, y)
         jf = fd.jet(t, x, y)
-        for name in _JET_ENTRIES:
+        for name in JET_ENTRIES:
             a, f = getattr(ja, name), getattr(jf, name)
-            rel = abs(a - f) / max(abs(a), abs(f), 1.0)
-            if rel > worst:
-                worst = rel
-    return worst
+            rel = np.abs(a - f) / np.maximum(
+                np.maximum(np.abs(a), np.abs(f)), 1.0)
+            # NaN disagreements never count as the worst
+            worst = max(worst, np.fmax.reduce(rel, initial=0.0))
+    return float(worst)

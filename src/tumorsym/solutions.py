@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from .core_model import (GeneralTriplet, PhysConstants, PowerLawParams,
                          PowerLawTriplet, sigma_from_proliferation)
-from .jets import AnalyticEngine, Field, FieldJet, JetProvider
+from .jets import (AnalyticEngine, Field, FieldJet, JetProvider,
+                   SingularityError)
 from .numerics import exp_over_z_integral
-from .numerics.dual import exp, expm1, lift, log, value
+from .numerics.dual import exp, expm1, lift, log, sqrt, value
 
 __all__ = [
     "SingularityError", "RestrictionError", "BoundaryCircle",
@@ -26,10 +27,6 @@ __all__ = [
     "restrictions_4_44", "steady_constants_4_36",
     "eval_jet", "boundary_of", "reduced_profiles_of", "FAMILY_IDS",
 ]
-
-
-class SingularityError(ValueError):
-    """Evaluation at the origin of a family that is singular there."""
 
 
 class RestrictionError(ValueError):
@@ -42,12 +39,18 @@ def _require(cond, message):
 
 
 def _check_point(t, x, y, origin_regular=False):
+    """w = x^2 + y^2 at one time t; x and y may hold arrays of points."""
     tv = value(t)
     if tv <= 0.0:
         raise ValueError(f"t must be positive, got {tv}")
     w = x * x + y * y
-    if value(w) == 0.0 and not origin_regular:
-        raise SingularityError("field is singular at the origin")
+    if not origin_regular:
+        at_origin = value(w) == 0.0  # a bool, or a mask for arrays
+        if at_origin is True:
+            raise SingularityError("field is singular at the origin")
+        if at_origin is not False and at_origin.any():
+            raise SingularityError("field is singular at the origin",
+                                   at_origin)
     return w
 
 
@@ -79,12 +82,13 @@ class BoundaryCircle:
 
 
 def _pressure_integral(a_coef, w, delta):
-    """I(w) = int_sqrt(w)^delta exp(-a z^2)/z dz, dual-aware in w.
+    """I(w) = int_sqrt(w)^delta exp(-a z^2)/z dz, dual-aware in w (w may
+    hold an array of points).
 
     The Leibniz derivative with respect to w is -exp(-a w)/(2 w).
     """
     def val(wv):
-        return exp_over_z_integral(a_coef, math.sqrt(wv), delta)
+        return exp_over_z_integral(a_coef, sqrt(wv), delta)
 
     def der(wv):
         return -exp(-a_coef * wv) / (2.0 * wv)

@@ -87,6 +87,20 @@ def test_validate_config_errors(tmp_path, capsys, mutate, hint):
     assert hint.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    "[engine]\nkind = fd\nh = small\n",
+    "[engine]\nscheme_order = 4.5\n",
+    "[tolerances]\ngoverning = tight\n",
+    "[orbit]\nelement = rotation\neps = half\n",
+], ids=["engine-h", "scheme-order", "tolerance", "orbit-eps"])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, extra):
+    cfg = _write(tmp_path, FIG34_BODY + "\n" + extra)
+    for command in ("validate", "verify", "orbit"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["validate", "--config", str(tmp_path / "absent.ini")])
     assert rc == 2
@@ -178,6 +192,27 @@ def test_figure_unknown_id(tmp_path, capsys):
     rc = main(["figure", "9", "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown figure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_figure_grid_below_two_exits_2(tmp_path, capsys, grid):
+    rc = main(["figure", "3", "--grid", grid, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "grid must be at least 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("figure", ["2", "4"])
+def test_figure_pressure_cells_are_numbers(tmp_path, capsys, figure):
+    assert main(["figure", figure, "--grid", "20", "--out",
+                 str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / f"fig{figure}_p.csv").read_text().splitlines()[1:]
+    cells = [ln.split(",")[2] for ln in lines]
+    filled = [v for v in cells if v]
+    assert filled
+    for v in filled:
+        assert repr(float(v)) == v
 
 
 def test_figure_csv_shape(tmp_path, capsys):
