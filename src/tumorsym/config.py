@@ -158,6 +158,12 @@ def load_config(path: str) -> RunConfig:
         h = _number("engine", "h", sec.get("h", h))
         order = _number("engine", "scheme_order",
                         sec.get("scheme_order", order), int)
+        if not 0.0 < h < math.inf:
+            raise ConfigError(f"[engine] h must be positive and finite, "
+                              f"got {h!r}")
+        if order not in (2, 4):
+            raise ConfigError(f"[engine] scheme_order must be 2 or 4, "
+                              f"got {order}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in parser:

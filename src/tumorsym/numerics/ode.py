@@ -58,7 +58,10 @@ class Trajectory:
         self.ts = list(ts)
         self.ys = [np.asarray(y, dtype=float) for y in ys]
         self.fs = [np.asarray(f, dtype=float) for f in fs]
-        self._forward = self.ts[-1] >= self.ts[0]
+        # search keys ascend in both directions: the times, or their
+        # negations when the independent variable decreases
+        self._sign = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
+        self._keys = [self._sign * v for v in self.ts]
 
     @property
     def t_end(self):
@@ -69,17 +72,10 @@ class Trajectory:
         return self.ys[-1]
 
     def __call__(self, t):
-        ts = self.ts
-        if self._forward:
-            if not ts[0] <= t <= ts[-1]:
-                raise ValueError(f"t={t} outside trajectory span {ts[0]}..{ts[-1]}")
-            i = bisect_right(ts, t) - 1
-        else:
-            if not ts[-1] <= t <= ts[0]:
-                raise ValueError(f"t={t} outside trajectory span {ts[0]}..{ts[-1]}")
-            i = 0
-            while i + 1 < len(ts) - 1 and ts[i + 1] >= t:
-                i += 1
+        ts, keys, key = self.ts, self._keys, self._sign * t
+        if not keys[0] <= key <= keys[-1]:
+            raise ValueError(f"t={t} outside trajectory span {ts[0]}..{ts[-1]}")
+        i = bisect_right(keys, key) - 1
         i = min(max(i, 0), len(ts) - 2)
         t0, t1 = ts[i], ts[i + 1]
         h = t1 - t0

@@ -17,7 +17,7 @@ from .jets import Field
 from .numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                        ode_integrate, quad_adaptive)
 from .numerics.dual import atan2, cos, ddr, exp, log, sin, sqrt, value
-from .residuals import ResidualReport, _collect
+from .residuals import ResidualReport, _collect, nan_max
 
 __all__ = ["ReducedProfiles", "ReducedPlaneFields", "lift_profiles",
            "reduced_ode_residual", "reduced_bc_residual", "BcResiduals",
@@ -179,12 +179,12 @@ class BcResiduals:
 
     @property
     def general_max(self):
-        return max(abs(self.kinematic), abs(self.pressure),
-                   abs(self.traction_1), abs(self.traction_2))
+        return nan_max(map(abs, (self.kinematic, self.pressure,
+                                 self.traction_1, self.traction_2)))
 
     @property
     def simplified_max(self):
-        return max(abs(v) for v in self.simplified)
+        return nan_max(map(abs, self.simplified))
 
 
 def reduced_bc_residual(profiles: ReducedProfiles, delta: float,

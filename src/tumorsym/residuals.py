@@ -85,7 +85,7 @@ class ResidualReport:
 
     @property
     def linf(self) -> float:
-        return max(eq.linf for eq in self.equations)
+        return nan_max(eq.linf for eq in self.equations)
 
     def norm(self, name: str) -> EquationNorms:
         for eq in self.equations:
@@ -100,6 +100,13 @@ class ResidualReport:
             out.append(f"{eq.name}: Linf={eq.linf:.6e} at "
                        f"(t={t:.6g}, x={x:.6g}, y={y:.6g}) L2={eq.l2:.6e}")
         return out
+
+
+def nan_max(values):
+    """The largest value, or NaN when any value is NaN (``max`` drops a NaN
+    that does not come first, so a failed evaluation would pass a gate)."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _acc(terms):
@@ -170,8 +177,9 @@ def _collect(names, rows, locations, engine, rejected):
         col = [abs(row[k]) for row in rows]
         if not col:
             raise ValueError("no valid samples")
-        linf = max(col)
-        where = locations[col.index(linf)]
+        nans = [i for i, v in enumerate(col) if math.isnan(v)]
+        at = nans[0] if nans else col.index(max(col))
+        linf, where = col[at], locations[at]
         l2 = math.sqrt(neumaier_sum([v * v for v in col]))
         equations.append(EquationNorms(name, linf, where, l2))
     return ResidualReport(tuple(equations), len(rows), engine,

@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, report files, CSV shape and
 byte-level determinism."""
 
+import dataclasses
 import filecmp
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
+from tumorsym import cli
 from tumorsym.cli import main
+from tumorsym.jets import AnalyticEngine
 
 FIG34_BODY = """\
 [family]
@@ -151,6 +156,47 @@ def test_verify_steady_family(tmp_path, capsys):
     cfg = _write(tmp_path, STEADY_BODY)
     assert main(["verify", "--config", cfg]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+class _OneNanEngine:
+    """The analytic engine with u1_x NaN at the second point of each call,
+    so one row per residual report is NaN and it is not the first."""
+
+    descriptor = "analytic"
+
+    def jet(self, field, t, x, y):
+        jet = AnalyticEngine().jet(field, t, x, y)
+        u1_x = np.array(jet.u1_x, dtype=float)
+        u1_x[1] = math.nan
+        return dataclasses.replace(jet, u1_x=u1_x)
+
+
+def test_verify_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_engine", lambda cfg, override=None:
+                        _OneNanEngine())
+    cfg = _write(tmp_path, FIG34_BODY)
+    assert main(["verify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert "FAIL governing Linf nan" in captured.err
+    assert "FAIL boundary Linf nan" in captured.err
+
+
+@pytest.mark.parametrize("extra, hint", [
+    ("kind = fd\nh = nan\n", "h must be positive and finite"),
+    ("kind = fd\nh = 0\n", "h must be positive and finite"),
+    ("kind = fd\nh = -1e-4\n", "h must be positive and finite"),
+    ("kind = fd\nh = inf\n", "h must be positive and finite"),
+    ("kind = fd\nscheme_order = 3\n", "scheme_order must be 2 or 4"),
+    ("scheme_order = 0\n", "scheme_order must be 2 or 4"),
+], ids=["h-nan", "h-zero", "h-negative", "h-inf", "order-3", "order-0"])
+def test_bad_engine_setting_exits_2(tmp_path, capsys, extra, hint):
+    cfg = _write(tmp_path, FIG34_BODY + "\n[engine]\n" + extra)
+    for command in ("validate", "verify", "orbit"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and hint in err
+        assert "Traceback" not in err
 
 
 # -- orbit ------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 from tumorsym.core_model import PhysConstants, PowerLawParams
 from tumorsym.numerics import IntegrationError
 from tumorsym.numerics.dual import ddr, exp as dexp
-from tumorsym.reduction import (first_integral_R, integrate_ode_4_6,
-                                lift_profiles, overdetermined_residual,
+from tumorsym.reduction import (BcResiduals, first_integral_R,
+                                integrate_ode_4_6, lift_profiles,
+                                overdetermined_residual,
                                 pressure_from_lambda, reduced_bc_residual,
                                 reduced_ode_residual, steady_residual)
 from tumorsym.solutions import (Full413, Stationary413s, Steady432,
@@ -93,6 +94,13 @@ def test_front_conditions_equivalent_sets():
     assert off.general_max <= 50.0 * off.simplified_max
 
 
+def test_front_condition_maxima_keep_a_nan():
+    bc = BcResiduals(1e-12, math.nan, -1e-12, 0.0,
+                     (1e-12, math.nan, 1e-12))
+    assert math.isnan(bc.general_max)
+    assert math.isnan(bc.simplified_max)
+
+
 def test_front_conditions_steady():
     sol = Steady432(**STEADY)
     bc = reduced_bc_residual(reduced_profiles_of(sol), sol.delta, sol.phys())
@@ -160,6 +168,38 @@ def test_ode_matches_power_closed_form():
     for k in range(21):
         r = 1.0 + 0.05 * k
         assert traj(r) == pytest.approx(c1 * r, rel=1e-6)
+
+
+def _scan_interpolate(traj, t):
+    """Dense output with the interval found by a linear scan from the
+    start, the search a descending trajectory used before bisection."""
+    ts = traj.ts
+    i = 0
+    while i + 1 < len(ts) - 1 and ts[i + 1] >= t:
+        i += 1
+    t0, t1 = ts[i], ts[i + 1]
+    h = t1 - t0
+    s = (t - t0) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return (h00 * traj.ys[i] + h10 * h * traj.fs[i] + h01 * traj.ys[i + 1]
+            + h11 * h * traj.fs[i + 1])
+
+
+def test_inward_trajectory_bisect_matches_scan():
+    # the power closed form integrated inward, from r = 2 down to r = 1
+    m, n, c1, lamv = 1.0, 3.0, 2.0, 1.0
+    d0 = (1.0 + m) / (4.0 * (1.0 + lamv) * c1 ** (1.0 + m))
+    params = _link_params(d0=d0, sigma0=-1.0, m=m, n=n, lamv=lamv)
+    traj = integrate_ode_4_6(params, PhysConstants(lam=lamv), beta=0.0,
+                             r0=2.0, r1=1.0, lambda0=2.0 * c1).trajectory
+    ts = traj.ts
+    assert len(ts) > 3 and ts[-1] < ts[0]
+    mids = [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+    for t in ts + mids:
+        assert traj(t).tolist() == _scan_interpolate(traj, t).tolist(), t
 
 
 def test_ode_rejects_vanishing_coefficient():

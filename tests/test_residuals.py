@@ -10,7 +10,7 @@ import pytest
 from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams, PowerLawTriplet)
 from tumorsym.jets import AnalyticEngine, FdEngine, Field, JetProvider
-from tumorsym.residuals import (SampleSet, boundary_residual,
+from tumorsym.residuals import (SampleSet, _collect, boundary_residual,
                                 cross_engine_check, governing_residual)
 from tumorsym.solutions import (BoundaryCircle, ConstantState, Full413,
                                 Stationary413s, Steady432)
@@ -187,3 +187,15 @@ def test_cross_engine_flags_corrupted_gradient():
     good = JetProvider(sol, AnalyticEngine())
     bad = JetProvider(sol, _ScaledGradEngine())
     assert cross_engine_check(good, bad, SampleSet(), sol.boundary()) >= 5e-3
+
+
+# -- NaN residuals -----------------------------------------------------------
+
+def test_collect_reports_a_nan_anywhere_in_the_column():
+    rows = [(1e-12,), (math.nan,), (1e-12,)]
+    locations = [(1.0, 0.1, 0.0), (1.0, 0.2, 0.0), (1.0, 0.3, 0.0)]
+    rep = _collect(("mass",), rows, locations, "analytic", [])
+    eq = rep.norm("mass")
+    assert math.isnan(eq.linf) and math.isnan(rep.linf)
+    assert eq.linf_location == (1.0, 0.2, 0.0)
+    assert math.isnan(eq.l2)
