@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -10,26 +11,16 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
-from .core_model import DomainError, PowerLawParams, PowerLawTriplet
-from .jets import AnalyticEngine, FdEngine, JetProvider
+from .config import ConfigError, load_config
+from .jets import AnalyticEngine, JetProvider
 from .reduction import reduced_bc_residual, reduced_ode_residual, \
     steady_residual
 from .residuals import boundary_residual, governing_residual
-from .solutions import (FAMILY_IDS, Full413, RestrictionError,
-                        Stationary413s, reduced_profiles_of)
+from .solutions import FAMILY_IDS, reduced_profiles_of
 from .symmetry import (Galilei, InapplicableSymmetryError, PressureShift,
                        Rotation, Scale, TimeTranslation, orbit_residual)
 
 __all__ = ["main"]
-
-_DERIVED_ATTRS = {
-    "full413": ("s0", "c3_regular"),
-    "stationary413s": ("delta", "E", "c1", "sigma0", "s0"),
-    "moving442": ("d0", "s0", "sigma0", "c2", "c3", "kappa"),
-    "moving444": ("m", "d0", "s0", "sigma0", "c2", "c3", "kappa"),
-    "steady432": ("c4", "k1", "k2"),
-}
 
 
 def _fail(message, code):
@@ -37,12 +28,34 @@ def _fail(message, code):
     return code
 
 
-def _engine(cfg: RunConfig, override=None):
-    kind = override or cfg.engine
-    if kind == "fd":
-        return FdEngine(h=cfg.engine_h,
-                        scheme_order=cfg.engine_scheme_order)
-    return AnalyticEngine()
+class _Exit(Exception):
+    """Ends a command early with a message on stderr and an exit code."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _restrictions():
+    """A family that cannot be built or whose derived constants cannot be
+    computed (restriction, domain or overflow) ends the run with exit 1."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as e:
+        raise _Exit(f"restriction violated: {e}", 1) from None
+
+
+def _load(path, need_orbit=False):
+    """The run config at ``path`` and the family it builds."""
+    try:
+        cfg = load_config(path)
+    except ConfigError as e:
+        raise _Exit(f"config error: {e}", 2) from None
+    if need_orbit and cfg.orbit is None:
+        raise _Exit("config error: [orbit] section required", 2)
+    with _restrictions():
+        return cfg, cfg.build_family()
 
 
 def _write_json(out_dir, name, payload):
@@ -68,16 +81,9 @@ def _report_payload(report):
 
 
 def cmd_validate(args):
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        return _fail(f"config error: {e}", 2)
-    try:
-        sol = cfg.build_family()
-    except (RestrictionError, DomainError, ValueError) as e:
-        return _fail(f"restriction violated: {e}", 1)
-    derived = {name: getattr(sol, name)
-               for name in _DERIVED_ATTRS[cfg.family_id]}
+    cfg, sol = _load(args.config)
+    with _restrictions():
+        derived = {name: getattr(sol, name) for name in sol.derived}
     print(f"family: {cfg.family_id}")
     for key in sorted(cfg.family_params):
         print(f"  given   {key} = {cfg.family_params[key]!r}")
@@ -114,22 +120,10 @@ def _build_element(spec, sol):
 
 
 def cmd_verify(args):
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        return _fail(f"config error: {e}", 2)
-    try:
-        sol = cfg.build_family()
-    except (RestrictionError, DomainError, ValueError) as e:
-        return _fail(f"restriction violated: {e}", 1)
-
-    triplet, phys, boundary = sol.triplet(), sol.phys(), sol.boundary()
-    if "s0" in cfg.overrides:
-        par = triplet.params
-        triplet = PowerLawTriplet(PowerLawParams(
-            d0=par.d0, s0=cfg.overrides["s0"], sigma0=par.sigma0,
-            m=par.m, n=par.n))
-    provider = JetProvider(sol, _engine(cfg, args.engine))
+    cfg, sol = _load(args.config)
+    triplet = sol.triplet(**cfg.overrides)
+    phys, boundary = sol.phys(), sol.boundary()
+    provider = JetProvider(sol, AnalyticEngine())
     scale = args.tol_scale
     tol = {k: v * scale for k, v in cfg.tolerances.items()
            if k != "orbit_factor"}
@@ -205,18 +199,9 @@ def cmd_verify(args):
 
 
 def cmd_orbit(args):
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        return _fail(f"config error: {e}", 2)
-    if cfg.orbit is None:
-        return _fail("config error: [orbit] section required", 2)
-    try:
-        sol = cfg.build_family()
-    except (RestrictionError, DomainError, ValueError) as e:
-        return _fail(f"restriction violated: {e}", 1)
+    cfg, sol = _load(args.config, need_orbit=True)
     triplet, phys = sol.triplet(), sol.phys()
-    provider = JetProvider(sol, _engine(cfg, args.engine))
+    provider = JetProvider(sol, AnalyticEngine())
     base = governing_residual(provider, triplet, phys, cfg.samples,
                               sol.boundary())
     try:
@@ -329,17 +314,15 @@ def main(argv=None) -> int:
                     "model and its closed-form solutions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_config=True):
-        if need_config:
-            p.add_argument("--config", required=True)
+    def common(p, tol_scale=True):
+        p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--tol-scale", type=float, default=1.0,
-                       dest="tol_scale")
-        p.add_argument("--engine", choices=("analytic", "fd"),
-                       default=None)
+        if tol_scale:
+            p.add_argument("--tol-scale", type=float, default=1.0,
+                           dest="tol_scale")
 
     common(sub.add_parser("validate", help="derived constants and "
-                          "restriction diagnostics"))
+                          "restriction diagnostics"), tol_scale=False)
     common(sub.add_parser("verify", help="full residual bundle"))
     common(sub.add_parser("orbit", help="group-orbit residual check"))
     fig = sub.add_parser("figure", help="emit figure data as CSV")
@@ -350,7 +333,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"validate": cmd_validate, "verify": cmd_verify,
                "orbit": cmd_orbit, "figure": cmd_figure}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _Exit as e:
+        return _fail(str(e), e.code)
 
 
 if __name__ == "__main__":

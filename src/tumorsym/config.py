@@ -14,40 +14,18 @@ from typing import Optional
 from .residuals import SampleSet
 from .solutions import FAMILY_IDS
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "FAMILY_PARAMS",
-           "FAMILY_OVERRIDES"]
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-# free-parameter names per family id, everything else is derived
-FAMILY_PARAMS = {
-    "full413": ("c1", "c3", "c4", "n", "d0", "lam", "sigma0", "delta"),
-    "stationary413s": ("c3", "c4", "n", "lam", "d0"),
-    "moving442": ("c1", "delta", "m", "n", "lam"),
-    "moving444": ("c1", "delta", "n", "lam"),
-    "steady432": ("c1", "c3", "delta", "m_exp", "n_exp", "lam", "d0"),
-}
-
-# optional keys that replace a derived constant in the verification triplet
-# without touching the fields; used for sensitivity runs
-FAMILY_OVERRIDES = {
-    "full413": ("s0",),
-    "stationary413s": ("s0",),
-    "moving442": ("s0",),
-    "moving444": ("s0",),
-    "steady432": (),
-}
-
 _SAMPLE_KEYS = {"times", "n_r", "n_theta", "r_min_fraction"}
-_ENGINE_KEYS = {"kind", "h", "scheme_order"}
 _TOLERANCE_KEYS = {"governing", "boundary", "reduced", "orbit_factor"}
 _ORBIT_KEYS = {"element", "eps", "f", "axis"}
 _OUTPUT_KEYS = {"dir"}
-_KNOWN_SECTIONS = {"family", "samples", "engine", "tolerances", "orbit",
-                   "output"}
+_KNOWN_SECTIONS = {"family", "samples", "tolerances", "orbit", "output"}
 
 _DEFAULT_TOLERANCES = {"governing": 1e-8, "boundary": 1e-9,
                        "reduced": 1e-8, "orbit_factor": 10.0}
@@ -58,9 +36,6 @@ class RunConfig:
     family_id: str
     family_params: dict
     samples: SampleSet
-    engine: str = "analytic"
-    engine_h: float = 1e-4
-    engine_scheme_order: int = 4
     tolerances: dict = field(default_factory=lambda: dict(
         _DEFAULT_TOLERANCES))
     orbit: Optional[dict] = None
@@ -75,12 +50,11 @@ def _floats(text):
     return tuple(float(v) for v in text.split(","))
 
 
-def _number(section, key, text, kind=float):
+def _number(section, key, text):
     try:
-        return kind(text)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"bad [{section}] {key}: {text!r} is not "
-                          f"{'an integer' if kind is int else 'a number'}"
+        raise ConfigError(f"bad [{section}] {key}: {text!r} is not a number"
                           ) from None
 
 
@@ -108,17 +82,20 @@ def load_config(path: str) -> RunConfig:
     if "id" not in fam:
         raise ConfigError("[family] needs an 'id' key")
     family_id = fam["id"]
-    if family_id not in FAMILY_PARAMS:
+    if family_id not in FAMILY_IDS:
         raise ConfigError(
             f"unknown family id {family_id!r}; choose from "
-            f"{', '.join(sorted(FAMILY_PARAMS))}")
-    allowed = FAMILY_PARAMS[family_id]
-    extra = FAMILY_OVERRIDES[family_id]
+            f"{', '.join(sorted(FAMILY_IDS))}")
+    allowed = FAMILY_IDS[family_id].params()
+    extra = FAMILY_IDS[family_id].overridable()
     _check_keys("family", (k for k in fam if k != "id"), allowed + extra)
     try:
         values = {k: float(fam[k]) for k in fam if k != "id"}
     except ValueError as e:
         raise ConfigError(f"non-numeric family parameter: {e}") from None
+    for k, v in values.items():
+        if not math.isfinite(v):
+            raise ConfigError(f"[family] {k} must be finite, got {v!r}")
     params = {k: v for k, v in values.items() if k in allowed}
     overrides = {k: v for k, v in values.items() if k in extra}
     missing = set(allowed) - set(params)
@@ -146,24 +123,6 @@ def load_config(path: str) -> RunConfig:
         samples = SampleSet(**sample_kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-    engine, h, order = "analytic", 1e-4, 4
-    if "engine" in parser:
-        sec = parser["engine"]
-        _check_keys("engine", sec, _ENGINE_KEYS)
-        engine = sec.get("kind", "analytic")
-        if engine not in ("analytic", "fd"):
-            raise ConfigError(
-                f"engine kind must be 'analytic' or 'fd', got {engine!r}")
-        h = _number("engine", "h", sec.get("h", h))
-        order = _number("engine", "scheme_order",
-                        sec.get("scheme_order", order), int)
-        if not 0.0 < h < math.inf:
-            raise ConfigError(f"[engine] h must be positive and finite, "
-                              f"got {h!r}")
-        if order not in (2, 4):
-            raise ConfigError(f"[engine] scheme_order must be 2 or 4, "
-                              f"got {order}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in parser:
@@ -199,6 +158,5 @@ def load_config(path: str) -> RunConfig:
         out_dir = sec.get("dir")
 
     return RunConfig(family_id=family_id, family_params=params,
-                     samples=samples, engine=engine, engine_h=h,
-                     engine_scheme_order=order, tolerances=tolerances,
-                     orbit=orbit, out_dir=out_dir, overrides=overrides)
+                     samples=samples, tolerances=tolerances, orbit=orbit,
+                     out_dir=out_dir, overrides=overrides)

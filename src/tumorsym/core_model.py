@@ -10,17 +10,15 @@ with explicit derivative callbacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
     "DomainError", "DegenerateScaleError",
     "PhysConstants", "PowerLawParams", "PowerLawTriplet", "GeneralTriplet",
-    "ScaleExponents", "FieldValue", "ConstitutiveValues",
-    "scale_exponents", "validate_power_law", "constitutive_eval",
-    "sigma_from_proliferation", "compatibility_residual",
-    "CONSTRAINT_TOL",
+    "ScaleExponents", "ConstitutiveValues", "scale_exponents",
+    "validate_power_law", "sigma_from_proliferation",
+    "compatibility_residual", "CONSTRAINT_TOL",
 ]
 
 # Closed-form parameter constraints are plain arithmetic; anything worse
@@ -64,19 +62,6 @@ class PowerLawParams:
 class ScaleExponents:
     gamma: float
     kappa: float
-
-
-@dataclass(frozen=True)
-class FieldValue:
-    alpha: float
-    u1: float
-    u2: float
-    p: float
-
-    @property
-    def physical(self) -> bool:
-        """Concentration non-negative; advisory, never enforced."""
-        return self.alpha >= 0.0
 
 
 @dataclass(frozen=True)
@@ -193,11 +178,6 @@ def validate_power_law(params: PowerLawParams,
     return PowerLawDiagnostics(
         s0_required=s0_required, s0_link_holds=link, mobility_ok=mobility_ok,
         exponents_nondegenerate=nondeg, flags=tuple(flags))
-
-
-def constitutive_eval(triplet: ConstitutiveTriplet,
-                      alpha: float) -> ConstitutiveValues:
-    return triplet.eval(alpha)
 
 
 def sigma_from_proliferation(k1: float, k2: float, m_exp: float, n_exp: float,

@@ -6,9 +6,9 @@ method written in generic arithmetic, so it accepts dual-number seeds.  The
 analytic engine builds jets from nested dual evaluations on whole arrays of
 points at one time (vector forward mode); the finite-difference engine
 rebuilds the spatial entries from value calls only, one point at a time,
-and serves as the independent cross-check.  Time derivatives always come
-from the analytic path: two families carry fractional powers of t that make
-time differencing unreliable.
+and serves only as the independent reference of ``cross_engine_check``.
+Time derivatives always come from the analytic path: two families carry
+fractional powers of t that make time differencing unreliable.
 """
 
 from __future__ import annotations
@@ -96,21 +96,18 @@ def _d2(z):
     return 0.0
 
 
-def analytic_jet(field: Field, t, x, y, extended: bool = True) -> FieldJet:
+def analytic_jet(field: Field, t, x, y) -> FieldJet:
     """Jet via nested forward-mode AD: four field evaluations.
 
     ``x`` and ``y`` are floats or equal-length arrays of points at the one
     time ``t``; every arithmetic step is elementwise, so each array entry
     has the bits of the call at that point alone.  A field singular at
     some of the points raises :class:`SingularityError` with their mask.
-    With ``extended`` the dual components carry double-double scalars, so
-    each returned entry is correct to about one ulp even where the field
-    formulas lose a dozen digits to cancellation near the inner rim.
-    Without it, powers of plain arrays come from numpy, which may differ
-    from the per-point result in the last bit.
+    The dual components carry double-double scalars, so each returned
+    entry is correct to about one ulp even where the field formulas lose
+    a dozen digits to cancellation near the inner rim.
     """
-    if extended:
-        t, x, y = DD.of(t), DD.of(x), DD.of(y)
+    t, x, y = DD.of(t), DD.of(x), DD.of(y)
     exx = field.values(t, seed2(x), y)
     eyy = field.values(t, x, seed2(y))
     sx, sy = seed_pair(x, y)
@@ -139,9 +136,9 @@ def analytic_jet(field: Field, t, x, y, extended: bool = True) -> FieldJet:
     return FieldJet(t=value(t), x=x, y=y, **entries)
 
 
-def fd_jet(field: Field, t, x, y, h, scheme_order=4) -> FieldJet:
-    """Jet at one point with spatial derivatives from central differences
-    of the values.
+def fd_jet(field: Field, t, x, y, h) -> FieldJet:
+    """Jet at one point with spatial derivatives from fourth-order central
+    differences of the values.
 
     Time derivatives still come from the analytic path (see module note).
     """
@@ -152,22 +149,21 @@ def fd_jet(field: Field, t, x, y, h, scheme_order=4) -> FieldJet:
     et = field.values(seed1(t), x, y)
 
     def dx(f):
-        return fd_derivative(lambda s: f(s, y), x, 1, scheme_order, h)
+        return fd_derivative(lambda s: f(s, y), x, 1, 4, h)
 
     def dy(f):
-        return fd_derivative(lambda s: f(x, s), y, 1, scheme_order, h)
+        return fd_derivative(lambda s: f(x, s), y, 1, 4, h)
 
     def dxx(f):
-        return fd_derivative(lambda s: f(s, y), x, 2, scheme_order, h)
+        return fd_derivative(lambda s: f(s, y), x, 2, 4, h)
 
     def dyy(f):
-        return fd_derivative(lambda s: f(x, s), y, 2, scheme_order, h)
+        return fd_derivative(lambda s: f(x, s), y, 2, 4, h)
 
     def dxy(f):
         return fd_derivative(
-            lambda sy: fd_derivative(lambda sx: f(sx, sy), x, 1,
-                                     scheme_order, h),
-            y, 1, scheme_order, h)
+            lambda sy: fd_derivative(lambda sx: f(sx, sy), x, 1, 4, h),
+            y, 1, 4, h)
 
     fa, fu1, fu2, fp = comp(0), comp(1), comp(2), comp(3)
     return FieldJet(
@@ -181,36 +177,29 @@ def fd_jet(field: Field, t, x, y, h, scheme_order=4) -> FieldJet:
     )
 
 
-@dataclass(frozen=True)
 class AnalyticEngine:
-    descriptor: str = "analytic"
-    extended: bool = True
+    descriptor = "analytic"
 
     def jet(self, field, t, x, y):
-        return analytic_jet(field, t, x, y, self.extended)
+        return analytic_jet(field, t, x, y)
 
 
 @dataclass(frozen=True)
 class FdEngine:
-    h: float = 1e-4
-    scheme_order: int = 4
+    """The finite-difference reference of ``cross_engine_check``; pick
+    ``h`` in proportion to the radius of the sampled region."""
 
-    @property
-    def descriptor(self):
-        return f"fd{{order={self.scheme_order},h={self.h}}}"
+    h: float
 
     def jet(self, field, t, x, y):
-        """:func:`fd_jet` at each point; arrays of points give the stacked
-        jet, or a :class:`SingularityError` masking every point whose
-        stencil touches a singularity."""
-        if np.ndim(x) == 0:
-            return fd_jet(field, t, x, y, self.h, self.scheme_order)
+        """:func:`fd_jet` at each of the arrays of points: the stacked jet,
+        or a :class:`SingularityError` masking every point whose stencil
+        touches a singularity."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         jets, mask = [], np.zeros(x.shape, dtype=bool)
         for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
             try:
-                jets.append(fd_jet(field, t, xi, yi, self.h,
-                                   self.scheme_order))
+                jets.append(fd_jet(field, t, xi, yi, self.h))
             except SingularityError:
                 mask[i] = True
         if mask.any():
@@ -237,6 +226,3 @@ class JetProvider:
 
     def jet(self, t, x, y) -> FieldJet:
         return self.engine.jet(self.field, t, x, y)
-
-    def values(self, t, x, y):
-        return self.field.values(t, x, y)

@@ -6,7 +6,6 @@ the left half first, so repeated runs produce bit-identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["QuadratureSpec", "QuadratureError", "quad_adaptive"]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core_model import (ConstitutiveTriplet, PhysConstants, PowerLawParams,
-                         constitutive_eval, scale_exponents)
+                         scale_exponents)
 from .jets import Field
 from .numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                        ode_integrate, quad_adaptive)
@@ -110,19 +110,14 @@ class LiftedField(Field):
                 t ** (n / (1.0 - n)) * self.plane.P(w1, w2))
 
 
-def lift_profiles(profiles: ReducedProfiles, m=None, n=None, delta=None,
-                  steady=False) -> LiftedField:
+def lift_profiles(profiles: ReducedProfiles) -> LiftedField:
     """Compose the polar and scale ansatz maps into a full (t,x,y) field.
 
-    With steady=True the time-translation reduction is inverted instead
+    For steady profiles the time-translation reduction is inverted instead
     and no time factors appear.
     """
-    if m is None:
-        m = profiles.m
-    if n is None:
-        n = profiles.n
     plane = ReducedPlaneFields.from_profiles(profiles)
-    return LiftedField(plane, m, n, steady or profiles.steady)
+    return LiftedField(plane, profiles.m, profiles.n, profiles.steady)
 
 
 def reduced_ode_residual(profiles: ReducedProfiles,
@@ -188,11 +183,7 @@ class BcResiduals:
 
 
 def reduced_bc_residual(profiles: ReducedProfiles, delta: float,
-                        phys: PhysConstants, m=None, n=None) -> BcResiduals:
-    if m is None:
-        m = profiles.m
-    if n is None:
-        n = profiles.n
+                        phys: PhysConstants) -> BcResiduals:
     lamv = phys.lam
     L, P, R, Phi = profiles.lam, profiles.P, profiles.R, profiles.Phi
     dR, dPhi = ddr(R), ddr(Phi)
@@ -200,7 +191,7 @@ def reduced_bc_residual(profiles: ReducedProfiles, delta: float,
     if profiles.steady:
         kin = R(delta) * cos(phi)
     else:
-        gamma = (m + 1.0) / (2.0 * (n - 1.0))
+        gamma = (profiles.m + 1.0) / (2.0 * (profiles.n - 1.0))
         kin = gamma * delta + R(delta) * cos(phi)
     t1 = (2.0 + lamv) * delta * dR(delta) \
         + R(delta) * ((1.0 + lamv) * cos(2.0 * phi) - 1.0)
@@ -306,10 +297,10 @@ def overdetermined_residual(lambda_profile: Callable,
     function-valued second equation with the given beta.
     """
     lamv = phys.lam
-    L = lambda__p = lambda_profile
+    L = lambda_profile
     dL = ddr(L)
     d2L = ddr(dL)
-    worst1 = worst2 = 0.0
+    res1, res2 = [0.0], [0.0]
     for r in samples_r:
         lam, lp, lpp = L(r), dL(r), d2L(r)
         if system == "eq_4_5":
@@ -327,7 +318,7 @@ def overdetermined_residual(lambda_profile: Callable,
                    - 2.0 * (n - 1.0) * beta * lamv
                    / ((2.0 + lamv) * r * r)) * lp
         elif system == "eq_4_23":
-            c = constitutive_eval(triplet, lam)
+            c = triplet.eval(lam)
             e1 = lpp - lp * lp / lam - lamv / ((2.0 + lamv) * r) * lp \
                 + 1.0 / ((2.0 + lamv) * c.D)
             e2 = c.D * (c.S / lam - c.dS
@@ -335,9 +326,9 @@ def overdetermined_residual(lambda_profile: Callable,
                 - beta / ((2.0 + lamv) * r)
         else:
             raise ValueError(f"unknown system {system!r}")
-        worst1 = max(worst1, abs(e1))
-        worst2 = max(worst2, abs(e2))
-    return worst1, worst2
+        res1.append(abs(e1))
+        res2.append(abs(e2))
+    return nan_max(res1), nan_max(res2)
 
 
 def pressure_from_lambda(lambda_profile: Callable, source: Callable,
@@ -393,7 +384,7 @@ def steady_residual(profiles: ReducedProfiles, triplet: ConstitutiveTriplet,
             rejected.append(idx)
             continue
         lam = L(r)
-        c = constitutive_eval(triplet, lam)
+        c = triplet.eval(lam)
         lam_p = dL(r)
         phi = Phi(r)
         # (r D P')' expanded by hand: D P' + r D' lam' P' + r D P''

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ConstitutiveTriplet, PhysConstants, constitutive_eval
+from .core_model import ConstitutiveTriplet, PhysConstants
 from .jets import JET_ENTRIES, FieldJet, JetProvider, SingularityError
 from .numerics import neumaier_sum
 from .numerics.dd import two_prod
@@ -131,9 +131,9 @@ def _constitutive(triplet, alpha):
     """(S, D, dD, d_alpha_sigma) at alpha, evaluated point by point so the
     powers come from libm; arrays for an array alpha."""
     if not isinstance(alpha, np.ndarray):
-        c = constitutive_eval(triplet, alpha)
+        c = triplet.eval(alpha)
         return c.S, c.D, c.dD, c.d_alpha_sigma
-    cs = [constitutive_eval(triplet, a) for a in alpha.tolist()]
+    cs = [triplet.eval(a) for a in alpha.tolist()]
     return tuple(np.array([getattr(c, k) for c in cs], dtype=float)
                  for k in ("S", "D", "dD", "d_alpha_sigma"))
 
@@ -259,8 +259,9 @@ def boundary_residual(jets: JetProvider, boundary: BoundaryCircle,
 def cross_engine_check(analytic: JetProvider, fd: JetProvider,
                        samples: SampleSet,
                        boundary: BoundaryCircle) -> float:
-    """Worst relative disagreement between the two jet engines."""
-    worst = 0.0
+    """Worst relative disagreement between the two jet engines; NaN when
+    any entry disagrees by NaN."""
+    worst = [0.0]
     for t, _, x, y in _time_slices(samples.points(boundary)):
         ja = analytic.jet(t, x, y)
         jf = fd.jet(t, x, y)
@@ -268,6 +269,5 @@ def cross_engine_check(analytic: JetProvider, fd: JetProvider,
             a, f = getattr(ja, name), getattr(jf, name)
             rel = np.abs(a - f) / np.maximum(
                 np.maximum(np.abs(a), np.abs(f)), 1.0)
-            # NaN disagreements never count as the worst
-            worst = max(worst, np.fmax.reduce(rel, initial=0.0))
-    return float(worst)
+            worst.append(float(np.max(rel, initial=0.0)))
+    return nan_max(worst)

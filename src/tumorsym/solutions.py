@@ -9,13 +9,13 @@ differentiated with the Leibniz rule, never by AD through quadrature.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 from .core_model import (GeneralTriplet, PhysConstants, PowerLawParams,
                          PowerLawTriplet, sigma_from_proliferation)
-from .jets import (AnalyticEngine, Field, FieldJet, JetProvider,
-                   SingularityError)
+from .jets import Field, SingularityError
 from .numerics import exp_over_z_integral
 from .numerics.dual import exp, expm1, lift, log, sqrt, value
 
@@ -25,7 +25,7 @@ __all__ = [
     "ConstantState",
     "regular_c3_4_38", "derived_constants_4_40", "restrictions_4_42",
     "restrictions_4_44", "steady_constants_4_36",
-    "eval_jet", "boundary_of", "reduced_profiles_of", "FAMILY_IDS",
+    "reduced_profiles_of", "FAMILY_IDS",
 ]
 
 
@@ -38,19 +38,17 @@ def _require(cond, message):
         raise RestrictionError(message)
 
 
-def _check_point(t, x, y, origin_regular=False):
+def _check_point(t, x, y):
     """w = x^2 + y^2 at one time t; x and y may hold arrays of points."""
     tv = value(t)
     if tv <= 0.0:
         raise ValueError(f"t must be positive, got {tv}")
     w = x * x + y * y
-    if not origin_regular:
-        at_origin = value(w) == 0.0  # a bool, or a mask for arrays
-        if at_origin is True:
-            raise SingularityError("field is singular at the origin")
-        if at_origin is not False and at_origin.any():
-            raise SingularityError("field is singular at the origin",
-                                   at_origin)
+    at_origin = value(w) == 0.0  # a bool, or a mask for arrays
+    if at_origin is True:
+        raise SingularityError("field is singular at the origin")
+    if at_origin is not False and at_origin.any():
+        raise SingularityError("field is singular at the origin", at_origin)
     return w
 
 
@@ -152,6 +150,7 @@ def restrictions_4_42(c1, delta, m, n, lam):
 def restrictions_4_44(c1, delta, n, lam):
     """Derived constants of the moving-boundary family with m = -n-1."""
     _require(n * (n - 1.0) != 0.0, "n(n-1) must be nonzero")
+    _require(c1 > 0.0, "c1 must be positive")
     _require(delta > 0.0, "delta must be positive")
     _require(lam > 0.0, "lambda must be positive")
     d0 = -n * c1 ** n / (4.0 * (1.0 + lam))
@@ -188,11 +187,29 @@ def steady_constants_4_36(c3, delta, m_exp, n_exp, c1, d0):
 # ---------------------------------------------------------------------------
 
 class SolutionFamily(Field):
-    """Common surface: fields + triplet + boundary + reduction metadata."""
+    """Common surface: fields + triplet + boundary + reduction metadata.
+
+    A family class is the one home of its facts: the constructor's
+    arguments are its free parameters (:meth:`params`), the keyword
+    arguments of :meth:`triplet` are the derived constants a run may
+    override (:meth:`overridable`), and ``derived`` lists, in report
+    order, the derived attributes that ``validate`` prints.
+    """
 
     family_id: str
-    origin_regular = False
+    derived: tuple
     steady = False
+    kappa = 0.0  # front exponent: the radius grows like t^(kappa/2)
+
+    @classmethod
+    def params(cls):
+        """Names of the free parameters, in constructor order."""
+        return tuple(inspect.signature(cls.__init__).parameters)[1:]
+
+    @classmethod
+    def overridable(cls):
+        """Names of the constants a run may replace in the triplet."""
+        return tuple(inspect.signature(cls.triplet).parameters)[1:]
 
     def triplet(self):
         raise NotImplementedError
@@ -201,14 +218,28 @@ class SolutionFamily(Field):
         return PhysConstants(lam=self.lam)
 
     def boundary(self) -> BoundaryCircle:
-        raise NotImplementedError
+        return BoundaryCircle(self.delta, self.kappa)
 
     def scale_mn(self):
         """(m, n) exponents driving the scale reduction, None for steady."""
         return None
 
 
-class Full413(SolutionFamily):
+class PowerLawFamily(SolutionFamily):
+    """A family whose constitutive triplet is the power law in (m, n)."""
+
+    def triplet(self, s0=None):
+        """The power-law triplet; a given ``s0`` replaces the derived one
+        (a sensitivity run: the fields stay as they are)."""
+        return PowerLawTriplet(PowerLawParams(
+            d0=self.d0, s0=self.s0 if s0 is None else s0,
+            sigma0=self.sigma0, m=self.m, n=self.n))
+
+    def scale_mn(self):
+        return (self.m, self.n)
+
+
+class Full413(PowerLawFamily):
     """Time-decaying radial solution with m = -1 and free c3, c4.
 
     Solves the governing system under the s0 link; the velocity is bounded
@@ -217,6 +248,7 @@ class Full413(SolutionFamily):
     """
 
     family_id = "full413"
+    derived = ("s0", "c3_regular")
 
     def __init__(self, c1, c3, c4, n, d0, lam, sigma0, delta):
         _require(c1 > 0.0, "c1 must be positive")
@@ -255,18 +287,8 @@ class Full413(SolutionFamily):
         alpha = c1 * t ** (1.0 / (1.0 - n)) * exp(-w * q)
         return alpha, x * vel, y * vel, p
 
-    def triplet(self):
-        return PowerLawTriplet(PowerLawParams(
-            d0=self.d0, s0=self.s0, sigma0=self.sigma0, m=self.m, n=self.n))
 
-    def boundary(self):
-        return BoundaryCircle(delta=self.delta, kappa=0.0)
-
-    def scale_mn(self):
-        return (self.m, self.n)
-
-
-class Stationary413s(SolutionFamily):
+class Stationary413s(PowerLawFamily):
     """Boundary-value solution with a static circular front.
 
     All constants except (c3, c4, n, lambda, d0) are derived; the front
@@ -274,6 +296,7 @@ class Stationary413s(SolutionFamily):
     """
 
     family_id = "stationary413s"
+    derived = ("delta", "E", "c1", "sigma0", "s0")
 
     def __init__(self, c3, c4, n, lam, d0):
         derived = derived_constants_4_40(c3, c4, n, lam, d0)
@@ -302,21 +325,12 @@ class Stationary413s(SolutionFamily):
         alpha = 0.5 * c3 * n * E * t ** (1.0 / (1.0 - n)) * exp(-w * q)
         return alpha, x * vel, y * vel, p
 
-    def triplet(self):
-        return PowerLawTriplet(PowerLawParams(
-            d0=self.d0, s0=self.s0, sigma0=self.sigma0, m=self.m, n=self.n))
 
-    def boundary(self):
-        return BoundaryCircle(delta=self.delta, kappa=0.0)
-
-    def scale_mn(self):
-        return (self.m, self.n)
-
-
-class Moving442(SolutionFamily):
+class Moving442(PowerLawFamily):
     """Moving-front family for m not in {-1, -n-1}; alpha is steady."""
 
     family_id = "moving442"
+    derived = ("d0", "s0", "sigma0", "c2", "c3", "kappa")
 
     def __init__(self, c1, delta, m, n, lam):
         derived = restrictions_4_42(c1, delta, m, n, lam)
@@ -344,21 +358,12 @@ class Moving442(SolutionFamily):
         alpha = c1 * w ** (1.0 / (1.0 + m))
         return alpha, x * vel, y * vel, p
 
-    def triplet(self):
-        return PowerLawTriplet(PowerLawParams(
-            d0=self.d0, s0=self.s0, sigma0=self.sigma0, m=self.m, n=self.n))
 
-    def boundary(self):
-        return BoundaryCircle(delta=self.delta, kappa=self.kappa)
-
-    def scale_mn(self):
-        return (self.m, self.n)
-
-
-class Moving444(SolutionFamily):
+class Moving444(PowerLawFamily):
     """Moving-front family on the branch m = -n-1; alpha is steady."""
 
     family_id = "moving444"
+    derived = ("m", "d0", "s0", "sigma0", "c2", "c3", "kappa")
 
     def __init__(self, c1, delta, n, lam):
         derived = restrictions_4_44(c1, delta, n, lam)
@@ -385,16 +390,6 @@ class Moving444(SolutionFamily):
         alpha = c1 * w ** (-1.0 / n)
         return alpha, x * vel, y * vel, p
 
-    def triplet(self):
-        return PowerLawTriplet(PowerLawParams(
-            d0=self.d0, s0=self.s0, sigma0=self.sigma0, m=self.m, n=self.n))
-
-    def boundary(self):
-        return BoundaryCircle(delta=self.delta, kappa=self.kappa)
-
-    def scale_mn(self):
-        return (self.m, self.n)
-
 
 class Steady432(SolutionFamily):
     """Steady-state solution with the two-term proliferation rate.
@@ -405,6 +400,7 @@ class Steady432(SolutionFamily):
     """
 
     family_id = "steady432"
+    derived = ("c4", "k1", "k2")
     steady = True
 
     def __init__(self, c1, c3, delta, m_exp, n_exp, lam, d0):
@@ -446,9 +442,6 @@ class Steady432(SolutionFamily):
             dD=lambda a: -d0 / (a * a),
             Sigma=sigma, dSigma=dsigma)
 
-    def boundary(self):
-        return BoundaryCircle(delta=self.delta, kappa=0.0)
-
 
 class ConstantState(Field):
     """Spatially uniform rest state; exact whenever S(alpha0) = 0."""
@@ -465,15 +458,6 @@ class ConstantState(Field):
 # ---------------------------------------------------------------------------
 # front-door helpers
 # ---------------------------------------------------------------------------
-
-def eval_jet(sol: SolutionFamily, t, x, y) -> FieldJet:
-    """Full analytic jet of a family at one space-time point."""
-    return JetProvider(sol, AnalyticEngine()).jet(t, x, y)
-
-
-def boundary_of(sol: SolutionFamily) -> BoundaryCircle:
-    return sol.boundary()
-
 
 def reduced_profiles_of(sol: SolutionFamily):
     """Radial profiles whose lift reproduces the family's fields.
@@ -505,10 +489,5 @@ def reduced_profiles_of(sol: SolutionFamily):
         beta=0.0, steady=sol.steady)
 
 
-FAMILY_IDS = {
-    "full413": Full413,
-    "stationary413s": Stationary413s,
-    "moving442": Moving442,
-    "moving444": Moving444,
-    "steady432": Steady432,
-}
+FAMILY_IDS = {cls.family_id: cls for cls in
+              (Full413, Stationary413s, Moving442, Moving444, Steady432)}

@@ -9,10 +9,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from tumorsym import cli
 from tumorsym.cli import main
 from tumorsym.jets import AnalyticEngine
+from tumorsym.solutions import FAMILY_IDS
 
 FIG34_BODY = """\
 [family]
@@ -106,6 +109,95 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, extra):
         assert err.startswith("config error:") and "Traceback" not in err
 
 
+def _family_body(family_id, **params):
+    return f"[family]\nid = {family_id}\n" + "".join(
+        f"{k} = {v!r}\n" for k, v in params.items())
+
+
+_M444 = dict(delta=1.0, lam=1.0)
+_STAT = dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0)
+_STEADY = dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0, lam=4.0,
+               d0=2.0)
+_M442 = dict(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0)
+_FULL = dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0, sigma0=-3.0,
+             delta=1.0)
+
+
+@pytest.mark.parametrize("family_id, params, hint", [
+    ("moving444", dict(_M444, c1=-0.1, n=2.5), "c1 must be positive"),
+    ("moving444", dict(_M444, c1=0.0, n=-2.0), "c1 must be positive"),
+    ("moving444", dict(_M444, c1=-0.1, n=-2.0), "c1 must be positive"),
+    ("moving444", dict(_M444, c1=-0.1, n=3.0), "c1 must be positive"),
+    ("stationary413s", dict(_STAT, c3=1e-3, c4=-1.0), ""),
+    ("steady432", dict(_STEADY, d0=1e-6), ""),
+    ("moving442", dict(_M442, c1=1e-300), ""),
+    ("full413", dict(_FULL, c1=1e300), ""),
+], ids=["444-fractional-n", "444-zero-c1", "444-negative-c1-n-2",
+        "444-negative-c1-n3", "413s-overflow", "432-overflow",
+        "442-overflow", "413-overflow"])
+def test_bad_family_parameters_end_in_a_message(tmp_path, capsys,
+                                                family_id, params, hint):
+    cfg = _write(tmp_path, _family_body(family_id, **params))
+    for command in ("validate", "verify"):
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("restriction violated:") and hint in err
+
+
+def test_validate_reports_an_overflowing_derived_constant(tmp_path, capsys):
+    """full413 builds, but its reported c3_regular needs c1^n = 1e325."""
+    cfg = _write(tmp_path, _family_body("full413", **dict(_FULL, c1=1e250,
+                                                         n=1.3)))
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("restriction violated:")
+
+
+@pytest.mark.parametrize("family_id, params", [
+    ("stationary413s", dict(_STAT, c4=math.nan)),
+    ("stationary413s", dict(_STAT, lam=math.inf)),
+    ("moving442", dict(_M442, delta=-math.inf)),
+    ("stationary413s", dict(_STAT, s0=math.nan)),
+], ids=["c4-nan", "lam-inf", "delta-minus-inf", "s0-nan"])
+def test_non_finite_family_parameter_exits_2(tmp_path, capsys, family_id,
+                                             params):
+    cfg = _write(tmp_path, _family_body(family_id, **params))
+    for command in ("validate", "verify"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be finite" in err
+
+
+_EXTREME = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-300, -1e-300,
+                     1e300, -1e300, 5e-324, 1.7976931348623157e308]),
+    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family_id=st.sampled_from(sorted(FAMILY_IDS)),
+       values=st.lists(_EXTREME, min_size=8, max_size=8))
+@example(family_id="moving444", values=[-0.1, 1.0, 2.5, 1.0])
+@example(family_id="moving444", values=[0.0, 1.0, -2.0, 1.0])
+@example(family_id="stationary413s", values=[1e-3, -1.0, 2.0, 4.0, 2.0])
+@example(family_id="steady432",
+         values=[1.0, 1.0, 1.0, 1.0, 2.0, 4.0, 1e-6])
+@example(family_id="moving442", values=[1e-300, 1.0, 1.0, 3.0, 1.0])
+@example(family_id="full413",
+         values=[1e300, 0.5, 5.0, 3.0, 0.75, 4.0, -3.0, 1.0])
+@example(family_id="full413",
+         values=[1e250, 0.5, 5.0, 1.3, 0.75, 4.0, -3.0, 1.0])
+def test_validate_fuzz_ends_in_an_exit_code(tmp_path, capsys, family_id,
+                                            values):
+    """Any numbers for a family's free parameters end in exit 0, 1 or 2,
+    never in an uncaught exception or a traceback."""
+    params = dict(zip(FAMILY_IDS[family_id].params(), values))
+    cfg = _write(tmp_path, _family_body(family_id, **params))
+    assert main(["validate", "--config", cfg]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["validate", "--config", str(tmp_path / "absent.ini")])
     assert rc == 2
@@ -172,8 +264,7 @@ class _OneNanEngine:
 
 
 def test_verify_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_engine", lambda cfg, override=None:
-                        _OneNanEngine())
+    monkeypatch.setattr(cli, "AnalyticEngine", _OneNanEngine)
     cfg = _write(tmp_path, FIG34_BODY)
     assert main(["verify", "--config", cfg]) == 1
     captured = capsys.readouterr()
@@ -182,21 +273,35 @@ def test_verify_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
     assert "FAIL boundary Linf nan" in captured.err
 
 
-@pytest.mark.parametrize("extra, hint", [
-    ("kind = fd\nh = nan\n", "h must be positive and finite"),
-    ("kind = fd\nh = 0\n", "h must be positive and finite"),
-    ("kind = fd\nh = -1e-4\n", "h must be positive and finite"),
-    ("kind = fd\nh = inf\n", "h must be positive and finite"),
-    ("kind = fd\nscheme_order = 3\n", "scheme_order must be 2 or 4"),
-    ("scheme_order = 0\n", "scheme_order must be 2 or 4"),
+@pytest.mark.parametrize("extra", [
+    "kind = fd\nh = nan\n",
+    "kind = fd\nh = 0\n",
+    "kind = fd\nh = -1e-4\n",
+    "kind = fd\nh = inf\n",
+    "kind = fd\nscheme_order = 3\n",
+    "scheme_order = 0\n",
 ], ids=["h-nan", "h-zero", "h-negative", "h-inf", "order-3", "order-0"])
-def test_bad_engine_setting_exits_2(tmp_path, capsys, extra, hint):
+def test_bad_engine_setting_exits_2(tmp_path, capsys, extra):
+    """The analytic engine is the only one verify and orbit use, so any
+    [engine] section is an unknown section."""
     cfg = _write(tmp_path, FIG34_BODY + "\n[engine]\n" + extra)
     for command in ("validate", "verify", "orbit"):
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and hint in err
-        assert "Traceback" not in err
+        assert err == "config error: unknown section(s): engine\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--engine", "fd"], ["orbit", "--engine", "analytic"],
+    ["validate", "--engine", "fd"], ["validate", "--tol-scale", "2"],
+], ids=["verify-engine", "orbit-engine", "validate-engine",
+        "validate-tol-scale"])
+def test_removed_options_exit_2(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, FIG34_BODY)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--config", cfg])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- orbit ------------------------------------------------------------------

@@ -10,8 +10,8 @@ from tumorsym.core_model import (CONSTRAINT_TOL, ConstitutiveValues,
                                  DegenerateScaleError, DomainError,
                                  GeneralTriplet, PhysConstants,
                                  PowerLawParams, PowerLawTriplet,
-                                 compatibility_residual, constitutive_eval,
-                                 scale_exponents, sigma_from_proliferation,
+                                 compatibility_residual, scale_exponents,
+                                 sigma_from_proliferation,
                                  validate_power_law)
 
 
@@ -39,7 +39,7 @@ def test_power_law_params_rejects_nonpositive_d0():
 
 def test_power_law_eval_hand_values():
     trip = _triplet(d0=2.0, s0=3.0, sigma0=-1.5, m=2.0, n=3.0)
-    cv = constitutive_eval(trip, 2.0)
+    cv = trip.eval(2.0)
     assert cv.S == 3.0 * 8.0
     assert cv.D == 2.0 * 4.0
     assert cv.Sigma == -1.5 * 4.0

@@ -8,7 +8,7 @@ import pytest
 
 from tumorsym.core_model import PhysConstants, PowerLawParams
 from tumorsym.numerics import IntegrationError
-from tumorsym.numerics.dual import ddr, exp as dexp
+from tumorsym.numerics.dual import ddr, exp as dexp, value
 from tumorsym.reduction import (BcResiduals, first_integral_R,
                                 integrate_ode_4_6, lift_profiles,
                                 overdetermined_residual,
@@ -265,6 +265,19 @@ def test_overdetermined_general_triplet_pair():
                                      rs, triplet=sol.triplet())
     assert e1 <= 1e-9
     assert e2 <= 1e-9
+
+
+def test_overdetermined_residual_keeps_a_nan():
+    params = _link_params(d0=2.0, sigma0=-0.6, m=-1.0, n=2.0, lamv=4.0)
+
+    def prof(r):
+        g = 5.288866935008417 * dexp(-r * r / 8.0)
+        return g * math.nan if abs(value(r) - 0.6) < 0.05 else g
+
+    rs = [0.1 + 0.1 * k for k in range(19)]
+    e1, e2 = overdetermined_residual(prof, params, PhysConstants(lam=4.0),
+                                     "eq_4_5", rs)
+    assert math.isnan(e1) and math.isnan(e2)
 
 
 def test_overdetermined_unknown_system():

@@ -189,6 +189,16 @@ def test_cross_engine_flags_corrupted_gradient():
     assert cross_engine_check(good, bad, SampleSet(), sol.boundary()) >= 5e-3
 
 
+def test_cross_engine_counts_a_nan_disagreement():
+    """An FD reference whose spatial entries are all NaN agrees with
+    nothing, even though its values and time derivatives match."""
+    sol = Stationary413s(**FIG34)
+    a = JetProvider(sol, AnalyticEngine())
+    f = JetProvider(sol, FdEngine(h=math.nan))
+    ss = SampleSet(r_min_fraction=0.1)
+    assert math.isnan(cross_engine_check(a, f, ss, sol.boundary()))
+
+
 # -- NaN residuals -----------------------------------------------------------
 
 def test_collect_reports_a_nan_anywhere_in_the_column():

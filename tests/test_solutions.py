@@ -6,14 +6,14 @@ import math
 
 import pytest
 
+from tumorsym.jets import analytic_jet
 from tumorsym.numerics import exp_over_z_quadrature
 from tumorsym.solutions import (BoundaryCircle, ConstantState, Full413,
                                 Moving442, Moving444, RestrictionError,
                                 SingularityError, Stationary413s, Steady432,
-                                boundary_of, derived_constants_4_40, eval_jet,
-                                reduced_profiles_of, regular_c3_4_38,
-                                restrictions_4_42, restrictions_4_44,
-                                steady_constants_4_36)
+                                derived_constants_4_40, reduced_profiles_of,
+                                regular_c3_4_38, restrictions_4_42,
+                                restrictions_4_44, steady_constants_4_36)
 
 # Frozen oracle constants, computed independently with mpmath at 50 digits
 # from the defining relations delta = exp(-c4/c3), E = exp(delta^2/(4 d0)),
@@ -240,7 +240,7 @@ def test_radial_symmetry_of_velocity():
 
 def test_moving_front_radius():
     sol = Moving442(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0)
-    b = boundary_of(sol)
+    b = sol.boundary()
     assert b.kappa == sol.kappa
     assert b.radius(4.0) == pytest.approx(4.0 ** (sol.kappa / 2.0), rel=1e-15)
     assert abs(b.level(4.0, b.radius(4.0), 0.0)) < 1e-14
@@ -260,7 +260,7 @@ def test_static_front_radius():
 
 def test_eval_jet_matches_values():
     sol = Stationary413s(**FIG34)
-    jet = eval_jet(sol, 1.0, 0.3, 0.2)
+    jet = analytic_jet(sol, 1.0, 0.3, 0.2)
     a, u1, u2, p = sol.values(1.0, 0.3, 0.2)
     assert jet.alpha == pytest.approx(a, rel=1e-14)
     assert jet.u1 == pytest.approx(u1, rel=1e-14)
