@@ -15,8 +15,7 @@ from .jets import AnalyticEngine, FdEngine, Field, FieldJet, JetProvider, \
 from .reduction import (ReducedProfiles, first_integral_R,
                         integrate_ode_4_6, lift_profiles,
                         overdetermined_residual, pressure_from_lambda,
-                        reduced_bc_residual, reduced_ode_residual,
-                        steady_residual)
+                        reduced_bc_residual, reduced_ode_residual)
 from .residuals import (ResidualReport, SampleSet, boundary_residual,
                         cross_engine_check, governing_residual)
 from .solutions import (FAMILY_IDS, BoundaryCircle, ConstantState, Full413,

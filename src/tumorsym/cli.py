@@ -13,8 +13,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .jets import AnalyticEngine, JetProvider
-from .reduction import reduced_bc_residual, reduced_ode_residual, \
-    steady_residual
+from .reduction import reduced_bc_residual, reduced_ode_residual
 from .residuals import boundary_residual, governing_residual
 from .solutions import FAMILY_IDS, reduced_profiles_of
 from .symmetry import (Galilei, InapplicableSymmetryError, PressureShift,
@@ -84,6 +83,10 @@ def cmd_validate(args):
     cfg, sol = _load(args.config)
     with _restrictions():
         derived = {name: getattr(sol, name) for name in sol.derived}
+    for name, val in derived.items():
+        if not math.isfinite(val):
+            raise _Exit(f"restriction violated: derived {name} = {val!r} "
+                        "is not finite", 1)
     print(f"family: {cfg.family_id}")
     for key in sorted(cfg.family_params):
         print(f"  given   {key} = {cfg.family_params[key]!r}")
@@ -124,10 +127,7 @@ def cmd_verify(args):
     triplet = sol.triplet(**cfg.overrides)
     phys, boundary = sol.phys(), sol.boundary()
     provider = JetProvider(sol, AnalyticEngine())
-    scale = args.tol_scale
-    tol = {k: v * scale for k, v in cfg.tolerances.items()
-           if k != "orbit_factor"}
-    tol["orbit_factor"] = cfg.tolerances["orbit_factor"]
+    tol = cfg.tolerances
 
     failures = []
     gov = governing_residual(provider, triplet, phys, cfg.samples,
@@ -147,14 +147,11 @@ def cmd_verify(args):
     profiles = reduced_profiles_of(sol)
     delta = sol.delta
     radii = [1e-2 * delta * (100.0) ** (i / 63.0) for i in range(64)]
-    if profiles.steady:
-        red = steady_residual(profiles, triplet, phys, radii, delta)
-    else:
-        red = reduced_ode_residual(profiles, radii)
+    red = reduced_ode_residual(profiles, radii)
     if not red.linf <= tol["reduced"]:
         failures.append(f"reduced Linf {red.linf:.3e} > "
                         f"{tol['reduced']:.3e}")
-    bc = reduced_bc_residual(profiles, delta, phys)
+    bc = reduced_bc_residual(profiles, delta)
     if not bc.general_max <= tol["boundary"]:
         failures.append(f"reduced BC {bc.general_max:.3e} > "
                         f"{tol['boundary']:.3e}")
@@ -209,8 +206,7 @@ def cmd_orbit(args):
         orb = orbit_residual(elem, sol, triplet, phys, cfg.samples)
     except InapplicableSymmetryError as e:
         return _fail(f"inapplicable symmetry: {e}", 1)
-    factor = cfg.tolerances["orbit_factor"] * args.tol_scale
-    allowed = max(base.linf, 1e-14) * factor
+    allowed = max(base.linf, 1e-14) * cfg.tolerances["orbit_factor"]
     print(f"base Linf={base.linf:.6e} orbit Linf={orb.linf:.6e} "
           f"allowed={allowed:.6e}")
     _write_json(cfg.out_dir or args.out, "orbit.json",
@@ -314,15 +310,12 @@ def main(argv=None) -> int:
                     "model and its closed-form solutions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_scale=True):
+    def common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        if tol_scale:
-            p.add_argument("--tol-scale", type=float, default=1.0,
-                           dest="tol_scale")
 
     common(sub.add_parser("validate", help="derived constants and "
-                          "restriction diagnostics"), tol_scale=False)
+                          "restriction diagnostics"))
     common(sub.add_parser("verify", help="full residual bundle"))
     common(sub.add_parser("orbit", help="group-orbit residual check"))
     fig = sub.add_parser("figure", help="emit figure data as CSV")

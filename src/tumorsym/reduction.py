@@ -19,11 +19,10 @@ from .numerics import (IntegrationError, OdeSpec, QuadratureSpec,
 from .numerics.dual import atan2, cos, ddr, exp, log, sin, sqrt, value
 from .residuals import ResidualReport, _collect, nan_max
 
-__all__ = ["ReducedProfiles", "ReducedPlaneFields", "lift_profiles",
-           "reduced_ode_residual", "reduced_bc_residual", "BcResiduals",
-           "first_integral_R", "integrate_ode_4_6", "LambdaTrajectory",
-           "overdetermined_residual", "pressure_from_lambda",
-           "steady_residual"]
+__all__ = ["ReducedProfiles", "lift_profiles", "reduced_ode_residual",
+           "reduced_bc_residual", "BcResiduals", "first_integral_R",
+           "integrate_ode_4_6", "LambdaTrajectory",
+           "overdetermined_residual", "pressure_from_lambda"]
 
 REDUCED_NAMES = ("radial_mass", "radial_divergence",
                  "radial_momentum_phi", "radial_momentum_r")
@@ -31,7 +30,9 @@ REDUCED_NAMES = ("radial_mass", "radial_divergence",
 
 @dataclass(frozen=True)
 class ReducedProfiles:
-    """Radial profiles (concentration, pressure, speed, flow angle).
+    """Radial profiles (concentration, pressure, speed, flow angle) and the
+    model they reduce: the family's triplet and viscosity, and which
+    symmetry reduced it (time translation when ``steady``, else scale).
 
     The four callables accept dual arguments, so first and second
     derivatives are available by forward differentiation.
@@ -41,73 +42,42 @@ class ReducedProfiles:
     P: Callable
     R: Callable
     Phi: Callable
-    m: Optional[float]
-    n: Optional[float]
-    lam_visc: float
-    d0: float
-    s0: Optional[float] = None
-    sigma0: Optional[float] = None
-    beta: float = 0.0
-    steady: bool = False
+    triplet: ConstitutiveTriplet
+    phys: PhysConstants
+    steady: bool
 
-
-@dataclass(frozen=True)
-class ReducedPlaneFields:
-    """The capital unknowns on the scaled plane (omega1, omega2)."""
-
-    U1: Callable
-    U2: Callable
-    Lam: Callable
-    P: Callable
-
-    @classmethod
-    def from_profiles(cls, profiles: ReducedProfiles):
-        def polar(w1, w2):
-            return sqrt(w1 * w1 + w2 * w2), atan2(w2, w1)
-
-        def U1(w1, w2):
-            r, phi = polar(w1, w2)
-            return profiles.R(r) * cos(profiles.Phi(r) + phi)
-
-        def U2(w1, w2):
-            r, phi = polar(w1, w2)
-            return profiles.R(r) * sin(profiles.Phi(r) + phi)
-
-        def Lam(w1, w2):
-            r, _ = polar(w1, w2)
-            return profiles.lam(r)
-
-        def P(w1, w2):
-            r, _ = polar(w1, w2)
-            return profiles.P(r)
-
-        return cls(U1=U1, U2=U2, Lam=Lam, P=P)
+    @property
+    def gamma(self) -> float:
+        """Exponent of the scale ansatz; 0 for the steady reduction."""
+        if self.steady:
+            return 0.0
+        p = self.triplet.params
+        return scale_exponents(p.m, p.n).gamma
 
 
 class LiftedField(Field):
-    def __init__(self, plane: ReducedPlaneFields, m, n, steady):
-        self.plane = plane
-        self.steady = steady
-        if steady:
-            self.gamma = None
-        else:
-            self.gamma = scale_exponents(m, n).gamma
-            self.n = n
+    """Profiles lifted to a (t, x, y) field: the inverse of the scale
+    ansatz (no time factors for steady profiles), then the polar map."""
+
+    def __init__(self, profiles: ReducedProfiles):
+        self.profiles = profiles
 
     def values(self, t, x, y):
         if value(t) <= 0.0:
             raise ValueError("lifted field needs t > 0")
-        if self.steady:
-            return (self.plane.Lam(x, y), self.plane.U1(x, y),
-                    self.plane.U2(x, y), self.plane.P(x, y))
-        g, n = self.gamma, self.n
-        w1 = x * t ** g
-        w2 = y * t ** g
+        prof = self.profiles
+        g = prof.gamma  # 0 for steady profiles: t ** g is exactly 1
+        w1, w2 = x * t ** g, y * t ** g
+        r, phi = sqrt(w1 * w1 + w2 * w2), atan2(w2, w1)
+        R, angle = prof.R(r), prof.Phi(r) + phi
+        lam, u1, u2, p = prof.lam(r), R * cos(angle), R * sin(angle), \
+            prof.P(r)
+        if prof.steady:
+            return lam, u1, u2, p
+        n = prof.triplet.params.n
         tu = t ** (-g - 1.0)
-        return (t ** (1.0 / (1.0 - n)) * self.plane.Lam(w1, w2),
-                tu * self.plane.U1(w1, w2),
-                tu * self.plane.U2(w1, w2),
-                t ** (n / (1.0 - n)) * self.plane.P(w1, w2))
+        return (t ** (1.0 / (1.0 - n)) * lam, tu * u1, tu * u2,
+                t ** (n / (1.0 - n)) * p)
 
 
 def lift_profiles(profiles: ReducedProfiles) -> LiftedField:
@@ -116,50 +86,55 @@ def lift_profiles(profiles: ReducedProfiles) -> LiftedField:
     For steady profiles the time-translation reduction is inverted instead
     and no time factors appear.
     """
-    plane = ReducedPlaneFields.from_profiles(profiles)
-    return LiftedField(plane, profiles.m, profiles.n, profiles.steady)
+    return LiftedField(profiles)
 
 
 def reduced_ode_residual(profiles: ReducedProfiles,
                          samples_r) -> ResidualReport:
-    """Residuals of the four reduced radial ODEs at the given radii."""
-    m, n = profiles.m, profiles.n
-    lamv, d0 = profiles.lam_visc, profiles.d0
-    s0, sigma0 = profiles.s0, profiles.sigma0
-    gamma = (m + 1.0) / (2.0 * (n - 1.0))
+    """Residuals of the four reduced radial ODEs at the given radii.
+
+    Both reductions give one system whose coefficients come from the
+    family's own triplet; the scale reduction adds the ansatz terms
+    gamma r^2 lam' - r lam/(n-1) to the mass equation.
+    """
+    lamv, gamma = profiles.phys.lam, profiles.gamma
     L, P, R, Phi = profiles.lam, profiles.P, profiles.R, profiles.Phi
     dL, dP, dR, dPhi = ddr(L), ddr(P), ddr(R), ddr(Phi)
-
+    d2P = ddr(dP)
     d_mass_flux = ddr(lambda r: r * L(r) * R(r) * cos(Phi(r)))
     d_vol_flux = ddr(lambda r: r * R(r) * cos(Phi(r)))
-    d_darcy = ddr(lambda r: d0 * r * L(r) ** m * dP(r))
     d_swirl = ddr(lambda r: r * R(r) * L(r) * dPhi(r))
     d_shear = ddr(lambda r: r * L(r) * dR(r))
-    d_ln = ddr(lambda r: sigma0 * L(r) ** n)
 
     rows, locations, rejected = [], [], []
     for idx, r in enumerate(samples_r):
         if r <= 0.0:
             rejected.append(idx)
             continue
+        lam = L(r)
+        c = profiles.triplet.eval(lam)
         lam_p = dL(r)
         phi = Phi(r)
-        src = d_ln(r) + dP(r)
-        eq1 = gamma * r * r * lam_p + d_mass_flux(r) \
-            - s0 * r * L(r) ** n - r * L(r) / (n - 1.0)
-        eq2 = d_vol_flux(r) - d_darcy(r)
+        # (r D P')' expanded by hand: D P' + r D' lam' P' + r D P''
+        darcy = c.D * dP(r) + r * c.dD * lam_p * dP(r) + r * c.D * d2P(r)
+        src = c.d_alpha_sigma * lam_p + dP(r)
+        eq1 = d_mass_flux(r) - r * c.S
+        if not profiles.steady:
+            n = profiles.triplet.params.n
+            eq1 += gamma * r * r * lam_p - r * lam / (n - 1.0)
+        eq2 = d_vol_flux(r) - darcy
         eq3 = (1.0 + lamv) * R(r) * lam_p * sin(2.0 * phi) \
             - (2.0 + lamv) * d_swirl(r) \
-            - (2.0 + lamv) * r * L(r) * dR(r) * dPhi(r) \
+            - (2.0 + lamv) * r * lam * dR(r) * dPhi(r) \
             - r * src * sin(phi)
         eq4 = (1.0 + lamv) * r * R(r) * lam_p * cos(2.0 * phi) \
             + (2.0 + lamv) * r * d_shear(r) \
-            - (2.0 + lamv) * L(r) * R(r) * (1.0 + (r * dPhi(r)) ** 2) \
+            - (2.0 + lamv) * lam * R(r) * (1.0 + (r * dPhi(r)) ** 2) \
             - r * R(r) * lam_p - r * r * src * cos(phi)
         rows.append((eq1, eq2, eq3, eq4))
         locations.append((0.0, r, 0.0))
-    return _collect(REDUCED_NAMES, rows, locations, "reduced-ode",
-                    rejected)
+    engine = "steady-ode" if profiles.steady else "reduced-ode"
+    return _collect(REDUCED_NAMES, rows, locations, engine, rejected)
 
 
 @dataclass(frozen=True)
@@ -182,17 +157,13 @@ class BcResiduals:
         return nan_max(map(abs, self.simplified))
 
 
-def reduced_bc_residual(profiles: ReducedProfiles, delta: float,
-                        phys: PhysConstants) -> BcResiduals:
-    lamv = phys.lam
+def reduced_bc_residual(profiles: ReducedProfiles,
+                        delta: float) -> BcResiduals:
+    lamv = profiles.phys.lam
     L, P, R, Phi = profiles.lam, profiles.P, profiles.R, profiles.Phi
     dR, dPhi = ddr(R), ddr(Phi)
     phi = Phi(delta)
-    if profiles.steady:
-        kin = R(delta) * cos(phi)
-    else:
-        gamma = (profiles.m + 1.0) / (2.0 * (profiles.n - 1.0))
-        kin = gamma * delta + R(delta) * cos(phi)
+    kin = profiles.gamma * delta + R(delta) * cos(phi)
     t1 = (2.0 + lamv) * delta * dR(delta) \
         + R(delta) * ((1.0 + lamv) * cos(2.0 * phi) - 1.0)
     t2 = R(delta) * ((2.0 + lamv) * delta * dPhi(delta)
@@ -364,42 +335,3 @@ def pressure_from_lambda(lambda_profile: Callable, source: Callable,
 
     return P
 
-
-def steady_residual(profiles: ReducedProfiles, triplet: ConstitutiveTriplet,
-                    phys: PhysConstants, samples_r,
-                    delta: float) -> ResidualReport:
-    """Residuals of the steady radial system plus its front conditions."""
-    lamv = phys.lam
-    L, P, R, Phi = profiles.lam, profiles.P, profiles.R, profiles.Phi
-    dL, dP, dR, dPhi = ddr(L), ddr(P), ddr(R), ddr(Phi)
-    d2P = ddr(dP)
-    d_mass_flux = ddr(lambda r: r * L(r) * R(r) * cos(Phi(r)))
-    d_vol_flux = ddr(lambda r: r * R(r) * cos(Phi(r)))
-    d_swirl = ddr(lambda r: r * R(r) * L(r) * dPhi(r))
-    d_shear = ddr(lambda r: r * L(r) * dR(r))
-
-    rows, locations, rejected = [], [], []
-    for idx, r in enumerate(samples_r):
-        if r <= 0.0:
-            rejected.append(idx)
-            continue
-        lam = L(r)
-        c = triplet.eval(lam)
-        lam_p = dL(r)
-        phi = Phi(r)
-        # (r D P')' expanded by hand: D P' + r D' lam' P' + r D P''
-        darcy = c.D * dP(r) + r * c.dD * lam_p * dP(r) + r * c.D * d2P(r)
-        src = c.d_alpha_sigma * lam_p + dP(r)
-        eq1 = d_mass_flux(r) - r * c.S
-        eq2 = d_vol_flux(r) - darcy
-        eq3 = (1.0 + lamv) * R(r) * lam_p * sin(2.0 * phi) \
-            - (2.0 + lamv) * d_swirl(r) \
-            - (2.0 + lamv) * r * lam * dR(r) * dPhi(r) \
-            - r * src * sin(phi)
-        eq4 = (1.0 + lamv) * r * R(r) * lam_p * cos(2.0 * phi) \
-            + (2.0 + lamv) * r * d_shear(r) \
-            - (2.0 + lamv) * lam * R(r) * (1.0 + (r * dPhi(r)) ** 2) \
-            - r * R(r) * lam_p - r * r * src * cos(phi)
-        rows.append((eq1, eq2, eq3, eq4))
-        locations.append((0.0, r, 0.0))
-    return _collect(REDUCED_NAMES, rows, locations, "steady-ode", rejected)

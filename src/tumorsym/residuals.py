@@ -123,8 +123,18 @@ def _acc(terms):
         parts += (q, f, e * c)
     table = np.stack(np.broadcast_arrays(*parts), axis=-1)
     if table.ndim == 1:
-        return math.fsum(table.tolist())
-    return [math.fsum(row) for row in table.tolist()]
+        return _fsum(table.tolist())
+    return [_fsum(row) for row in table.tolist()]
+
+
+def _fsum(terms):
+    """``math.fsum``, or NaN when the terms cannot be summed (inf - inf, or
+    an intermediate overflow), so the point fails its gate instead of
+    ending the run."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _constitutive(triplet, alpha):

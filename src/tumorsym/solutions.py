@@ -480,14 +480,8 @@ def reduced_profiles_of(sol: SolutionFamily):
     def Phi(r):
         return 0.0
 
-    mn = sol.scale_mn()
-    return ReducedProfiles(
-        lam=lam, P=P, R=R, Phi=Phi,
-        m=mn[0] if mn else None, n=mn[1] if mn else None,
-        lam_visc=sol.lam, d0=sol.d0,
-        s0=getattr(sol, "s0", None), sigma0=getattr(sol, "sigma0", None),
-        beta=0.0, steady=sol.steady)
-
+    return ReducedProfiles(lam=lam, P=P, R=R, Phi=Phi, triplet=sol.triplet(),
+                           phys=sol.phys(), steady=sol.steady)
 
 FAMILY_IDS = {cls.family_id: cls for cls in
               (Full413, Stationary413s, Moving442, Moving444, Steady432)}

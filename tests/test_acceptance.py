@@ -12,8 +12,7 @@ from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams)
 from tumorsym.cli import main
 from tumorsym.reduction import (integrate_ode_4_6, lift_profiles,
-                                reduced_bc_residual, reduced_ode_residual,
-                                steady_residual)
+                                reduced_bc_residual, reduced_ode_residual)
 from tumorsym.residuals import (SampleSet, boundary_residual,
                                 cross_engine_check, governing_residual)
 from tumorsym.solutions import (BoundaryCircle, ConstantState, Full413,
@@ -202,9 +201,8 @@ def test_criterion_6_reduction_cross_checks(capsys):
     if rep.linf > 1e-9:
         failures.append(f"radial ODE residual {rep.linf:.3e} > 1e-9")
     steady = fams["steady432"]
-    rep = steady_residual(reduced_profiles_of(steady), steady.triplet(),
-                          steady.phys(), [r * steady.delta for r in radii],
-                          steady.delta)
+    rep = reduced_ode_residual(reduced_profiles_of(steady),
+                               [r * steady.delta for r in radii])
     if rep.linf > 1e-9:
         failures.append(f"steady ODE residual {rep.linf:.3e} > 1e-9")
 
@@ -236,8 +234,7 @@ def test_criterion_6_reduction_cross_checks(capsys):
 
     # general and simplified front-condition sets agree on this branch
     stat = fams["stationary413s"]
-    bc = reduced_bc_residual(reduced_profiles_of(stat), stat.delta,
-                             stat.phys())
+    bc = reduced_bc_residual(reduced_profiles_of(stat), stat.delta)
     if bc.general_max > 1e-10 or bc.simplified_max > 1e-10:
         failures.append(f"front-condition sets {bc.general_max:.3e} / "
                         f"{bc.simplified_max:.3e} > 1e-10")

@@ -228,10 +228,51 @@ def test_verify_detects_overridden_link(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
-def test_verify_tol_scale(tmp_path, capsys):
-    cfg = _write(tmp_path, FIG34_BODY)
-    assert main(["verify", "--config", cfg, "--tol-scale", "1e-9"]) == 1
+def test_verify_tight_tolerance_fails(tmp_path, capsys):
+    cfg = _write(tmp_path, FIG34_BODY + "\n[tolerances]\ngoverning = 1e-17\n")
+    assert main(["verify", "--config", cfg]) == 1
     capsys.readouterr()
+
+
+def test_verify_s0_override_reaches_only_the_governing_check(tmp_path,
+                                                            capsys):
+    """The override is a sensitivity run on the governing equations; the
+    reduced checks use the family's own triplet and do not move."""
+    reports = {}
+    for name, body in (("base", FIG34_BODY), ("s0", FIG34_BODY.replace(
+            "d0 = 2.0", "d0 = 2.0\ns0 = -0.199"))):
+        out = tmp_path / name
+        main(["verify", "--config", _write(tmp_path, body, f"{name}.ini"),
+              "--out", str(out)])
+        reports[name] = json.loads((out / "verify.json").read_text())
+    capsys.readouterr()
+    failures = reports["s0"]["failures"]
+    assert len(failures) == 1 and failures[0].startswith("governing Linf")
+    for block in ("reduced", "reduced_bc"):
+        assert reports["s0"][block] == reports["base"][block]
+
+
+_OVERFLOW_BODY = FIG34_BODY.replace("lam = 4.0", "lam = 1e308")
+
+
+def test_verify_counts_an_unsummable_residual_as_nan(tmp_path, capsys):
+    """lam = 1e308 makes sigma0 = s0 = -inf: the residual terms hold
+    inf - inf, which fails the gates instead of ending in a traceback."""
+    cfg = _write(tmp_path, _OVERFLOW_BODY)
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL governing Linf nan" in err and "Traceback" not in err
+
+
+def test_validate_rejects_a_non_finite_derived_constant(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _OVERFLOW_BODY)
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("restriction violated: derived sigma0 = -inf "
+                            "is not finite\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_report_is_byte_identical(tmp_path, capsys):
@@ -294,8 +335,9 @@ def test_bad_engine_setting_exits_2(tmp_path, capsys, extra):
 @pytest.mark.parametrize("argv", [
     ["verify", "--engine", "fd"], ["orbit", "--engine", "analytic"],
     ["validate", "--engine", "fd"], ["validate", "--tol-scale", "2"],
+    ["verify", "--tol-scale", "2"], ["orbit", "--tol-scale", "2"],
 ], ids=["verify-engine", "orbit-engine", "validate-engine",
-        "validate-tol-scale"])
+        "validate-tol-scale", "verify-tol-scale", "orbit-tol-scale"])
 def test_removed_options_exit_2(tmp_path, capsys, argv):
     cfg = _write(tmp_path, FIG34_BODY)
     with pytest.raises(SystemExit) as exit_info:

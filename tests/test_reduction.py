@@ -2,6 +2,7 @@
 front conditions, lift round-trips, the integrated concentration ODE
 against its closed forms, and the pressure quadrature."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,7 +14,7 @@ from tumorsym.reduction import (BcResiduals, first_integral_R,
                                 integrate_ode_4_6, lift_profiles,
                                 overdetermined_residual,
                                 pressure_from_lambda, reduced_bc_residual,
-                                reduced_ode_residual, steady_residual)
+                                reduced_ode_residual)
 from tumorsym.solutions import (Full413, Stationary413s, Steady432,
                                 reduced_profiles_of)
 
@@ -47,21 +48,22 @@ def test_reduced_ode_residual_full_profile():
     assert rep.linf <= 1e-9
 
 
-def test_reduced_ode_flags_wrong_profile():
-    sol = Stationary413s(**FIG34)
+@pytest.mark.parametrize("mk", [
+    lambda: Stationary413s(**FIG34),
+    lambda: Steady432(**STEADY),
+], ids=["stationary413s", "steady432"])
+def test_reduced_ode_flags_wrong_profile(mk):
+    sol = mk()
     prof = reduced_profiles_of(sol)
-    broken = type(prof)(
-        lam=lambda r: 1.001 * prof.lam(r), P=prof.P, R=prof.R, Phi=prof.Phi,
-        m=prof.m, n=prof.n, lam_visc=prof.lam_visc, d0=prof.d0,
-        s0=prof.s0, sigma0=prof.sigma0)
+    broken = dataclasses.replace(prof, lam=lambda r: 1.001 * prof.lam(r))
     rep = reduced_ode_residual(broken, _radii(sol.delta))
     assert rep.linf >= 1e-4
 
 
 def test_steady_residual_profile():
     sol = Steady432(**STEADY)
-    rep = steady_residual(reduced_profiles_of(sol), sol.triplet(),
-                          sol.phys(), _radii(sol.delta), sol.delta)
+    rep = reduced_ode_residual(reduced_profiles_of(sol), _radii(sol.delta))
+    assert rep.engine == "steady-ode"
     assert rep.linf <= 1e-9
 
 
@@ -77,7 +79,7 @@ def test_residual_rejects_nonpositive_radii():
 
 def test_front_conditions_hold():
     sol = Stationary413s(**FIG34)
-    bc = reduced_bc_residual(reduced_profiles_of(sol), sol.delta, sol.phys())
+    bc = reduced_bc_residual(reduced_profiles_of(sol), sol.delta)
     assert bc.general_max <= 1e-10
     assert bc.simplified_max <= 1e-10
 
@@ -87,7 +89,7 @@ def test_front_conditions_equivalent_sets():
     # both must flag a wrong radius together
     sol = Stationary413s(**FIG34)
     prof = reduced_profiles_of(sol)
-    off = reduced_bc_residual(prof, 1.1 * sol.delta, sol.phys())
+    off = reduced_bc_residual(prof, 1.1 * sol.delta)
     assert off.general_max > 1e-3
     assert off.simplified_max > 1e-3
     # and the traction conditions are R'-driven: same magnitude class
@@ -103,7 +105,7 @@ def test_front_condition_maxima_keep_a_nan():
 
 def test_front_conditions_steady():
     sol = Steady432(**STEADY)
-    bc = reduced_bc_residual(reduced_profiles_of(sol), sol.delta, sol.phys())
+    bc = reduced_bc_residual(reduced_profiles_of(sol), sol.delta)
     assert bc.general_max <= 1e-10
 
 

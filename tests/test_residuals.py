@@ -5,13 +5,15 @@ two-engine cross-check."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams, PowerLawTriplet)
 from tumorsym.jets import AnalyticEngine, FdEngine, Field, JetProvider
-from tumorsym.residuals import (SampleSet, _collect, boundary_residual,
-                                cross_engine_check, governing_residual)
+from tumorsym.residuals import (SampleSet, _acc, _collect,
+                                boundary_residual, cross_engine_check,
+                                governing_residual)
 from tumorsym.solutions import (BoundaryCircle, ConstantState, Full413,
                                 Stationary413s, Steady432)
 
@@ -209,3 +211,12 @@ def test_collect_reports_a_nan_anywhere_in_the_column():
     assert math.isnan(eq.linf) and math.isnan(rep.linf)
     assert eq.linf_location == (1.0, 0.2, 0.0)
     assert math.isnan(eq.l2)
+
+
+def test_acc_sums_opposite_infinities_to_nan():
+    """inf - inf has no sum: the point's residual is NaN, and the other
+    points of an array keep their exact sums."""
+    assert math.isnan(_acc([(1.0, math.inf, 1.0), (1.0, -math.inf, 1.0)]))
+    got = _acc([(1.0, np.array([math.inf, 1.0]), 1.0),
+                (-1.0, np.array([math.inf, 2.0]), 1.0)])
+    assert math.isnan(got[0]) and got[1] == -1.0

@@ -285,4 +285,5 @@ def test_reduced_profiles_are_unit_time_slice():
         assert prof.R(r) == u1
         assert prof.P(r) == p
         assert prof.Phi(r) == 0.0
-    assert prof.m == sol.m and prof.n == sol.n
+    assert prof.triplet.params.m == sol.m \
+        and prof.triplet.params.n == sol.n
