@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
+from .core_model import PowerLawTriplet
 from .jets import AnalyticEngine, JetProvider
 from .reduction import reduced_bc_residual, reduced_ode_residual
 from .residuals import boundary_residual, governing_residual
@@ -98,7 +99,7 @@ def cmd_validate(args):
     return 0
 
 
-def _build_element(spec, sol):
+def _build_element(spec, triplet):
     element, eps = spec["element"], spec["eps"]
     if element == "rotation":
         if spec.get("f") == "sin":
@@ -113,13 +114,23 @@ def _build_element(spec, sol):
     if element == "time-translation":
         return TimeTranslation(eps=eps)
     if element == "scale":
-        mn = sol.scale_mn()
-        if mn is None:
+        if not isinstance(triplet, PowerLawTriplet):
             raise InapplicableSymmetryError(
                 "scale action is not applicable: the family's "
                 "constitutive triplet is not power-law")
-        return Scale(eps=eps, m=mn[0], n=mn[1])
+        return Scale(eps=eps, m=triplet.params.m, n=triplet.params.n)
     raise ConfigError(f"unknown orbit element {element!r}")
+
+
+def _orbit_bound(base_linf, orbit_factor):
+    """``orbit_factor`` times the base residual floored at 1e-14; None,
+    no finite bound, when the base residual is NaN."""
+    if math.isnan(base_linf):
+        return None
+    return max(base_linf, 1e-14) * orbit_factor
+
+
+_NO_ORBIT_BOUND = "orbit: no finite bound, the base residual is NaN"
 
 
 def cmd_verify(args):
@@ -160,11 +171,13 @@ def cmd_verify(args):
     orbit_spec = cfg.orbit or {"element": "rotation", "eps": 0.5,
                                "f": "const"}
     try:
-        elem = _build_element(orbit_spec, sol)
+        elem = _build_element(orbit_spec, triplet)
         orb = orbit_residual(elem, sol, triplet, phys, cfg.samples)
         orbit_payload = _report_payload(orb)
-        allowed = max(gov.linf, 1e-14) * tol["orbit_factor"]
-        if not orb.linf <= allowed:
+        allowed = _orbit_bound(gov.linf, tol["orbit_factor"])
+        if allowed is None:
+            failures.append(_NO_ORBIT_BOUND)
+        elif not orb.linf <= allowed:
             failures.append(f"orbit Linf {orb.linf:.3e} > {allowed:.3e}")
     except InapplicableSymmetryError as e:
         failures.append(f"orbit: {e}")
@@ -202,17 +215,20 @@ def cmd_orbit(args):
     base = governing_residual(provider, triplet, phys, cfg.samples,
                               sol.boundary())
     try:
-        elem = _build_element(cfg.orbit, sol)
+        elem = _build_element(cfg.orbit, triplet)
         orb = orbit_residual(elem, sol, triplet, phys, cfg.samples)
     except InapplicableSymmetryError as e:
         return _fail(f"inapplicable symmetry: {e}", 1)
-    allowed = max(base.linf, 1e-14) * cfg.tolerances["orbit_factor"]
+    allowed = _orbit_bound(base.linf, cfg.tolerances["orbit_factor"])
+    shown = "none" if allowed is None else f"{allowed:.6e}"
     print(f"base Linf={base.linf:.6e} orbit Linf={orb.linf:.6e} "
-          f"allowed={allowed:.6e}")
+          f"allowed={shown}")
     _write_json(cfg.out_dir or args.out, "orbit.json",
                 {"base": _report_payload(base),
                  "orbit": _report_payload(orb),
                  "allowed": allowed})
+    if allowed is None:
+        return _fail(f"FAIL {_NO_ORBIT_BOUND}", 1)
     return 0 if orb.linf <= allowed else 1
 
 

@@ -96,6 +96,7 @@ def _d2(z):
     return 0.0
 
 
+@np.errstate(all="ignore")
 def analytic_jet(field: Field, t, x, y) -> FieldJet:
     """Jet via nested forward-mode AD: four field evaluations.
 
@@ -105,7 +106,8 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     some of the points raises :class:`SingularityError` with their mask.
     The dual components carry double-double scalars, so each returned
     entry is correct to about one ulp even where the field formulas lose
-    a dozen digits to cancellation near the inner rim.
+    a dozen digits to cancellation near the inner rim.  Overflow leaves
+    inf or NaN entries for the gates to judge, without a warning.
     """
     t, x, y = DD.of(t), DD.of(x), DD.of(y)
     exx = field.values(t, seed2(x), y)

@@ -13,10 +13,10 @@ from typing import Callable, Optional
 
 from .core_model import (ConstitutiveTriplet, PhysConstants, PowerLawParams,
                          scale_exponents)
-from .jets import Field
+from .jets import Field, _d, _d2
 from .numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                        ode_integrate, quad_adaptive)
-from .numerics.dual import atan2, cos, ddr, exp, log, sin, sqrt, value
+from .numerics.dual import atan2, cos, ddr, seed2, sin, sqrt, value
 from .residuals import ResidualReport, _collect, nan_max
 
 __all__ = ["ReducedProfiles", "lift_profiles", "reduced_ode_residual",
@@ -30,18 +30,16 @@ REDUCED_NAMES = ("radial_mass", "radial_divergence",
 
 @dataclass(frozen=True)
 class ReducedProfiles:
-    """Radial profiles (concentration, pressure, speed, flow angle) and the
-    model they reduce: the family's triplet and viscosity, and which
-    symmetry reduced it (time translation when ``steady``, else scale).
+    """Radial profiles and the model they reduce: the family's triplet and
+    viscosity, and which symmetry reduced it (time translation when
+    ``steady``, else scale).
 
-    The four callables accept dual arguments, so first and second
-    derivatives are available by forward differentiation.
+    ``fields(r)`` returns the concentration, speed, pressure and flow
+    angle (lam, R, P, Phi) at radius r.  It accepts dual arguments, so one
+    call at a second-order seed gives every first and second derivative.
     """
 
-    lam: Callable
-    P: Callable
-    R: Callable
-    Phi: Callable
+    fields: Callable
     triplet: ConstitutiveTriplet
     phys: PhysConstants
     steady: bool
@@ -69,9 +67,8 @@ class LiftedField(Field):
         g = prof.gamma  # 0 for steady profiles: t ** g is exactly 1
         w1, w2 = x * t ** g, y * t ** g
         r, phi = sqrt(w1 * w1 + w2 * w2), atan2(w2, w1)
-        R, angle = prof.R(r), prof.Phi(r) + phi
-        lam, u1, u2, p = prof.lam(r), R * cos(angle), R * sin(angle), \
-            prof.P(r)
+        lam, R, p, Phi = prof.fields(r)
+        u1, u2 = R * cos(Phi + phi), R * sin(Phi + phi)
         if prof.steady:
             return lam, u1, u2, p
         n = prof.triplet.params.n
@@ -98,39 +95,38 @@ def reduced_ode_residual(profiles: ReducedProfiles,
     gamma r^2 lam' - r lam/(n-1) to the mass equation.
     """
     lamv, gamma = profiles.phys.lam, profiles.gamma
-    L, P, R, Phi = profiles.lam, profiles.P, profiles.R, profiles.Phi
-    dL, dP, dR, dPhi = ddr(L), ddr(P), ddr(R), ddr(Phi)
-    d2P = ddr(dP)
-    d_mass_flux = ddr(lambda r: r * L(r) * R(r) * cos(Phi(r)))
-    d_vol_flux = ddr(lambda r: r * R(r) * cos(Phi(r)))
-    d_swirl = ddr(lambda r: r * R(r) * L(r) * dPhi(r))
-    d_shear = ddr(lambda r: r * L(r) * dR(r))
-
     rows, locations, rejected = [], [], []
     for idx, r in enumerate(samples_r):
         if r <= 0.0:
             rejected.append(idx)
             continue
-        lam = L(r)
-        c = profiles.triplet.eval(lam)
-        lam_p = dL(r)
-        phi = Phi(r)
-        # (r D P')' expanded by hand: D P' + r D' lam' P' + r D P''
-        darcy = c.D * dP(r) + r * c.dD * lam_p * dP(r) + r * c.D * d2P(r)
-        src = c.d_alpha_sigma * lam_p + dP(r)
-        eq1 = d_mass_flux(r) - r * c.S
+        (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
+            (value(f), _d(f), _d2(f)) for f in profiles.fields(seed2(r))]
+        c = profiles.triplet.eval(L)
+        cos_f, sin_f = cos(F), sin(F)
+        # products differentiated by hand from the one profile jet:
+        # (r L R cos F)', (r R cos F)', (r R L F')', (r L R')', (r D P')'
+        d_mass_flux = (L * R + r * L1 * R + r * L * R1) * cos_f \
+            - r * L * R * F1 * sin_f
+        d_vol_flux = (R + r * R1) * cos_f - r * R * F1 * sin_f
+        d_swirl = R * L * F1 + r * R1 * L * F1 + r * R * L1 * F1 \
+            + r * R * L * F2
+        d_shear = L * R1 + r * L1 * R1 + r * L * R2
+        darcy = c.D * P1 + r * c.dD * L1 * P1 + r * c.D * P2
+        src = c.d_alpha_sigma * L1 + P1
+        eq1 = d_mass_flux - r * c.S
         if not profiles.steady:
             n = profiles.triplet.params.n
-            eq1 += gamma * r * r * lam_p - r * lam / (n - 1.0)
-        eq2 = d_vol_flux(r) - darcy
-        eq3 = (1.0 + lamv) * R(r) * lam_p * sin(2.0 * phi) \
-            - (2.0 + lamv) * d_swirl(r) \
-            - (2.0 + lamv) * r * lam * dR(r) * dPhi(r) \
-            - r * src * sin(phi)
-        eq4 = (1.0 + lamv) * r * R(r) * lam_p * cos(2.0 * phi) \
-            + (2.0 + lamv) * r * d_shear(r) \
-            - (2.0 + lamv) * lam * R(r) * (1.0 + (r * dPhi(r)) ** 2) \
-            - r * R(r) * lam_p - r * r * src * cos(phi)
+            eq1 += gamma * r * r * L1 - r * L / (n - 1.0)
+        eq2 = d_vol_flux - darcy
+        eq3 = (1.0 + lamv) * R * L1 * sin(2.0 * F) \
+            - (2.0 + lamv) * d_swirl \
+            - (2.0 + lamv) * r * L * R1 * F1 \
+            - r * src * sin_f
+        eq4 = (1.0 + lamv) * r * R * L1 * cos(2.0 * F) \
+            + (2.0 + lamv) * r * d_shear \
+            - (2.0 + lamv) * L * R * (1.0 + (r * F1) ** 2) \
+            - r * R * L1 - r * r * src * cos_f
         rows.append((eq1, eq2, eq3, eq4))
         locations.append((0.0, r, 0.0))
     engine = "steady-ode" if profiles.steady else "reduced-ode"
@@ -160,17 +156,14 @@ class BcResiduals:
 def reduced_bc_residual(profiles: ReducedProfiles,
                         delta: float) -> BcResiduals:
     lamv = profiles.phys.lam
-    L, P, R, Phi = profiles.lam, profiles.P, profiles.R, profiles.Phi
-    dR, dPhi = ddr(R), ddr(Phi)
-    phi = Phi(delta)
-    kin = profiles.gamma * delta + R(delta) * cos(phi)
-    t1 = (2.0 + lamv) * delta * dR(delta) \
-        + R(delta) * ((1.0 + lamv) * cos(2.0 * phi) - 1.0)
-    t2 = R(delta) * ((2.0 + lamv) * delta * dPhi(delta)
-                     - (1.0 + lamv) * sin(2.0 * phi))
+    _, (R, R1, _), (P, _, _), (F, F1, _) = [
+        (value(f), _d(f), _d2(f)) for f in profiles.fields(seed2(delta))]
+    kin = profiles.gamma * delta + R * cos(F)
+    t1 = (2.0 + lamv) * delta * R1 + R * ((1.0 + lamv) * cos(2.0 * F) - 1.0)
+    t2 = R * ((2.0 + lamv) * delta * F1 - (1.0 + lamv) * sin(2.0 * F))
     return BcResiduals(
-        kinematic=kin, pressure=P(delta), traction_1=t1, traction_2=t2,
-        simplified=(R(delta), P(delta), dR(delta)))
+        kinematic=kin, pressure=P, traction_1=t1, traction_2=t2,
+        simplified=(R, P, R1))
 
 
 def first_integral_R(beta: float, d0: float, m: float,

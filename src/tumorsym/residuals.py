@@ -109,12 +109,14 @@ def nan_max(values):
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
+@np.errstate(all="ignore")
 def _acc(terms):
     """Exactly accumulated sum of c*a*b terms (per point for arrays).
 
     Individual momentum terms grow like r^-3 near the inner sampling rim
     while the residual stays near zero, so every product is split into its
-    error-free parts before the single fsum.
+    error-free parts before the single fsum.  Overflow makes a NaN or inf
+    point that fails its gate, without a warning.
     """
     parts = []
     for c, a, b in terms:

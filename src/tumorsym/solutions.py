@@ -38,20 +38,6 @@ def _require(cond, message):
         raise RestrictionError(message)
 
 
-def _check_point(t, x, y):
-    """w = x^2 + y^2 at one time t; x and y may hold arrays of points."""
-    tv = value(t)
-    if tv <= 0.0:
-        raise ValueError(f"t must be positive, got {tv}")
-    w = x * x + y * y
-    at_origin = value(w) == 0.0  # a bool, or a mask for arrays
-    if at_origin is True:
-        raise SingularityError("field is singular at the origin")
-    if at_origin is not False and at_origin.any():
-        raise SingularityError("field is singular at the origin", at_origin)
-    return w
-
-
 @dataclass(frozen=True)
 class BoundaryCircle:
     """The circular moving front x^2 + y^2 = delta^2 t^kappa."""
@@ -192,8 +178,9 @@ class SolutionFamily(Field):
     A family class is the one home of its facts: the constructor's
     arguments are its free parameters (:meth:`params`), the keyword
     arguments of :meth:`triplet` are the derived constants a run may
-    override (:meth:`overridable`), and ``derived`` lists, in report
-    order, the derived attributes that ``validate`` prints.
+    override (:meth:`overridable`), ``derived`` lists, in report order,
+    the derived attributes that ``validate`` prints, and ``radial`` states
+    the closed form once: u = (x, y) * vel.
     """
 
     family_id: str
@@ -220,9 +207,20 @@ class SolutionFamily(Field):
     def boundary(self) -> BoundaryCircle:
         return BoundaryCircle(self.delta, self.kappa)
 
-    def scale_mn(self):
-        """(m, n) exponents driving the scale reduction, None for steady."""
-        return None
+    def values(self, t, x, y):
+        """The fields at (t, x, y), arrays of points allowed, from the
+        family's ``radial(t, w) -> (alpha, vel, p)`` at w = x^2 + y^2."""
+        if value(t) <= 0.0:
+            raise ValueError(f"t must be positive, got {value(t)}")
+        w = x * x + y * y
+        at_origin = value(w) == 0.0  # a bool, or a mask for arrays
+        if at_origin is True:
+            raise SingularityError("field is singular at the origin")
+        if at_origin is not False and at_origin.any():
+            raise SingularityError("field is singular at the origin",
+                                   at_origin)
+        alpha, vel, p = self.radial(t, w)
+        return alpha, x * vel, y * vel, p
 
 
 class PowerLawFamily(SolutionFamily):
@@ -234,9 +232,6 @@ class PowerLawFamily(SolutionFamily):
         return PowerLawTriplet(PowerLawParams(
             d0=self.d0, s0=self.s0 if s0 is None else s0,
             sigma0=self.sigma0, m=self.m, n=self.n))
-
-    def scale_mn(self):
-        return (self.m, self.n)
 
 
 class Full413(PowerLawFamily):
@@ -270,8 +265,7 @@ class Full413(PowerLawFamily):
     def c3_regular(self):
         return regular_c3_4_38(self.c1, self.n, self.sigma0, self.lam)
 
-    def values(self, t, x, y):
-        w = _check_point(t, x, y)
+    def radial(self, t, w):
         n, d0, lam = self.n, self.d0, self.lam
         c1, c3, c4 = self.c1, self.c3, self.c4
         q = 1.0 / (4.0 * d0)
@@ -285,7 +279,7 @@ class Full413(PowerLawFamily):
             + coef_1 * _pressure_integral(q, w, self.delta)
             + c4 + 0.5 * c3 * log(w))
         alpha = c1 * t ** (1.0 / (1.0 - n)) * exp(-w * q)
-        return alpha, x * vel, y * vel, p
+        return alpha, vel, p
 
 
 class Stationary413s(PowerLawFamily):
@@ -309,8 +303,7 @@ class Stationary413s(PowerLawFamily):
         self.m = -1.0
         self._B = 1.0 + self.E ** n / (n - 1.0) - n * self.E / (n - 1.0)
 
-    def values(self, t, x, y):
-        w = _check_point(t, x, y)
+    def radial(self, t, w):
         n, d0, lam = self.n, self.d0, self.lam
         c3, c4, E = self.c3, self.c4, self.E
         q = 1.0 / (4.0 * d0)
@@ -323,7 +316,7 @@ class Stationary413s(PowerLawFamily):
             + c3 * n * E / (n - 1.0) * _pressure_integral(q, w, self.delta)
             + c4 + 0.5 * c3 * log(w))
         alpha = 0.5 * c3 * n * E * t ** (1.0 / (1.0 - n)) * exp(-w * q)
-        return alpha, x * vel, y * vel, p
+        return alpha, vel, p
 
 
 class Moving442(PowerLawFamily):
@@ -342,8 +335,7 @@ class Moving442(PowerLawFamily):
         self.c3 = derived["c3"]
         self.kappa = (1.0 + m) / (1.0 - n)
 
-    def values(self, t, x, y):
-        w = _check_point(t, x, y)
+    def radial(self, t, w):
         m, n = self.m, self.n
         c1, c2, c3 = self.c1, self.c2, self.c3
         d0, s0 = self.d0, self.s0
@@ -356,7 +348,7 @@ class Moving442(PowerLawFamily):
             / (4.0 * d0 * n * (1.0 + m + n)) * w ** (n / (1.0 + m)) \
             - 0.5 * c2 * tpow / w + c3 * t ** (n / (1.0 - n))
         alpha = c1 * w ** (1.0 / (1.0 + m))
-        return alpha, x * vel, y * vel, p
+        return alpha, vel, p
 
 
 class Moving444(PowerLawFamily):
@@ -376,8 +368,7 @@ class Moving444(PowerLawFamily):
         self.c3 = derived["c3"]
         self.kappa = n / (n - 1.0)
 
-    def values(self, t, x, y):
-        w = _check_point(t, x, y)
+    def radial(self, t, w):
         n = self.n
         c1, c2, c3 = self.c1, self.c2, self.c3
         d0, s0 = self.d0, self.s0
@@ -388,7 +379,7 @@ class Moving444(PowerLawFamily):
             2.0 * d0 * c2 + s0 * c1 ** (2.0 * n) * (1.0 + logterm)) \
             + c3 * t ** (n / (1.0 - n))
         alpha = c1 * w ** (-1.0 / n)
-        return alpha, x * vel, y * vel, p
+        return alpha, vel, p
 
 
 class Steady432(SolutionFamily):
@@ -415,8 +406,7 @@ class Steady432(SolutionFamily):
         self._A2 = 2.0 * self.k2 * c1 ** n_exp / n_exp
         self._B = c3 - self._A1 + self._A2
 
-    def values(self, t, x, y):
-        w = _check_point(t, x, y)
+    def radial(self, t, w):
         m, n = self.m_exp, self.n_exp
         c1, c3, c4, d0 = self.c1, self.c3, self.c4, self.d0
         k1, k2 = self.k1, self.k2
@@ -430,7 +420,7 @@ class Steady432(SolutionFamily):
             - 2.0 * k2 * c1 ** (n - 1.0) / n \
             * _pressure_integral(n * q, w, self.delta)
         alpha = c1 * exp(-w * q)
-        return alpha, x * vel, y * vel, p
+        return alpha, vel, p
 
     def triplet(self):
         k1, k2, m, n, d0 = self.k1, self.k2, self.m_exp, self.n_exp, self.d0
@@ -468,20 +458,13 @@ def reduced_profiles_of(sol: SolutionFamily):
     """
     from .reduction import ReducedProfiles
 
-    def lam(r):
-        return sol.values(1.0, r, 0.0)[0]
+    def fields(r):
+        alpha, vel, p = sol.radial(1.0, r * r)
+        return alpha, r * vel, p, 0.0
 
-    def R(r):
-        return sol.values(1.0, r, 0.0)[1]
-
-    def P(r):
-        return sol.values(1.0, r, 0.0)[3]
-
-    def Phi(r):
-        return 0.0
-
-    return ReducedProfiles(lam=lam, P=P, R=R, Phi=Phi, triplet=sol.triplet(),
+    return ReducedProfiles(fields=fields, triplet=sol.triplet(),
                            phys=sol.phys(), steady=sol.steady)
+
 
 FAMILY_IDS = {cls.family_id: cls for cls in
               (Full413, Stationary413s, Moving442, Moving444, Steady432)}

@@ -264,6 +264,31 @@ def test_verify_counts_an_unsummable_residual_as_nan(tmp_path, capsys):
     assert "FAIL governing Linf nan" in err and "Traceback" not in err
 
 
+_NO_BOUND = "FAIL orbit: no finite bound, the base residual is NaN"
+
+
+def test_verify_reports_no_orbit_bound_for_a_nan_residual(tmp_path,
+                                                          capsys):
+    cfg = _write(tmp_path, _OVERFLOW_BODY)
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert lines and all(ln.startswith("FAIL ") for ln in lines)
+    assert _NO_BOUND in lines
+    assert "nan > nan" not in err
+
+
+def test_orbit_reports_no_bound_for_a_nan_base_residual(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path,
+                 _OVERFLOW_BODY + "\n[orbit]\nelement = rotation\n")
+    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "base Linf=nan orbit Linf=nan allowed=none\n"
+    assert captured.err == _NO_BOUND + "\n"
+    assert json.loads((out / "orbit.json").read_text())["allowed"] is None
+
+
 def test_validate_rejects_a_non_finite_derived_constant(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, _OVERFLOW_BODY)
@@ -369,7 +394,9 @@ def test_orbit_scale_inapplicable_on_general_triplet(tmp_path, capsys):
     cfg = _write(tmp_path, body)
     rc = main(["orbit", "--config", cfg])
     assert rc == 1
-    assert "inapplicable" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "inapplicable symmetry: scale action is not applicable: the "
+        "family's constitutive triplet is not power-law\n")
 
 
 def test_orbit_unknown_element_rejected(tmp_path, capsys):

@@ -15,6 +15,7 @@ from tumorsym.numerics.dd import DD, two_prod, two_sum
 from tumorsym.numerics.dual import (Dual, atan2, cos, ddr, derivative, exp,
                                     expm1, lift, log, second_derivative,
                                     seed2, sin, sqrt, value)
+from tumorsym.numerics.quadrature import _GK15
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -26,6 +27,16 @@ def test_quad_polynomial_exact():
     val, err = quad_adaptive(lambda z: 3.0 * z * z, 0.0, 2.0)
     assert abs(val - 8.0) < 1e-13
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("column, degree", [(2, 22), (1, 12)],
+                         ids=["kronrod15", "gauss7"])
+def test_gk15_rules_integrate_monomials_to_double_precision(column, degree):
+    # K15 is exact through degree 23 and G7 through degree 13; the odd
+    # moments vanish by the symmetry of the table
+    for k in range(0, degree + 1, 2):
+        got = math.fsum(row[column] * row[0] ** k for row in _GK15)
+        assert abs(got - 2.0 / (k + 1)) <= 1e-15 * (2.0 / (k + 1)), k
 
 
 def test_quad_gaussian():

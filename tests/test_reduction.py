@@ -7,11 +7,13 @@ import math
 
 import pytest
 
-from tumorsym.core_model import PhysConstants, PowerLawParams
+from tumorsym.core_model import PhysConstants, PowerLawParams, PowerLawTriplet
 from tumorsym.numerics import IntegrationError
-from tumorsym.numerics.dual import ddr, exp as dexp, value
-from tumorsym.reduction import (BcResiduals, first_integral_R,
-                                integrate_ode_4_6, lift_profiles,
+from tumorsym.numerics.dual import (cos as dcos, ddr, exp as dexp,
+                                    sin as dsin, value)
+from tumorsym.reduction import (BcResiduals, ReducedProfiles,
+                                first_integral_R, integrate_ode_4_6,
+                                lift_profiles,
                                 overdetermined_residual,
                                 pressure_from_lambda, reduced_bc_residual,
                                 reduced_ode_residual)
@@ -55,7 +57,12 @@ def test_reduced_ode_residual_full_profile():
 def test_reduced_ode_flags_wrong_profile(mk):
     sol = mk()
     prof = reduced_profiles_of(sol)
-    broken = dataclasses.replace(prof, lam=lambda r: 1.001 * prof.lam(r))
+
+    def fields(r):
+        lam, R, P, Phi = prof.fields(r)
+        return 1.001 * lam, R, P, Phi
+
+    broken = dataclasses.replace(prof, fields=fields)
     rep = reduced_ode_residual(broken, _radii(sol.delta))
     assert rep.linf >= 1e-4
 
@@ -65,6 +72,108 @@ def test_steady_residual_profile():
     rep = reduced_ode_residual(reduced_profiles_of(sol), _radii(sol.delta))
     assert rep.engine == "steady-ode"
     assert rep.linf <= 1e-9
+
+
+@pytest.mark.parametrize("mk", [
+    lambda: Stationary413s(**FIG34),
+    lambda: Steady432(**STEADY),
+], ids=["stationary413s", "steady432"])
+def test_reduced_checks_evaluate_the_family_once_per_radius(mk,
+                                                            monkeypatch):
+    sol = mk()
+    calls = []
+    radial = sol.radial
+
+    def counted(t, w):
+        calls.append(t)
+        return radial(t, w)
+
+    monkeypatch.setattr(sol, "radial", counted)
+    prof = reduced_profiles_of(sol)
+    reduced_ode_residual(prof, _radii(sol.delta))
+    assert len(calls) == 64
+    reduced_bc_residual(prof, sol.delta)
+    assert len(calls) == 65
+
+
+def _swirl_profiles(steady):
+    """Smooth profiles with a flow angle Phi = 0.3 r + 0.2 r^2: no family
+    has a swirl, so these exercise the Phi terms of the reduced system
+    (the r^2 term keeps Phi'' nonzero)."""
+    def fields(r):
+        return (2.0 + dexp(-r * r), r * (1.0 + 0.5 * r),
+                dcos(1.5 * r) + 0.2 * r * r, 0.3 * r + 0.2 * r * r)
+
+    triplet = PowerLawTriplet(_link_params(0.75, -3.0, 1.0, 3.0, 4.0))
+    return ReducedProfiles(fields=fields, triplet=triplet,
+                           phys=PhysConstants(lam=4.0), steady=steady)
+
+
+def _reference_rows(profiles, samples_r):
+    """The reduced system in its earlier form, as the reference: every
+    product is differentiated by AD through a ``ddr`` closure."""
+    lamv, gamma = profiles.phys.lam, profiles.gamma
+
+    def comp(i):
+        return lambda r: profiles.fields(r)[i]
+
+    L, R, P, Phi = comp(0), comp(1), comp(2), comp(3)
+    dL, dP, dR, dPhi = ddr(L), ddr(P), ddr(R), ddr(Phi)
+    d2P = ddr(dP)
+    d_mass_flux = ddr(lambda r: r * L(r) * R(r) * dcos(Phi(r)))
+    d_vol_flux = ddr(lambda r: r * R(r) * dcos(Phi(r)))
+    d_swirl = ddr(lambda r: r * R(r) * L(r) * dPhi(r))
+    d_shear = ddr(lambda r: r * L(r) * dR(r))
+    rows = []
+    for r in samples_r:
+        lam = L(r)
+        c = profiles.triplet.eval(lam)
+        lam_p = dL(r)
+        phi = Phi(r)
+        darcy = c.D * dP(r) + r * c.dD * lam_p * dP(r) + r * c.D * d2P(r)
+        src = c.d_alpha_sigma * lam_p + dP(r)
+        eq1 = d_mass_flux(r) - r * c.S
+        if not profiles.steady:
+            n = profiles.triplet.params.n
+            eq1 += gamma * r * r * lam_p - r * lam / (n - 1.0)
+        eq2 = d_vol_flux(r) - darcy
+        eq3 = (1.0 + lamv) * R(r) * lam_p * dsin(2.0 * phi) \
+            - (2.0 + lamv) * d_swirl(r) \
+            - (2.0 + lamv) * r * lam * dR(r) * dPhi(r) \
+            - r * src * dsin(phi)
+        eq4 = (1.0 + lamv) * r * R(r) * lam_p * dcos(2.0 * phi) \
+            + (2.0 + lamv) * r * d_shear(r) \
+            - (2.0 + lamv) * lam * R(r) * (1.0 + (r * dPhi(r)) ** 2) \
+            - r * R(r) * lam_p - r * r * src * dcos(phi)
+        rows.append((eq1, eq2, eq3, eq4))
+    delta = samples_r[-1]
+    phi = Phi(delta)
+    bc = (profiles.gamma * delta + R(delta) * dcos(phi), P(delta),
+          (2.0 + lamv) * delta * dR(delta)
+          + R(delta) * ((1.0 + lamv) * dcos(2.0 * phi) - 1.0),
+          R(delta) * ((2.0 + lamv) * delta * dPhi(delta)
+                      - (1.0 + lamv) * dsin(2.0 * phi)))
+    return rows, bc
+
+
+@pytest.mark.parametrize("steady", [False, True], ids=["scale", "steady"])
+def test_reduced_swirl_terms_match_the_closure_form(steady):
+    prof = _swirl_profiles(steady)
+    radii = _radii(0.8)
+    rep = reduced_ode_residual(prof, radii)
+    rows, bc_ref = _reference_rows(prof, radii)
+    for k, name in enumerate(("radial_mass", "radial_divergence",
+                              "radial_momentum_phi", "radial_momentum_r")):
+        col = [abs(row[k]) for row in rows]
+        eq = rep.norm(name)
+        assert max(col) > 1e-2  # not a solution: every equation is live
+        assert eq.linf == pytest.approx(max(col), rel=1e-12)
+        assert eq.l2 == pytest.approx(
+            math.sqrt(math.fsum(v * v for v in col)), rel=1e-12)
+    bc = reduced_bc_residual(prof, radii[-1])
+    got = (bc.kinematic, bc.pressure, bc.traction_1, bc.traction_2)
+    assert got == pytest.approx(bc_ref, rel=1e-12, abs=1e-14)
+    assert abs(bc.traction_2) > 1e-2
 
 
 def test_residual_rejects_nonpositive_radii():
@@ -294,8 +403,8 @@ def test_first_integral_reproduces_radial_speed():
     sol = Stationary413s(**FIG34)
     prof = reduced_profiles_of(sol)
     R = first_integral_R(beta=0.0, d0=sol.d0, m=-1.0,
-                         lambda_profile=prof.lam,
-                         p_prime_profile=ddr(prof.P))
+                         lambda_profile=lambda r: prof.fields(r)[0],
+                         p_prime_profile=ddr(lambda r: prof.fields(r)[2]))
     for r in (0.1, 0.3, 0.6):
         assert R(r) == pytest.approx(sol.values(1.0, r, 0.0)[1], rel=1e-12)
 

@@ -276,14 +276,22 @@ def test_eval_jet_matches_values():
     assert jet.p_t == pytest.approx(fd, rel=1e-8)
 
 
-def test_reduced_profiles_are_unit_time_slice():
-    sol = Moving444(c1=0.1, delta=1.0, n=-2.0, lam=1.0)
+@pytest.mark.parametrize("mk", [
+    lambda: Full413(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0,
+                    sigma0=-3.0, delta=1.0),
+    lambda: Stationary413s(**FIG34),
+    lambda: Moving442(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0),
+    lambda: Moving444(c1=0.1, delta=1.0, n=-2.0, lam=1.0),
+    lambda: Steady432(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0,
+                      lam=4.0, d0=2.0),
+], ids=["full413", "stationary413s", "moving442", "moving444", "steady432"])
+def test_reduced_profiles_are_unit_time_slice(mk):
+    sol = mk()
     prof = reduced_profiles_of(sol)
     for r in (0.1, 0.5, 0.9):
         a, u1, u2, p = sol.values(1.0, r, 0.0)
-        assert prof.lam(r) == a
-        assert prof.R(r) == u1
-        assert prof.P(r) == p
-        assert prof.Phi(r) == 0.0
-    assert prof.triplet.params.m == sol.m \
-        and prof.triplet.params.n == sol.n
+        got = prof.fields(r)
+        assert [v.hex() for v in got] == [v.hex() for v in (a, u1, p, 0.0)]
+    if not sol.steady:
+        assert prof.triplet.params.m == sol.m \
+            and prof.triplet.params.n == sol.n
