@@ -133,16 +133,47 @@ def _orbit_bound(base_linf, orbit_factor):
 _NO_ORBIT_BOUND = "orbit: no finite bound, the base residual is NaN"
 
 
+def _governing(cfg, sol):
+    """The run's triplet, the family's with the config's overrides (a
+    sensitivity run), and the governing residual under it: the base of
+    the orbit check in ``verify`` and ``orbit`` alike."""
+    triplet = sol.triplet(**cfg.overrides)
+    return triplet, governing_residual(
+        JetProvider(sol, AnalyticEngine()), triplet, sol.phys(),
+        cfg.samples, sol.boundary())
+
+
+# the element ``verify`` checks when the config has no [orbit] section
+_DEFAULT_ORBIT = {"element": "rotation", "eps": 0.5, "f": "const"}
+
+
+def _orbit_check(cfg, sol, triplet, base_linf):
+    """The orbit block of ``verify`` and ``orbit``: (report, allowed,
+    failure).  ``allowed`` is None when the base residual gives no finite
+    bound, and ``failure`` says why the check fails, or is None.  An
+    element that does not apply to the triplet gives no report, and the
+    failure is then the :class:`InapplicableSymmetryError`."""
+    try:
+        elem = _build_element(cfg.orbit or _DEFAULT_ORBIT, triplet)
+        orb = orbit_residual(elem, sol, triplet, sol.phys(), cfg.samples)
+    except InapplicableSymmetryError as e:
+        return None, None, e
+    allowed = _orbit_bound(base_linf, cfg.tolerances["orbit_factor"])
+    if allowed is None:
+        return orb, None, _NO_ORBIT_BOUND
+    if not orb.linf <= allowed:
+        return orb, allowed, f"orbit Linf {orb.linf:.3e} > {allowed:.3e}"
+    return orb, allowed, None
+
+
 def cmd_verify(args):
     cfg, sol = _load(args.config)
-    triplet = sol.triplet(**cfg.overrides)
+    triplet, gov = _governing(cfg, sol)
     phys, boundary = sol.phys(), sol.boundary()
     provider = JetProvider(sol, AnalyticEngine())
     tol = cfg.tolerances
 
     failures = []
-    gov = governing_residual(provider, triplet, phys, cfg.samples,
-                             boundary)
     if not gov.linf <= tol["governing"]:
         failures.append(f"governing Linf {gov.linf:.3e} > "
                         f"{tol['governing']:.3e}")
@@ -167,20 +198,11 @@ def cmd_verify(args):
         failures.append(f"reduced BC {bc.general_max:.3e} > "
                         f"{tol['boundary']:.3e}")
 
-    orbit_payload = None
-    orbit_spec = cfg.orbit or {"element": "rotation", "eps": 0.5,
-                               "f": "const"}
-    try:
-        elem = _build_element(orbit_spec, triplet)
-        orb = orbit_residual(elem, sol, triplet, phys, cfg.samples)
-        orbit_payload = _report_payload(orb)
-        allowed = _orbit_bound(gov.linf, tol["orbit_factor"])
-        if allowed is None:
-            failures.append(_NO_ORBIT_BOUND)
-        elif not orb.linf <= allowed:
-            failures.append(f"orbit Linf {orb.linf:.3e} > {allowed:.3e}")
-    except InapplicableSymmetryError as e:
-        failures.append(f"orbit: {e}")
+    orb, _, failure = _orbit_check(cfg, sol, triplet, gov.linf)
+    if orb is None:
+        failures.append(f"orbit: {failure}")
+    elif failure:
+        failures.append(failure)
 
     payload = {
         "family": cfg.family_id,
@@ -191,7 +213,7 @@ def cmd_verify(args):
         "reduced_bc": {"general": [bc.kinematic, bc.pressure,
                                    bc.traction_1, bc.traction_2],
                        "simplified": list(bc.simplified)},
-        "orbit": orbit_payload,
+        "orbit": None if orb is None else _report_payload(orb),
         "failures": failures,
     }
     _write_json(cfg.out_dir or args.out, "verify.json", payload)
@@ -210,16 +232,10 @@ def cmd_verify(args):
 
 def cmd_orbit(args):
     cfg, sol = _load(args.config, need_orbit=True)
-    triplet, phys = sol.triplet(), sol.phys()
-    provider = JetProvider(sol, AnalyticEngine())
-    base = governing_residual(provider, triplet, phys, cfg.samples,
-                              sol.boundary())
-    try:
-        elem = _build_element(cfg.orbit, triplet)
-        orb = orbit_residual(elem, sol, triplet, phys, cfg.samples)
-    except InapplicableSymmetryError as e:
-        return _fail(f"inapplicable symmetry: {e}", 1)
-    allowed = _orbit_bound(base.linf, cfg.tolerances["orbit_factor"])
+    triplet, base = _governing(cfg, sol)
+    orb, allowed, failure = _orbit_check(cfg, sol, triplet, base.linf)
+    if orb is None:
+        return _fail(f"inapplicable symmetry: {failure}", 1)
     shown = "none" if allowed is None else f"{allowed:.6e}"
     print(f"base Linf={base.linf:.6e} orbit Linf={orb.linf:.6e} "
           f"allowed={shown}")
@@ -228,8 +244,8 @@ def cmd_orbit(args):
                  "orbit": _report_payload(orb),
                  "allowed": allowed})
     if allowed is None:
-        return _fail(f"FAIL {_NO_ORBIT_BOUND}", 1)
-    return 0 if orb.linf <= allowed else 1
+        return _fail(f"FAIL {failure}", 1)
+    return 0 if failure is None else 1
 
 
 _FIG12_PARAMS = dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0,

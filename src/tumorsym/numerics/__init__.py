@@ -1,6 +1,6 @@
 """Shared numerical kernels: dual-number AD, adaptive quadrature, the
 exp(-a z^2)/z integral family, an embedded Runge-Kutta integrator,
-finite-difference stencils, and compensated reductions."""
+and finite-difference stencils."""
 
 from . import dual
 from .dual import Dual
@@ -16,19 +16,5 @@ __all__ = [
     "IntegrationError", "OdeSpec", "Trajectory", "ode_integrate",
     "QuadratureError", "QuadratureSpec", "quad_adaptive",
     "SingularEndpointError", "exp_over_z_integral", "exp_over_z_quadrature",
-    "neumaier_sum",
 ]
 
-
-def neumaier_sum(values):
-    """Compensated sequential sum; deterministic for a fixed input order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp

@@ -98,15 +98,6 @@ def value(z):
     return z if isinstance(z, np.ndarray) else float(z)
 
 
-def _unary(z, fval, fder):
-    """Lift a scalar function with known derivative onto duals (recursively)."""
-    if isinstance(z, Dual):
-        return Dual(_unary(z.val, fval, fder), z.dot * fder(z.val))
-    if isinstance(z, DD):
-        return DD.of(fval(z.to_float()))
-    return fval(z)
-
-
 # Plain floats are tested first: model formulas evaluated on floats (the
 # figure grids) pay one type check per elementary function or value().
 
@@ -202,15 +193,19 @@ def atan2(y, x):
 
 
 def lift(z, fval, fder):
-    """Public wrapper for :func:`_unary`: lift ``fval`` (float -> float) with
-    analytic derivative ``fder`` (dual-aware) onto dual arguments.  Array
-    arguments reach ``fval`` whole, so it must act elementwise on them.
+    """Lift ``fval`` (float -> float) with analytic derivative ``fder``
+    (dual-aware) onto dual arguments, recursively.  Array arguments reach
+    ``fval`` whole, so it must act elementwise on them.
 
     Used for quantities whose value comes from quadrature or a special
     function but whose derivative is known in closed form (Leibniz rule), so
     AD never differentiates through an adaptive algorithm.
     """
-    return _unary(z, fval, fder)
+    if isinstance(z, Dual):
+        return Dual(lift(z.val, fval, fder), z.dot * fder(z.val))
+    if isinstance(z, DD):
+        return DD.of(fval(z.to_float()))
+    return fval(z)
 
 
 # -- seeding helpers --------------------------------------------------------

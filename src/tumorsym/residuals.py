@@ -19,7 +19,6 @@ import numpy as np
 
 from .core_model import ConstitutiveTriplet, PhysConstants
 from .jets import JET_ENTRIES, FieldJet, JetProvider, SingularityError
-from .numerics import neumaier_sum
 from .numerics.dd import two_prod
 from .solutions import BoundaryCircle
 
@@ -192,7 +191,7 @@ def _collect(names, rows, locations, engine, rejected):
         nans = [i for i, v in enumerate(col) if math.isnan(v)]
         at = nans[0] if nans else col.index(max(col))
         linf, where = col[at], locations[at]
-        l2 = math.sqrt(neumaier_sum([v * v for v in col]))
+        l2 = math.sqrt(_fsum([v * v for v in col]))
         equations.append(EquationNorms(name, linf, where, l2))
     return ResidualReport(tuple(equations), len(rows), engine,
                           tuple(rejected))
@@ -208,16 +207,22 @@ def _time_slices(points):
 
 def _jet_slice(jets: JetProvider, t, x, y):
     """One jet over the points at time t, leaving out those where the
-    field is singular: returns (jet or None, mask of the kept points)."""
-    try:
-        return jets.jet(t, x, y), np.ones(x.shape, dtype=bool)
-    except SingularityError as e:
-        if e.mask is None:
-            raise
-        keep = ~e.mask
-    if not keep.any():
-        return None, keep
-    return jets.jet(t, x[keep], y[keep]), keep
+    field is singular: returns (jet or None, mask of the kept points).
+
+    An engine masks the points singular at the first evaluation that
+    fails (one FD stencil offset, say); they are dropped and the jet is
+    asked again until it succeeds, so every point singular at any of its
+    evaluations is left out, and only those.
+    """
+    keep = np.ones(x.shape, dtype=bool)
+    while keep.any():
+        try:
+            return jets.jet(t, x[keep], y[keep]), keep
+        except SingularityError as e:
+            if e.mask is None or not e.mask.any():
+                raise
+            keep[np.flatnonzero(keep)[e.mask]] = False
+    return None, keep
 
 
 def governing_residual(jets: JetProvider, triplet: ConstitutiveTriplet,

@@ -1,16 +1,19 @@
-"""Batched analytic jets: one evaluation over all points at a time gives,
-bit for bit, the jets and residuals of the point-by-point evaluation."""
+"""Batched jets: one evaluation over all points at a time gives, bit for
+bit, the jets and residuals of the point-by-point evaluation (the FD
+engine up to round-off on the two families with array powers)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FieldJet,
-                           JetProvider, SingularityError, analytic_jet)
+from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FdEngine, Field,
+                           FieldJet, JetProvider, SingularityError,
+                           analytic_jet, fd_jet)
 from tumorsym.residuals import (SampleSet, boundary_residual,
-                                governing_residual, governing_residual_at)
-from tumorsym.solutions import FAMILY_IDS
+                                cross_engine_check, governing_residual,
+                                governing_residual_at)
+from tumorsym.solutions import FAMILY_IDS, BoundaryCircle
 from tumorsym.symmetry import Galilei, Rotation, transform_field
 
 PARAMS = {
@@ -38,15 +41,17 @@ def _fields():
 
 
 class _PointwiseEngine:
-    """The analytic engine run one point at a time, jets stacked."""
+    """A jet function run one point at a time, jets stacked."""
 
-    descriptor = "analytic"
+    def __init__(self, jet=analytic_jet, descriptor="analytic"):
+        self._jet = jet
+        self.descriptor = descriptor
 
     def jet(self, field, t, x, y):
         jets, mask = [], np.zeros(len(x), dtype=bool)
         for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
             try:
-                jets.append(analytic_jet(field, t, xi, yi))
+                jets.append(self._jet(field, t, xi, yi))
             except SingularityError:
                 mask[i] = True
         if mask.any():
@@ -128,3 +133,115 @@ def test_governing_rejects_the_pointwise_singular_samples():
     assert batched.rejected == (136,)
     assert batched == pointwise
     assert batched.sample_count == len(pts) - 1
+
+
+# -- the FD reference engine -------------------------------------------------
+
+# the cross-check's settings: h in proportion to the front radius, samples
+# 500 steps or more away from the singular origin
+XENG_SAMPLES = SampleSet(r_min_fraction=0.1)
+
+
+def _h(sol):
+    return 2e-4 * sol.boundary().radius(1.0)
+
+
+def _slice(sol, samples=XENG_SAMPLES):
+    pts = list(samples.points(sol.boundary()))
+    return (pts[0][0], np.array([p[1] for p in pts]),
+            np.array([p[2] for p in pts]))
+
+
+def _fd_pointwise(h):
+    return _PointwiseEngine(lambda *a: fd_jet(*a, h), "fd")
+
+
+class _Counted(Field):
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+
+    def values(self, t, x, y):
+        self.calls += 1
+        return self.field.values(t, x, y)
+
+
+@pytest.mark.parametrize("n_r", [1, 12])
+def test_fd_jet_makes_36_values_calls_per_slice(n_r):
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    t, x, y = _slice(sol, SampleSet(r_min_fraction=0.1, n_r=n_r))
+    assert x.shape == (8 * n_r,)
+    counted = _Counted(sol)
+    FdEngine(h=_h(sol)).jet(counted, t, x, y)
+    assert counted.calls == 36
+
+
+# moving442 and moving444 raise arrays to non-integer powers, where numpy's
+# array ** and libm's pow may differ in the last bit.  A stencil value off
+# by one ulp of the field's scale F moves an order-k FD entry by at most
+# (sum of |coefficients|) ulp(F) / h^k, and the fourth-order stencils'
+# sums are at most 64/12, so 8 eps F / h^k bounds their entries; the other
+# fields match bit for bit.
+ARRAY_POWERS = ("moving442", "moving444")
+
+
+@pytest.mark.parametrize("name, field, sol", list(_fields()),
+                         ids=[f[0] for f in _fields()])
+def test_fd_jet_equals_pointwise(name, field, sol):
+    t, x, y = _slice(sol)
+    h = _h(sol)
+    batch = FdEngine(h=h).jet(field, t, x, y)
+    ref = _fd_pointwise(h).jet(field, t, x, y)
+    assert batch.t == t
+    for entry in ("x", "y") + JET_ENTRIES:
+        got, want = getattr(batch, entry), getattr(ref, entry)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape, entry
+        if name in ARRAY_POWERS and entry in JET_ENTRIES:
+            comp, _, wrt = entry.partition("_")
+            order = 0 if wrt in ("", "t") else len(wrt)
+            scale = np.max(np.abs(getattr(batch, comp)))
+            assert np.max(np.abs(got - want)) \
+                <= 8 * np.finfo(float).eps * scale / h ** order, entry
+        else:
+            assert _bits(got) == _bits(want), entry
+
+
+# cross_engine_check at the cross-check's settings, as the point-by-point
+# FD engine gave it
+XENG = {
+    "full413": 9.956592141036058e-08,
+    "stationary413s": 9.278804480317149e-07,
+    "moving442": 1.7272585234252916e-08,
+    "moving444": 1.4310474353841094e-07,
+    "steady432": 8.380644120342673e-08,
+}
+
+
+@pytest.mark.parametrize("fid", sorted(XENG))
+def test_cross_engine_check_keeps_its_value(fid):
+    sol = FAMILY_IDS[fid](**PARAMS[fid])
+    got = cross_engine_check(JetProvider(sol, AnalyticEngine()),
+                             JetProvider(sol, FdEngine(h=_h(sol))),
+                             XENG_SAMPLES, sol.boundary())
+    assert got == XENG[fid]
+
+
+def test_fd_governing_rejects_the_pointwise_singular_samples():
+    """The boosted field is singular at (0.75, 0): the theta = 0 samples at
+    r = 0.5 and r = 1 reach it at the x offsets +2h and -2h, so the slice
+    fails at two different stencil offsets before its jet succeeds."""
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    field = transform_field(Galilei(g=lambda t: t, gdot=lambda t: 1.0,
+                                    eps=0.75), sol)
+    h = 0.125
+    samples = SampleSet(r_min_fraction=0.25, n_r=3)
+    boundary = BoundaryCircle(delta=1.0)
+    assert [p[1:] for p in samples.points(boundary)][8:17:8] \
+        == [(0.5, 0.0), (1.0, 0.0)]
+    args = (sol.triplet(), sol.phys(), samples, boundary)
+    batched = governing_residual(JetProvider(field, FdEngine(h=h)), *args)
+    pointwise = governing_residual(JetProvider(field, _fd_pointwise(h)),
+                                   *args)
+    assert batched.engine == "fd"
+    assert batched.rejected == (8, 16)
+    assert batched == pointwise

@@ -389,6 +389,26 @@ def test_orbit_rotation_passes(tmp_path, capsys):
     assert (tmp_path / "out" / "orbit.json").exists()
 
 
+def test_orbit_applies_the_override_as_verify_does(tmp_path, capsys):
+    """Both commands check the run's triplet: with s0 overridden, the base
+    residual of ``orbit`` is the governing residual of ``verify``."""
+    orbit = "\n[orbit]\nelement = rotation\neps = 0.5\n"
+    base = {}
+    for name, body in (("plain", FIG34_BODY), ("s0", FIG34_BODY.replace(
+            "d0 = 2.0", "d0 = 2.0\ns0 = 0.7"))):
+        cfg = _write(tmp_path, body + orbit, f"{name}.ini")
+        main(["verify", "--config", cfg, "--out", str(tmp_path / name)])
+        main(["orbit", "--config", cfg, "--out", str(tmp_path / name)])
+        reports = {kind: json.loads((tmp_path / name / f"{kind}.json")
+                                    .read_text())
+                   for kind in ("verify", "orbit")}
+        base[name] = reports["orbit"]["base"]
+        assert base[name] == reports["verify"]["governing"]
+    capsys.readouterr()
+    assert base["s0"]["equations"]["mass"]["linf"] > 1.0
+    assert base["plain"]["equations"]["mass"]["linf"] < 1e-8
+
+
 def test_orbit_scale_inapplicable_on_general_triplet(tmp_path, capsys):
     body = STEADY_BODY + "\n[orbit]\nelement = scale\neps = 0.5\n"
     cfg = _write(tmp_path, body)

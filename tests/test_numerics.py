@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tumorsym.numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                                SingularEndpointError, exp_over_z_integral,
                                exp_over_z_quadrature, fd_derivative,
-                               neumaier_sum, ode_integrate, quad_adaptive,
+                               ode_integrate, quad_adaptive,
                                richardson_order)
 from tumorsym.numerics.dd import DD, two_prod, two_sum
 from tumorsym.numerics.dual import (Dual, atan2, cos, ddr, derivative, exp,
@@ -243,8 +243,3 @@ def test_dd_comparisons_use_low_word():
     assert DD(1.0, 1e-20) > 1.0
     assert DD(1.0, -1e-20) < 1.0
     assert DD(1.0, 0.0) == 1.0
-
-
-def test_neumaier_sum_ill_conditioned():
-    vals = [1.0, 1e100, 1.0, -1e100]
-    assert neumaier_sum(vals) == 2.0

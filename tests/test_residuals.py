@@ -213,6 +213,16 @@ def test_collect_reports_a_nan_anywhere_in_the_column():
     assert math.isnan(eq.l2)
 
 
+def test_collect_l2_of_an_infinite_residual_is_inf():
+    """The squares are summed exactly rounded (math.fsum): an infinite
+    residual makes the L2 norm infinite, not NaN."""
+    rows = [(1e-12,), (math.inf,), (1e-12,)]
+    locations = [(1.0, 0.1, 0.0), (1.0, 0.2, 0.0), (1.0, 0.3, 0.0)]
+    eq = _collect(("mass",), rows, locations, "analytic", []).norm("mass")
+    assert eq.linf == math.inf and eq.l2 == math.inf
+    assert eq.linf_location == (1.0, 0.2, 0.0)
+
+
 def test_acc_sums_opposite_infinities_to_nan():
     """inf - inf has no sum: the point's residual is NaN, and the other
     points of an array keep their exact sums."""
