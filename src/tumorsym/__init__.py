@@ -8,7 +8,7 @@ and independent residual checks of all of the above.
 from .core_model import (ConstitutiveTriplet, DegenerateScaleError,
                          DomainError, GeneralTriplet, PhysConstants,
                          PowerLawParams, PowerLawTriplet, ScaleExponents,
-                         compatibility_residual, scale_exponents,
+                         compatibility_residual, s0_link, scale_exponents,
                          sigma_from_proliferation, validate_power_law)
 from .jets import AnalyticEngine, FdEngine, Field, FieldJet, JetProvider, \
     analytic_jet, fd_jet
@@ -21,9 +21,7 @@ from .residuals import (ResidualReport, SampleSet, boundary_residual,
 from .solutions import (FAMILY_IDS, BoundaryCircle, ConstantState, Full413,
                         Moving442, Moving444, RestrictionError,
                         SingularityError, Stationary413s, Steady432,
-                        derived_constants_4_40, reduced_profiles_of,
-                        regular_c3_4_38, restrictions_4_42,
-                        restrictions_4_44, steady_constants_4_36)
+                        reduced_profiles_of)
 from .symmetry import (Galilei, InapplicableSymmetryError, PressureShift,
                        Rotation, Scale, TimeTranslation,
                        boundary_invariance, orbit_residual,

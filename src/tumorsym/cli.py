@@ -37,13 +37,15 @@ class _Exit(Exception):
 
 
 @contextlib.contextmanager
-def _restrictions():
-    """A family that cannot be built or whose derived constants cannot be
-    computed (restriction, domain or overflow) ends the run with exit 1."""
+def _failing(prefix):
+    """A ValueError or ArithmeticError inside ends the run with exit 1 and
+    ``prefix: message``: a family that cannot be built or whose derived
+    constants cannot be computed (restriction, domain or overflow), or a
+    field that cannot be evaluated at the run's samples."""
     try:
         yield
     except (ValueError, ArithmeticError) as e:
-        raise _Exit(f"restriction violated: {e}", 1) from None
+        raise _Exit(f"{prefix}: {e}", 1) from None
 
 
 def _load(path, need_orbit=False):
@@ -54,7 +56,7 @@ def _load(path, need_orbit=False):
         raise _Exit(f"config error: {e}", 2) from None
     if need_orbit and cfg.orbit is None:
         raise _Exit("config error: [orbit] section required", 2)
-    with _restrictions():
+    with _failing("restriction violated"):
         return cfg, cfg.build_family()
 
 
@@ -82,7 +84,7 @@ def _report_payload(report):
 
 def cmd_validate(args):
     cfg, sol = _load(args.config)
-    with _restrictions():
+    with _failing("restriction violated"):
         derived = {name: getattr(sol, name) for name in sol.derived}
     for name, val in derived.items():
         if not math.isfinite(val):
@@ -138,9 +140,10 @@ def _governing(cfg, sol):
     sensitivity run), and the governing residual under it: the base of
     the orbit check in ``verify`` and ``orbit`` alike."""
     triplet = sol.triplet(**cfg.overrides)
-    return triplet, governing_residual(
-        JetProvider(sol, AnalyticEngine()), triplet, sol.phys(),
-        cfg.samples, sol.boundary())
+    with _failing("evaluation failed"):
+        return triplet, governing_residual(
+            JetProvider(sol, AnalyticEngine()), triplet, sol.phys(),
+            cfg.samples, sol.boundary())
 
 
 # the element ``verify`` checks when the config has no [orbit] section
@@ -151,13 +154,17 @@ def _orbit_check(cfg, sol, triplet, base_linf):
     """The orbit block of ``verify`` and ``orbit``: (report, allowed,
     failure).  ``allowed`` is None when the base residual gives no finite
     bound, and ``failure`` says why the check fails, or is None.  An
-    element that does not apply to the triplet gives no report, and the
-    failure is then the :class:`InapplicableSymmetryError`."""
+    element that does not apply to the triplet, or that maps the samples
+    outside the field's domain, gives no report, and the failure is then
+    an :class:`InapplicableSymmetryError`."""
     try:
         elem = _build_element(cfg.orbit or _DEFAULT_ORBIT, triplet)
         orb = orbit_residual(elem, sol, triplet, sol.phys(), cfg.samples)
     except InapplicableSymmetryError as e:
         return None, None, e
+    except (ValueError, ArithmeticError) as e:
+        return None, None, InapplicableSymmetryError(
+            f"the element maps the samples outside the field's domain: {e}")
     allowed = _orbit_bound(base_linf, cfg.tolerances["orbit_factor"])
     if allowed is None:
         return orb, None, _NO_ORBIT_BOUND

@@ -148,8 +148,13 @@ def load_config(path: str) -> RunConfig:
                  "eps": _number("orbit", "eps", sec.get("eps", 0.5)),
                  "f": sec.get("f", "const"),
                  "axis": sec.get("axis", "x")}
+        if not math.isfinite(orbit["eps"]):
+            raise ConfigError(f"[orbit] eps must be finite, got "
+                              f"{orbit['eps']!r}")
         if orbit["f"] not in ("const", "sin"):
             raise ConfigError("orbit f must be 'const' or 'sin'")
+        if orbit["axis"] not in ("x", "y"):
+            raise ConfigError("orbit axis must be 'x' or 'y'")
 
     out_dir = None
     if "output" in parser:

@@ -17,7 +17,7 @@ __all__ = [
     "DomainError", "DegenerateScaleError",
     "PhysConstants", "PowerLawParams", "PowerLawTriplet", "GeneralTriplet",
     "ScaleExponents", "ConstitutiveValues", "scale_exponents",
-    "validate_power_law", "sigma_from_proliferation",
+    "s0_link", "validate_power_law", "sigma_from_proliferation",
     "compatibility_residual", "CONSTRAINT_TOL",
 ]
 
@@ -142,6 +142,12 @@ def scale_exponents(m: float, n: float) -> ScaleExponents:
     return ScaleExponents(gamma=gamma, kappa=kappa)
 
 
+def s0_link(n: float, sigma0: float, lam: float) -> float:
+    """The s0 under which the power-law model admits the radial
+    reductions, n sigma0 / ((n-1)(2+lambda)); undefined at n = 1."""
+    return n * sigma0 / ((n - 1.0) * (2.0 + lam))
+
+
 @dataclass(frozen=True)
 class PowerLawDiagnostics:
     s0_required: float | None
@@ -169,8 +175,7 @@ def validate_power_law(params: PowerLawParams,
     s0_required = None
     link = None
     if params.n != 1.0:
-        s0_required = params.n * params.sigma0 / (
-            (params.n - 1.0) * (2.0 + phys.lam))
+        s0_required = s0_link(params.n, params.sigma0, phys.lam)
         scale = max(abs(s0_required), abs(params.s0), 1.0)
         link = abs(params.s0 - s0_required) <= CONSTRAINT_TOL * scale
         if not link:

@@ -8,8 +8,9 @@ points at one time (vector forward mode); the finite-difference engine
 rebuilds the spatial entries from value calls only, one array call per
 stencil offset, and serves only as the independent reference of
 ``cross_engine_check``.
-Time derivatives always come from the analytic path: two families carry
-fractional powers of t that make time differencing unreliable.
+The one time derivative a residual reads, alpha_t (only the mass equation
+has a time derivative), always comes from the analytic path: two families
+carry fractional powers of t that make time differencing unreliable.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class FieldJet:
     u2: float
     p: float
     alpha_t: float
-    u1_t: float
-    u2_t: float
-    p_t: float
     alpha_x: float
     alpha_y: float
     u1_x: float
@@ -72,7 +70,7 @@ class FieldJet:
     p_yy: float
 
 
-# the 24 field entries: everything but the point itself
+# the 21 field entries: everything but the point itself
 JET_ENTRIES = tuple(f.name for f in fields(FieldJet)
                     if f.name not in ("t", "x", "y"))
 
@@ -115,18 +113,17 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     eyy = field.values(t, x, seed2(y))
     sx, sy = seed_pair(x, y)
     exy = field.values(t, sx, sy)
-    et = field.values(seed1(t), x, y)
+    a_t = field.values(seed1(t), x, y)[0]
 
     a_xx, u1_xx, u2_xx, p_xx = exx
     a_yy, u1_yy, u2_yy, p_yy = eyy
     _, u1_xy, u2_xy, _ = exy
-    a_t, u1_t, u2_t, p_t = et
 
     x, y = value(x), value(y)
     return _field_jet(
         value(t), x, y,
         alpha=value(a_xx), u1=value(u1_xx), u2=value(u2_xx), p=value(p_xx),
-        alpha_t=_d(a_t), u1_t=_d(u1_t), u2_t=_d(u2_t), p_t=_d(p_t),
+        alpha_t=_d(a_t),
         alpha_x=_d(a_xx), alpha_y=_d(a_yy),
         u1_x=_d(u1_xx), u1_y=_d(u1_yy),
         u2_x=_d(u2_xx), u2_y=_d(u2_yy),
@@ -144,8 +141,8 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
     four fields: 36 calls (the value, the time seed, and 4 + 4 + 5 + 5 +
     16 stencil points), whatever the number of points.  A field singular
     at some stencil point raises :class:`SingularityError` with the mask
-    of the points singular at that offset.  Time derivatives still come
-    from the analytic path (see module note).
+    of the points singular at that offset.  alpha_t still comes from the
+    analytic path (see module note).
     """
     def f(sx, sy):
         return np.stack(np.broadcast_arrays(
@@ -158,7 +155,7 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
         return fd_derivative(lambda s: f(x, s), y, order, 4, h)
 
     a, u1, u2, p = f(x, y)
-    et = field.values(seed1(t), x, y)
+    a_t = field.values(seed1(t), x, y)[0]
     a_x, u1_x, u2_x, p_x = dx(1)
     a_y, u1_y, u2_y, p_y = dy(1)
     _, u1_xx, u2_xx, p_xx = dx(2)
@@ -168,8 +165,7 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
         y, 1, 4, h)
     return _field_jet(
         t, x, y, alpha=a, u1=u1, u2=u2, p=p,
-        alpha_t=_d(et[0]), u1_t=_d(et[1]), u2_t=_d(et[2]), p_t=_d(et[3]),
-        alpha_x=a_x, alpha_y=a_y, u1_x=u1_x, u1_y=u1_y,
+        alpha_t=_d(a_t), alpha_x=a_x, alpha_y=a_y, u1_x=u1_x, u1_y=u1_y,
         u2_x=u2_x, u2_y=u2_y,
         u1_xx=u1_xx, u1_xy=u1_xy, u1_yy=u1_yy,
         u2_xx=u2_xx, u2_xy=u2_xy, u2_yy=u2_yy,

@@ -194,36 +194,6 @@ class DD:
     def __rpow__(self, base):
         return (self * math.log(base)).exp()
 
-    # -- comparisons (on the exact value) -----------------------------------
-
-    def _cmp(self, other):
-        d = self - other
-        if d.hi < 0.0:
-            return -1
-        if d.hi > 0.0:
-            return 1
-        return -1 if d.lo < 0.0 else (1 if d.lo > 0.0 else 0)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (DD, *_PLAIN)):
-            return self._cmp(other) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.hi, self.lo))
-
     # -- elementary functions -----------------------------------------------
 
     def exp(self):

@@ -99,7 +99,8 @@ def value(z):
 
 
 # Plain floats are tested first: model formulas evaluated on floats (the
-# figure grids) pay one type check per elementary function or value().
+# pressure quadrature, the lift points, the reduced checks) pay one type
+# check per elementary function or value().
 
 def exp(z):
     if type(z) is float:

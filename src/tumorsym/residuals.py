@@ -44,8 +44,8 @@ class SampleSet:
     n_theta: int = 8
 
     def __post_init__(self):
-        if any(t <= 0 for t in self.times):
-            raise ValueError("all sample times must be positive")
+        if not all(0.0 < t < math.inf for t in self.times):
+            raise ValueError("all sample times must be positive and finite")
         if not 0.0 < self.r_min_fraction < 1.0:
             raise ValueError("r_min_fraction must lie in (0, 1)")
         if self.n_r < 1 or self.n_theta < 1:
@@ -192,6 +192,9 @@ def _collect(names, rows, locations, engine, rejected):
         at = nans[0] if nans else col.index(max(col))
         linf, where = col[at], locations[at]
         l2 = math.sqrt(_fsum([v * v for v in col]))
+        if not math.isfinite(l2) and all(map(math.isfinite, col)):
+            # the squares overflow although the norm does not: scale them
+            l2 = linf * math.sqrt(math.fsum([(v / linf) ** 2 for v in col]))
         equations.append(EquationNorms(name, linf, where, l2))
     return ResidualReport(tuple(equations), len(rows), engine,
                           tuple(rejected))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core_model import (GeneralTriplet, PhysConstants, PowerLawParams,
-                         PowerLawTriplet, sigma_from_proliferation)
+                         PowerLawTriplet, s0_link, sigma_from_proliferation)
 from .jets import Field, SingularityError
 from .numerics import exp_over_z_integral
 from .numerics.dual import exp, expm1, lift, log, sqrt, value
@@ -22,10 +22,7 @@ from .numerics.dual import exp, expm1, lift, log, sqrt, value
 __all__ = [
     "SingularityError", "RestrictionError", "BoundaryCircle",
     "Full413", "Stationary413s", "Moving442", "Moving444", "Steady432",
-    "ConstantState",
-    "regular_c3_4_38", "derived_constants_4_40", "restrictions_4_42",
-    "restrictions_4_44", "steady_constants_4_36",
-    "reduced_profiles_of", "FAMILY_IDS",
+    "ConstantState", "reduced_profiles_of", "FAMILY_IDS",
 ]
 
 
@@ -81,94 +78,6 @@ def _pressure_integral(a_coef, w, delta):
 
 
 # ---------------------------------------------------------------------------
-# restriction / derived-constant operations
-# ---------------------------------------------------------------------------
-
-def regular_c3_4_38(c1, n, sigma0, lam):
-    """The c3 that bounds the velocity at the origin (Taylor condition)."""
-    if n == 1.0:
-        raise RestrictionError("n = 1 is degenerate")
-    return 2.0 * sigma0 * c1 ** n / ((n - 1.0) * (2.0 + lam)) \
-        + 2.0 * c1 / (n - 1.0)
-
-
-def derived_constants_4_40(c3, c4, n, lam, d0):
-    """Constants that make the stationary-boundary family satisfy the BVP."""
-    _require(c3 != 0.0, "c3 = 0 excluded: c3(n-1) must be nonzero")
-    _require(n * (n - 1.0) != 0.0, "n(n-1) must be nonzero")
-    _require(d0 > 0.0, "d0 must be positive")
-    _require(lam > 0.0, "lambda must be positive")
-    _require(n * c3 > 0.0,
-             "n*c3 must be positive for a positive cell concentration")
-    delta = math.exp(-c4 / c3)
-    E = math.exp(math.exp(-2.0 * c4 / c3) / (4.0 * d0))
-    c1 = n * c3 * E / 2.0
-    sigma0 = -(2.0 + lam) * c3 / 2.0 * (2.0 / (n * c3)) ** n
-    s0 = n * sigma0 / ((n - 1.0) * (2.0 + lam))
-    return {"delta": delta, "E": E, "c1": c1, "sigma0": sigma0, "s0": s0}
-
-
-def restrictions_4_42(c1, delta, m, n, lam):
-    """Derived constants of the moving-boundary family with m != -n-1."""
-    _require(m != -1.0, "m != -1 required (the m = -1 branch is a "
-             "different family)")
-    _require(m != -n - 1.0, "m = -n-1 excluded: use the m = -n-1 family")
-    _require(n * (n - 1.0) != 0.0, "n(n-1) must be nonzero")
-    _require(1.0 + m + n != 0.0, "1+m+n must be nonzero")
-    _require(c1 > 0.0, "c1 must be positive")
-    _require(delta > 0.0, "delta must be positive")
-    _require(lam > 0.0, "lambda must be positive")
-    d0 = (1.0 + m) * c1 ** (-1.0 - m) / (4.0 * (1.0 + lam))
-    _require(d0 > 0.0, "derived mobility scale d0 is not positive "
-             "(requires m > -1)")
-    sigma0 = -c1 ** (1.0 - n) * (3.0 + m + lam) / n \
-        * delta ** ((2.0 - 2.0 * n) / (1.0 + m))
-    s0 = n * sigma0 / ((n - 1.0) * (2.0 + lam))
-    c2 = 2.0 * c1 * (1.0 + lam) \
-        * (-1.0 + m + 2.0 * n + lam * (m + n)) \
-        / ((1.0 - n) * (1.0 + m + n) * (2.0 + lam)) \
-        * delta ** (2.0 + 2.0 / (1.0 + m))
-    c3 = c1 * (1.0 + lam) * (3.0 + m + lam - n * (2.0 + lam)) \
-        / (n * (n - 1.0) * (2.0 + lam)) * delta ** (2.0 / (1.0 + m))
-    return {"d0": d0, "s0": s0, "sigma0": sigma0, "c2": c2, "c3": c3}
-
-
-def restrictions_4_44(c1, delta, n, lam):
-    """Derived constants of the moving-boundary family with m = -n-1."""
-    _require(n * (n - 1.0) != 0.0, "n(n-1) must be nonzero")
-    _require(c1 > 0.0, "c1 must be positive")
-    _require(delta > 0.0, "delta must be positive")
-    _require(lam > 0.0, "lambda must be positive")
-    d0 = -n * c1 ** n / (4.0 * (1.0 + lam))
-    if d0 <= 0.0:
-        raise RestrictionError(
-            f"derived mobility d0 = {d0} is not positive; "
-            "n*c1^n must be negative")
-    sigma0 = (n - 2.0 - lam) / n * c1 ** (1.0 - n) * delta ** (2.0 - 2.0 / n)
-    s0 = n * sigma0 / ((n - 1.0) * (2.0 + lam))
-    c2 = 2.0 * c1 * (1.0 + lam) \
-        * (n * (2.0 + lam) + 2.0 * (2.0 - n + lam) * math.log(delta)) \
-        / (n * (1.0 - n) * (2.0 + lam)) * delta ** (2.0 - 2.0 / n)
-    c3 = c1 * (1.0 + lam) * (2.0 + lam - n * (3.0 + lam)) \
-        / (n * (n - 1.0) * (2.0 + lam)) * delta ** (-2.0 / n)
-    return {"d0": d0, "s0": s0, "sigma0": sigma0, "c2": c2, "c3": c3}
-
-
-def steady_constants_4_36(c3, delta, m_exp, n_exp, c1, d0):
-    """Constants that pin the steady family to its boundary conditions."""
-    _require(m_exp != n_exp, "m and n exponents must differ")
-    _require(0.0 < m_exp < n_exp, "0 < m < n required")
-    _require(c1 > 0.0, "c1 must be positive")
-    _require(d0 > 0.0, "d0 must be positive")
-    _require(delta > 0.0, "delta must be positive")
-    c4 = -c3 * math.log(delta)
-    common = c3 * m_exp * n_exp / (2.0 * (n_exp - m_exp))
-    k1 = common / c1 ** m_exp * math.exp(m_exp * delta ** 2 / (4.0 * d0))
-    k2 = common / c1 ** n_exp * math.exp(n_exp * delta ** 2 / (4.0 * d0))
-    return {"c4": c4, "k1": k1, "k2": k2}
-
-
-# ---------------------------------------------------------------------------
 # the families
 # ---------------------------------------------------------------------------
 
@@ -176,11 +85,13 @@ class SolutionFamily(Field):
     """Common surface: fields + triplet + boundary + reduction metadata.
 
     A family class is the one home of its facts: the constructor's
-    arguments are its free parameters (:meth:`params`), the keyword
-    arguments of :meth:`triplet` are the derived constants a run may
-    override (:meth:`overridable`), ``derived`` lists, in report order,
-    the derived attributes that ``validate`` prints, and ``radial`` states
-    the closed form once: u = (x, y) * vel.
+    arguments are its free parameters (:meth:`params`), and the
+    constructor checks the family's restrictions and computes its derived
+    constants, citing the paper's equation in the class docstring.  The
+    keyword arguments of :meth:`triplet` are the derived constants a run
+    may override (:meth:`overridable`), ``derived`` lists, in report
+    order, the derived attributes that ``validate`` prints, and ``radial``
+    states the closed form once: u = (x, y) * vel.
     """
 
     family_id: str
@@ -224,7 +135,15 @@ class SolutionFamily(Field):
 
 
 class PowerLawFamily(SolutionFamily):
-    """A family whose constitutive triplet is the power law in (m, n)."""
+    """A family whose constitutive triplet is the power law in (m, n).
+
+    Each solves the BVP under the s0 link, so s0 is derived from
+    (n, sigma0, lambda) and is not stored.
+    """
+
+    @property
+    def s0(self):
+        return s0_link(self.n, self.sigma0, self.lam)
 
     def triplet(self, s0=None):
         """The power-law triplet; a given ``s0`` replaces the derived one
@@ -238,8 +157,9 @@ class Full413(PowerLawFamily):
     """Time-decaying radial solution with m = -1 and free c3, c4.
 
     Solves the governing system under the s0 link; the velocity is bounded
-    at the origin exactly when c3 takes its Taylor-regular value, but the
-    pressure keeps its logarithmic singularity in every case.
+    at the origin exactly when c3 takes its Taylor-regular value (eq.
+    4.38), the sum of the two pressure coefficients, but the pressure
+    keeps its logarithmic singularity in every case.
     """
 
     family_id = "full413"
@@ -255,7 +175,8 @@ class Full413(PowerLawFamily):
         self.n, self.d0, self.lam = n, d0, lam
         self.sigma0, self.delta = sigma0, delta
         self.m = -1.0
-        self.s0 = n * sigma0 / ((n - 1.0) * (2.0 + lam))
+        self._coef_n = 2.0 * sigma0 * c1 ** n / ((n - 1.0) * (2.0 + lam))
+        self._coef_1 = 2.0 * c1 / (n - 1.0)
         # bracket constants, grouped so the w -> 0 limit carries no
         # cancellation; the affine part vanishes exactly at the regular c3
         self._K = 2.0 * sigma0 * c1 ** (n - 1.0) / ((n - 1.0) * (2.0 + lam))
@@ -263,20 +184,18 @@ class Full413(PowerLawFamily):
 
     @property
     def c3_regular(self):
-        return regular_c3_4_38(self.c1, self.n, self.sigma0, self.lam)
+        return self._coef_n + self._coef_1
 
     def radial(self, t, w):
-        n, d0, lam = self.n, self.d0, self.lam
+        n, d0 = self.n, self.d0
         c1, c3, c4 = self.c1, self.c3, self.c4
         q = 1.0 / (4.0 * d0)
         bracket = (c3 / c1) * expm1(w * q) \
             - self._K * expm1((1.0 - n) * w * q) + self._B
         vel = d0 / (t * w) * bracket
-        coef_n = 2.0 * self.sigma0 * c1 ** n / ((n - 1.0) * (2.0 + lam))
-        coef_1 = 2.0 * c1 / (n - 1.0)
         p = t ** (n / (1.0 - n)) * (
-            coef_n * _pressure_integral(n * q, w, self.delta)
-            + coef_1 * _pressure_integral(q, w, self.delta)
+            self._coef_n * _pressure_integral(n * q, w, self.delta)
+            + self._coef_1 * _pressure_integral(q, w, self.delta)
             + c4 + 0.5 * c3 * log(w))
         alpha = c1 * t ** (1.0 / (1.0 - n)) * exp(-w * q)
         return alpha, vel, p
@@ -285,26 +204,30 @@ class Full413(PowerLawFamily):
 class Stationary413s(PowerLawFamily):
     """Boundary-value solution with a static circular front.
 
-    All constants except (c3, c4, n, lambda, d0) are derived; the front
-    radius is exp(-c4/c3) and does not move.
+    All constants except (c3, c4, n, lambda, d0) are derived (eq. 4.40);
+    the front radius is exp(-c4/c3) and does not move.
     """
 
     family_id = "stationary413s"
     derived = ("delta", "E", "c1", "sigma0", "s0")
 
     def __init__(self, c3, c4, n, lam, d0):
-        derived = derived_constants_4_40(c3, c4, n, lam, d0)
+        _require(c3 != 0.0, "c3 = 0 excluded: c3(n-1) must be nonzero")
+        _require(n * (n - 1.0) != 0.0, "n(n-1) must be nonzero")
+        _require(d0 > 0.0, "d0 must be positive")
+        _require(lam > 0.0, "lambda must be positive")
+        _require(n * c3 > 0.0,
+                 "n*c3 must be positive for a positive cell concentration")
         self.c3, self.c4, self.n, self.lam, self.d0 = c3, c4, n, lam, d0
-        self.delta = derived["delta"]
-        self.E = derived["E"]
-        self.c1 = derived["c1"]
-        self.sigma0 = derived["sigma0"]
-        self.s0 = derived["s0"]
         self.m = -1.0
-        self._B = 1.0 + self.E ** n / (n - 1.0) - n * self.E / (n - 1.0)
+        self.delta = math.exp(-c4 / c3)
+        self.E = E = math.exp(math.exp(-2.0 * c4 / c3) / (4.0 * d0))
+        self.c1 = n * c3 * E / 2.0
+        self.sigma0 = -(2.0 + lam) * c3 / 2.0 * (2.0 / (n * c3)) ** n
+        self._B = 1.0 + E ** n / (n - 1.0) - n * E / (n - 1.0)
 
     def radial(self, t, w):
-        n, d0, lam = self.n, self.d0, self.lam
+        n, d0 = self.n, self.d0
         c3, c4, E = self.c3, self.c4, self.E
         q = 1.0 / (4.0 * d0)
         bracket = expm1(w * q) \
@@ -320,19 +243,36 @@ class Stationary413s(PowerLawFamily):
 
 
 class Moving442(PowerLawFamily):
-    """Moving-front family for m not in {-1, -n-1}; alpha is steady."""
+    """Moving-front family for m not in {-1, -n-1}; alpha is steady.
+
+    (d0, sigma0, c2, c3) are derived from (c1, delta, m, n, lambda)
+    (eq. 4.42).
+    """
 
     family_id = "moving442"
     derived = ("d0", "s0", "sigma0", "c2", "c3", "kappa")
 
     def __init__(self, c1, delta, m, n, lam):
-        derived = restrictions_4_42(c1, delta, m, n, lam)
+        _require(m != -1.0, "m != -1 required (the m = -1 branch is a "
+                 "different family)")
+        _require(m != -n - 1.0, "m = -n-1 excluded: use the m = -n-1 family")
+        _require(n * (n - 1.0) != 0.0, "n(n-1) must be nonzero")
+        _require(1.0 + m + n != 0.0, "1+m+n must be nonzero")
+        _require(c1 > 0.0, "c1 must be positive")
+        _require(delta > 0.0, "delta must be positive")
+        _require(lam > 0.0, "lambda must be positive")
         self.c1, self.delta, self.m, self.n, self.lam = c1, delta, m, n, lam
-        self.d0 = derived["d0"]
-        self.s0 = derived["s0"]
-        self.sigma0 = derived["sigma0"]
-        self.c2 = derived["c2"]
-        self.c3 = derived["c3"]
+        self.d0 = (1.0 + m) * c1 ** (-1.0 - m) / (4.0 * (1.0 + lam))
+        _require(self.d0 > 0.0, "derived mobility scale d0 is not positive "
+                 "(requires m > -1)")
+        self.sigma0 = -c1 ** (1.0 - n) * (3.0 + m + lam) / n \
+            * delta ** ((2.0 - 2.0 * n) / (1.0 + m))
+        self.c2 = 2.0 * c1 * (1.0 + lam) \
+            * (-1.0 + m + 2.0 * n + lam * (m + n)) \
+            / ((1.0 - n) * (1.0 + m + n) * (2.0 + lam)) \
+            * delta ** (2.0 + 2.0 / (1.0 + m))
+        self.c3 = c1 * (1.0 + lam) * (3.0 + m + lam - n * (2.0 + lam)) \
+            / (n * (n - 1.0) * (2.0 + lam)) * delta ** (2.0 / (1.0 + m))
         self.kappa = (1.0 + m) / (1.0 - n)
 
     def radial(self, t, w):
@@ -352,20 +292,34 @@ class Moving442(PowerLawFamily):
 
 
 class Moving444(PowerLawFamily):
-    """Moving-front family on the branch m = -n-1; alpha is steady."""
+    """Moving-front family on the branch m = -n-1; alpha is steady.
+
+    (d0, sigma0, c2, c3) are derived from (c1, delta, n, lambda)
+    (eq. 4.44).
+    """
 
     family_id = "moving444"
     derived = ("m", "d0", "s0", "sigma0", "c2", "c3", "kappa")
 
     def __init__(self, c1, delta, n, lam):
-        derived = restrictions_4_44(c1, delta, n, lam)
+        _require(n * (n - 1.0) != 0.0, "n(n-1) must be nonzero")
+        _require(c1 > 0.0, "c1 must be positive")
+        _require(delta > 0.0, "delta must be positive")
+        _require(lam > 0.0, "lambda must be positive")
         self.c1, self.delta, self.n, self.lam = c1, delta, n, lam
         self.m = -n - 1.0
-        self.d0 = derived["d0"]
-        self.s0 = derived["s0"]
-        self.sigma0 = derived["sigma0"]
-        self.c2 = derived["c2"]
-        self.c3 = derived["c3"]
+        self.d0 = -n * c1 ** n / (4.0 * (1.0 + lam))
+        if self.d0 <= 0.0:
+            raise RestrictionError(
+                f"derived mobility d0 = {self.d0} is not positive; "
+                "n*c1^n must be negative")
+        self.sigma0 = (n - 2.0 - lam) / n * c1 ** (1.0 - n) \
+            * delta ** (2.0 - 2.0 / n)
+        self.c2 = 2.0 * c1 * (1.0 + lam) \
+            * (n * (2.0 + lam) + 2.0 * (2.0 - n + lam) * math.log(delta)) \
+            / (n * (1.0 - n) * (2.0 + lam)) * delta ** (2.0 - 2.0 / n)
+        self.c3 = c1 * (1.0 + lam) * (2.0 + lam - n * (3.0 + lam)) \
+            / (n * (n - 1.0) * (2.0 + lam)) * delta ** (-2.0 / n)
         self.kappa = n / (n - 1.0)
 
     def radial(self, t, w):
@@ -387,7 +341,7 @@ class Steady432(SolutionFamily):
 
     The mobility is d0/alpha and the pressure-difference function is the
     one compatible with S = k1 a^m - k2 a^n; (c4, k1, k2) are derived so
-    the boundary conditions hold on the circle r = delta.
+    the boundary conditions hold on the circle r = delta (eq. 4.36).
     """
 
     family_id = "steady432"
@@ -396,12 +350,19 @@ class Steady432(SolutionFamily):
 
     def __init__(self, c1, c3, delta, m_exp, n_exp, lam, d0):
         _require(lam > 0.0, "lambda must be positive")
-        derived = steady_constants_4_36(c3, delta, m_exp, n_exp, c1, d0)
+        _require(m_exp != n_exp, "m and n exponents must differ")
+        _require(0.0 < m_exp < n_exp, "0 < m < n required")
+        _require(c1 > 0.0, "c1 must be positive")
+        _require(d0 > 0.0, "d0 must be positive")
+        _require(delta > 0.0, "delta must be positive")
         self.c1, self.c3, self.delta = c1, c3, delta
         self.m_exp, self.n_exp, self.lam, self.d0 = m_exp, n_exp, lam, d0
-        self.c4 = derived["c4"]
-        self.k1 = derived["k1"]
-        self.k2 = derived["k2"]
+        self.c4 = -c3 * math.log(delta)
+        common = c3 * m_exp * n_exp / (2.0 * (n_exp - m_exp))
+        self.k1 = common / c1 ** m_exp \
+            * math.exp(m_exp * delta ** 2 / (4.0 * d0))
+        self.k2 = common / c1 ** n_exp \
+            * math.exp(n_exp * delta ** 2 / (4.0 * d0))
         self._A1 = 2.0 * self.k1 * c1 ** m_exp / m_exp
         self._A2 = 2.0 * self.k2 * c1 ** n_exp / n_exp
         self._B = c3 - self._A1 + self._A2

@@ -69,7 +69,7 @@ def test_batched_jet_equals_pointwise_bit_for_bit(name, field, sol):
     x = np.array([p[1] for p in pts])
     y = np.array([p[2] for p in pts])
     batch = analytic_jet(field, t, x, y)
-    assert len(JET_ENTRIES) == 24
+    assert len(JET_ENTRIES) == 21
     single = [analytic_jet(field, t, xi, yi) for _, xi, yi in pts]
     assert batch.t == t
     for entry in ("x", "y") + JET_ENTRIES:

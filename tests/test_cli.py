@@ -132,9 +132,10 @@ _FULL = dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0, sigma0=-3.0,
     ("steady432", dict(_STEADY, d0=1e-6), ""),
     ("moving442", dict(_M442, c1=1e-300), ""),
     ("full413", dict(_FULL, c1=1e300), ""),
+    ("full413", dict(_FULL, c1=1e250, n=1.3), ""),
 ], ids=["444-fractional-n", "444-zero-c1", "444-negative-c1-n-2",
         "444-negative-c1-n3", "413s-overflow", "432-overflow",
-        "442-overflow", "413-overflow"])
+        "442-overflow", "413-overflow", "413-pressure-coefficient-overflow"])
 def test_bad_family_parameters_end_in_a_message(tmp_path, capsys,
                                                 family_id, params, hint):
     cfg = _write(tmp_path, _family_body(family_id, **params))
@@ -145,7 +146,8 @@ def test_bad_family_parameters_end_in_a_message(tmp_path, capsys,
 
 
 def test_validate_reports_an_overflowing_derived_constant(tmp_path, capsys):
-    """full413 builds, but its reported c3_regular needs c1^n = 1e325."""
+    """full413's pressure coefficient, whose sum with the other is the
+    reported c3_regular, needs c1^n = 1e325."""
     cfg = _write(tmp_path, _family_body("full413", **dict(_FULL, c1=1e250,
                                                          n=1.3)))
     assert main(["validate", "--config", cfg]) == 1
@@ -424,6 +426,149 @@ def test_orbit_unknown_element_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, body)
     assert main(["orbit", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+_ORBIT_BODY = FIG34_BODY + "\n[orbit]\nelement = rotation\n"
+
+
+@pytest.mark.parametrize("body, hint", [
+    (FIG34_BODY + "\n[orbit]\nelement = galilei\naxis = z\n",
+     "orbit axis must be 'x' or 'y'"),
+    (_ORBIT_BODY + "eps = inf\n", "[orbit] eps must be finite, got inf"),
+    (_ORBIT_BODY + "eps = nan\n", "[orbit] eps must be finite, got nan"),
+    (_ORBIT_BODY.replace("times = 1.0", "times = nan"),
+     "sample times must be positive and finite"),
+    (_ORBIT_BODY.replace("times = 1.0", "times = 1.0, inf"),
+     "sample times must be positive and finite"),
+], ids=["galilei-axis-z", "eps-inf", "eps-nan", "times-nan", "times-inf"])
+def test_bad_samples_or_orbit_value_exits_2(tmp_path, capsys, body, hint):
+    cfg = _write(tmp_path, body)
+    for command in ("verify", "orbit"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and hint in err
+
+
+_OUTSIDE = ("the element maps the samples outside the field's domain: ")
+
+
+@pytest.mark.parametrize("element, eps, cause", [
+    ("time-translation", 1.0, "t must be positive, got 0.0"),
+    ("scale", 400.0, "math range error"),
+], ids=["time-translation-to-t0", "scale-overflow"])
+def test_orbit_outside_the_field_domain_fails_the_check(tmp_path, capsys,
+                                                       element, eps, cause):
+    """An element that maps the samples where the field cannot be
+    evaluated fails the orbit check like an inapplicable one: exit 1, a
+    message, no orbit report and no traceback."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, FIG34_BODY
+                 + f"\n[orbit]\nelement = {element}\neps = {eps!r}\n")
+    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"inapplicable symmetry: {_OUTSIDE}{cause}\n"
+    assert not out.exists()
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"FAIL orbit: {_OUTSIDE}{cause}\n"
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["orbit"] is None
+    assert payload["failures"] == [f"orbit: {_OUTSIDE}{cause}"]
+
+
+@pytest.mark.parametrize("samples, cause", [
+    ("times = 6.2, 3.9e-308\nn_r = 3\nn_theta = 2\n", "math range error"),
+    ("times = 0.01\nr_min_fraction = 5e-324\n", "float division by zero"),
+], ids=["tiny-time-overflows", "inner-rim-underflows"])
+def test_field_not_evaluable_at_the_samples_exits_1(tmp_path, capsys,
+                                                    samples, cause):
+    """Valid sample values at which the field cannot be evaluated end the
+    run with exit 1 and a message, without a report or a traceback."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _family_body("moving444", **dict(
+        _M444, c1=0.1, n=-2.0)) + f"\n[samples]\n{samples}"
+        "\n[orbit]\nelement = rotation\n")
+    for command in ("verify", "orbit"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"evaluation failed: {cause}\n"
+        assert not out.exists()
+
+
+_ACCEPTANCE = {"full413": _FULL, "stationary413s": _STAT, "moving442": _M442,
+               "moving444": dict(_M444, c1=0.1, n=-2.0),
+               "steady432": _STEADY}
+_SMALL_SAMPLES = "\n[samples]\ntimes = 1.0\nn_r = 2\nn_theta = 2\n"
+
+
+def _mostly(valid, bad=_EXTREME):
+    """Values that pass the config checks three times in four, so the fuzz
+    reaches the checks as well as the loader."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else bad)
+
+
+def _run_fuzzed(tmp_path, capsys, command, family_id, sections):
+    """``command`` on an acceptance family with the given sections ends in
+    exit 0, 1 or 2, never in an uncaught exception or a traceback."""
+    cfg = _write(tmp_path, _family_body(family_id, **_ACCEPTANCE[family_id])
+                 + sections)
+    assert main([command, "--config", cfg]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["verify", "orbit"]),
+       family_id=st.sampled_from(sorted(_ACCEPTANCE)),
+       times=st.lists(_mostly(st.floats(0.01, 100.0)), min_size=1,
+                      max_size=2),
+       n_r=_mostly(st.integers(1, 3), st.integers(-1, 0)),
+       n_theta=_mostly(st.integers(1, 3), st.integers(-1, 0)),
+       r_min_fraction=_mostly(st.floats(1e-3, 0.99)))
+@example(command="verify", family_id="stationary413s", times=[math.nan],
+         n_r=2, n_theta=2, r_min_fraction=0.01)
+@example(command="verify", family_id="stationary413s", times=[math.inf],
+         n_r=2, n_theta=2, r_min_fraction=0.01)
+@example(command="orbit", family_id="moving444",
+         times=[6.200249657024836, 3.904009724761424e-308], n_r=3,
+         n_theta=2, r_min_fraction=0.4146568326350707)
+@example(command="verify", family_id="moving444", times=[0.01], n_r=3,
+         n_theta=2, r_min_fraction=5e-324)
+def test_samples_fuzz_ends_in_an_exit_code(tmp_path, capsys, command,
+                                           family_id, times, n_r, n_theta,
+                                           r_min_fraction):
+    _run_fuzzed(tmp_path, capsys, command, family_id,
+                "\n[samples]\n"
+                f"times = {', '.join(map(repr, times))}\n"
+                f"n_r = {n_r}\nn_theta = {n_theta}\n"
+                f"r_min_fraction = {r_min_fraction!r}\n"
+                "\n[orbit]\nelement = rotation\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["verify", "orbit"]),
+       family_id=st.sampled_from(sorted(_ACCEPTANCE)),
+       element=_mostly(st.sampled_from(["rotation", "galilei",
+                                        "pressure-shift",
+                                        "time-translation", "scale"]),
+                       st.just("teleport")),
+       eps=_mostly(st.floats(-5.0, 5.0)),
+       f=_mostly(st.sampled_from(["const", "sin"]), st.just("cos")),
+       axis=_mostly(st.sampled_from(["x", "y"]), st.just("z")))
+@example(command="verify", family_id="stationary413s", element="galilei",
+         eps=0.5, f="const", axis="z")
+@example(command="orbit", family_id="stationary413s", element="rotation",
+         eps=math.inf, f="const", axis="x")
+@example(command="orbit", family_id="stationary413s",
+         element="time-translation", eps=1.0, f="const", axis="x")
+@example(command="verify", family_id="stationary413s", element="scale",
+         eps=400.0, f="const", axis="x")
+def test_orbit_fuzz_ends_in_an_exit_code(tmp_path, capsys, command,
+                                         family_id, element, eps, f, axis):
+    _run_fuzzed(tmp_path, capsys, command, family_id,
+                _SMALL_SAMPLES + f"\n[orbit]\nelement = {element}\n"
+                f"eps = {eps!r}\nf = {f}\naxis = {axis}\n")
 
 
 # -- figure -----------------------------------------------------------------

@@ -223,6 +223,28 @@ def test_collect_l2_of_an_infinite_residual_is_inf():
     assert eq.linf_location == (1.0, 0.2, 0.0)
 
 
+@pytest.mark.parametrize("column, want", [
+    ((1e154, 1e154), math.sqrt(2.0) * 1e154),
+    ((1e200, 1e-3), 1e200),
+], ids=["sum-of-squares-overflows", "a-square-overflows"])
+def test_collect_l2_of_finite_residuals_is_finite(column, want):
+    """Finite residuals whose squares overflow still have a finite L2
+    norm: it is computed from the squares scaled by the Linf norm."""
+    rows = [(v,) for v in column]
+    locations = [(1.0, 0.1, 0.0), (1.0, 0.2, 0.0)]
+    eq = _collect(("mass",), rows, locations, "analytic", []).norm("mass")
+    assert eq.l2 == pytest.approx(want, rel=1e-15)
+    assert eq.linf == column[0]
+
+
+def test_collect_l2_keeps_the_plain_sum_when_it_is_finite():
+    col = [3e-9, 4e-9, 1.2e-10]
+    rows = [(v,) for v in col]
+    eq = _collect(("mass",), rows, [(1.0, 0.0, 0.0)] * 3, "analytic",
+                  []).norm("mass")
+    assert eq.l2 == math.sqrt(math.fsum(v * v for v in col))
+
+
 def test_acc_sums_opposite_infinities_to_nan():
     """inf - inf has no sum: the point's residual is NaN, and the other
     points of an array keep their exact sums."""

@@ -6,14 +6,13 @@ import math
 
 import pytest
 
+from tumorsym.core_model import s0_link, validate_power_law
 from tumorsym.jets import analytic_jet
 from tumorsym.numerics import exp_over_z_quadrature
 from tumorsym.solutions import (BoundaryCircle, ConstantState, Full413,
                                 Moving442, Moving444, RestrictionError,
                                 SingularityError, Stationary413s, Steady432,
-                                derived_constants_4_40, reduced_profiles_of,
-                                regular_c3_4_38, restrictions_4_42,
-                                restrictions_4_44, steady_constants_4_36)
+                                reduced_profiles_of)
 
 # Frozen oracle constants, computed independently with mpmath at 50 digits
 # from the defining relations delta = exp(-c4/c3), E = exp(delta^2/(4 d0)),
@@ -84,49 +83,72 @@ def test_full413_regular_c3_fig1():
                   sigma0=-3.0, delta=1.0)
     # 2 sigma0 c1^n/((n-1)(2+lam)) + 2 c1/(n-1) = -0.5 + 1
     assert abs(sol.c3_regular - 0.5) <= 1e-15
-    assert regular_c3_4_38(1.0, 3.0, -3.0, 4.0) == sol.c3_regular
+
+
+@pytest.mark.parametrize("sol", [
+    Full413(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0, sigma0=-3.0,
+            delta=1.0),
+    Stationary413s(**FIG34),
+    Moving442(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0),
+    Moving444(c1=0.1, delta=1.0, n=-2.0, lam=1.0),
+], ids=["full413", "stationary413s", "moving442", "moving444"])
+def test_s0_is_the_link_of_the_family(sol):
+    """Every power-law family derives s0 through the one s0 link, the
+    value ``validate_power_law`` requires."""
+    assert sol.s0 == s0_link(sol.n, sol.sigma0, sol.lam)
+    diag = validate_power_law(sol.triplet().params, sol.phys())
+    assert diag.s0_required == sol.s0 and diag.s0_link_holds
+    assert validate_power_law(sol.triplet(s0=sol.s0 + 1.0).params,
+                              sol.phys()).flags
 
 
 # -- restrictions -----------------------------------------------------------
 
+def _raises(make, message):
+    with pytest.raises(RestrictionError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_restriction_guards_stationary():
-    with pytest.raises(RestrictionError):
-        derived_constants_4_40(c3=0.0, c4=1.0, n=2.0, lam=1.0, d0=1.0)
-    with pytest.raises(RestrictionError):
-        derived_constants_4_40(c3=1.0, c4=1.0, n=1.0, lam=1.0, d0=1.0)
-    with pytest.raises(RestrictionError):
-        derived_constants_4_40(c3=-1.0, c4=1.0, n=2.0, lam=1.0, d0=1.0)
+    _raises(lambda: Stationary413s(c3=0.0, c4=1.0, n=2.0, lam=1.0, d0=1.0),
+            "c3 = 0 excluded: c3(n-1) must be nonzero")
+    _raises(lambda: Stationary413s(c3=1.0, c4=1.0, n=1.0, lam=1.0, d0=1.0),
+            "n(n-1) must be nonzero")
+    _raises(lambda: Stationary413s(c3=-1.0, c4=1.0, n=2.0, lam=1.0, d0=1.0),
+            "n*c3 must be positive for a positive cell concentration")
 
 
 def test_restriction_guards_moving442():
-    with pytest.raises(RestrictionError):
-        restrictions_4_42(c1=1.0, delta=1.0, m=-1.0, n=3.0, lam=1.0)
-    with pytest.raises(RestrictionError):
-        restrictions_4_42(c1=1.0, delta=1.0, m=-4.0, n=3.0, lam=1.0)
-    with pytest.raises(RestrictionError):
-        restrictions_4_42(c1=1.0, delta=1.0, m=1.0, n=1.0, lam=1.0)
-    with pytest.raises(RestrictionError):
-        restrictions_4_42(c1=1.0, delta=1.0, m=-2.0, n=1.0 + 1.0, lam=1.0)
+    _raises(lambda: Moving442(c1=1.0, delta=1.0, m=-1.0, n=3.0, lam=1.0),
+            "m != -1 required (the m = -1 branch is a different family)")
+    _raises(lambda: Moving442(c1=1.0, delta=1.0, m=-4.0, n=3.0, lam=1.0),
+            "m = -n-1 excluded: use the m = -n-1 family")
+    _raises(lambda: Moving442(c1=1.0, delta=1.0, m=1.0, n=1.0, lam=1.0),
+            "n(n-1) must be nonzero")
+    _raises(lambda: Moving442(c1=1.0, delta=1.0, m=-2.0, n=2.0, lam=1.0),
+            "derived mobility scale d0 is not positive (requires m > -1)")
 
 
 def test_restriction_guards_moving444():
     # n c1^n > 0 makes the derived mobility negative
-    with pytest.raises(RestrictionError):
-        restrictions_4_44(c1=1.0, delta=1.0, n=2.0, lam=1.0)
-    with pytest.raises(RestrictionError):
-        restrictions_4_44(c1=1.0, delta=1.0, n=1.0, lam=1.0)
+    _raises(lambda: Moving444(c1=1.0, delta=1.0, n=2.0, lam=1.0),
+            "derived mobility d0 = -0.25 is not positive; "
+            "n*c1^n must be negative")
+    _raises(lambda: Moving444(c1=1.0, delta=1.0, n=1.0, lam=1.0),
+            "n(n-1) must be nonzero")
 
 
 def test_restriction_guards_steady():
-    with pytest.raises(RestrictionError):
-        steady_constants_4_36(c3=1.0, delta=1.0, m_exp=2.0, n_exp=2.0,
-                              c1=1.0, d0=1.0)
-    with pytest.raises(RestrictionError):
-        steady_constants_4_36(c3=1.0, delta=1.0, m_exp=-1.0, n_exp=2.0,
-                              c1=1.0, d0=1.0)
-    with pytest.raises(RestrictionError):
-        steady_constants_4_36(c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0,
-                              c1=-1.0, d0=1.0)
+    def steady(**kw):
+        return lambda: Steady432(**dict(
+            dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0, lam=4.0,
+                 d0=1.0), **kw))
+
+    _raises(steady(m_exp=2.0, n_exp=2.0), "m and n exponents must differ")
+    _raises(steady(m_exp=-1.0), "0 < m < n required")
+    _raises(steady(c1=-1.0), "c1 must be positive")
+    _raises(steady(lam=0.0), "lambda must be positive")
 
 
 def test_full413_restrictions():
@@ -271,9 +293,9 @@ def test_eval_jet_matches_values():
     fd = (sol.values(1.0, 0.3 + h, 0.2)[0]
           - sol.values(1.0, 0.3 - h, 0.2)[0]) / (2.0 * h)
     assert jet.alpha_x == pytest.approx(fd, rel=1e-8)
-    fd = (sol.values(1.0 + h, 0.3, 0.2)[3]
-          - sol.values(1.0 - h, 0.3, 0.2)[3]) / (2.0 * h)
-    assert jet.p_t == pytest.approx(fd, rel=1e-8)
+    fd = (sol.values(1.0 + h, 0.3, 0.2)[0]
+          - sol.values(1.0 - h, 0.3, 0.2)[0]) / (2.0 * h)
+    assert jet.alpha_t == pytest.approx(fd, rel=1e-8)
 
 
 @pytest.mark.parametrize("mk", [
