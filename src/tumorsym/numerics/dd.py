@@ -32,9 +32,30 @@ _PLAIN = (int, float, np.ndarray)
 def elementwise(f, x):
     """``f(x)`` for a float; ``f`` of each element for an ndarray."""
     if isinstance(x, np.ndarray):
-        return np.array([f(v) for v in x.ravel().tolist()],
-                        dtype=float).reshape(x.shape)
+        return np.fromiter(map(f, x.ravel().tolist()), dtype=float,
+                           count=x.size).reshape(x.shape)
     return f(x)
+
+
+def _inf_on_overflow(f):
+    """``elementwise(f, x)`` for math.exp or math.expm1, but inf where the
+    result overflows (libm returns inf there; math raises OverflowError)."""
+    def scalar(v):
+        try:
+            return f(v)
+        except OverflowError:
+            return math.inf
+
+    def apply(x):
+        try:
+            return elementwise(f, x)
+        except OverflowError:
+            return elementwise(scalar, x)
+    return apply
+
+
+_exp = _inf_on_overflow(math.exp)
+_expm1 = _inf_on_overflow(math.expm1)
 
 
 def _special(mask, fill, y, general):
@@ -204,7 +225,7 @@ class DD:
             corr = (self.hi - elementwise(math.log, y)) + self.lo
             return DD.of(y) * (1.0 + corr)
 
-        y = elementwise(math.exp, self.hi)
+        y = _exp(self.hi)
         return _special((y == 0.0) | (y == math.inf), y, y, refine)
 
     def expm1(self):
@@ -212,7 +233,7 @@ class DD:
             corr = (self.hi - elementwise(math.log1p, m)) + self.lo
             return DD.of(m) + (1.0 + m) * corr
 
-        m = elementwise(math.expm1, self.hi)
+        m = _expm1(self.hi)
         return _special(m == math.inf, m, m, refine)
 
     def log(self):

@@ -51,7 +51,7 @@ class BoundaryCircle:
             return self.delta
         if t <= 0.0:
             raise ValueError("moving boundary needs t > 0")
-        return self.delta * t ** (self.kappa / 2.0)
+        return self.delta * _pow(t, self.kappa / 2.0)
 
     def level(self, t, x, y):
         return x * x + y * y - self.delta ** 2 * t ** self.kappa
@@ -59,7 +59,15 @@ class BoundaryCircle:
     def level_t(self, t: float) -> float:
         if self.kappa == 0.0:
             return 0.0
-        return -self.kappa * self.delta ** 2 * t ** (self.kappa - 1.0)
+        return -self.kappa * self.delta ** 2 * _pow(t, self.kappa - 1.0)
+
+
+def _pow(t, e):
+    """t ** e for t > 0, inf where it overflows (float ** raises)."""
+    try:
+        return t ** e
+    except OverflowError:
+        return math.inf
 
 
 def _pressure_integral(a_coef, w, delta):

@@ -207,13 +207,14 @@ def test_fd_jet_equals_pointwise(name, field, sol):
 
 
 # cross_engine_check at the cross-check's settings, as the point-by-point
-# FD engine gave it
+# FD engine gave it; the FD p_xx of the three Ei families differences the
+# pressure's last bits, so their values move with the Ei kernel
 XENG = {
-    "full413": 9.956592141036058e-08,
-    "stationary413s": 9.278804480317149e-07,
+    "full413": 8.053706199162569e-08,
+    "stationary413s": 9.443527598795853e-07,
     "moving442": 1.7272585234252916e-08,
     "moving444": 1.4310474353841094e-07,
-    "steady432": 8.380644120342673e-08,
+    "steady432": 6.698173741393868e-08,
 }
 
 

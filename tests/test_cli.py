@@ -476,23 +476,33 @@ def test_orbit_outside_the_field_domain_fails_the_check(tmp_path, capsys,
     assert payload["failures"] == [f"orbit: {_OUTSIDE}{cause}"]
 
 
-@pytest.mark.parametrize("samples, cause", [
-    ("times = 6.2, 3.9e-308\nn_r = 3\nn_theta = 2\n", "math range error"),
-    ("times = 0.01\nr_min_fraction = 5e-324\n", "float division by zero"),
+_NAN_BASE = "FAIL orbit: no finite bound, the base residual is NaN\n"
+
+
+@pytest.mark.parametrize("samples, errors", [
+    ("times = 6.2, 3.9e-308\nn_r = 3\nn_theta = 2\n",
+     {"verify": "FAIL governing Linf nan > 1.000e-08\n"
+                "FAIL boundary Linf nan at t=3.9e-308 > 1.000e-09\n"
+                + _NAN_BASE,
+      "orbit": _NAN_BASE}),
+    ("times = 0.01\nr_min_fraction = 5e-324\n",
+     dict.fromkeys(("verify", "orbit"),
+                   "evaluation failed: float division by zero\n")),
 ], ids=["tiny-time-overflows", "inner-rim-underflows"])
 def test_field_not_evaluable_at_the_samples_exits_1(tmp_path, capsys,
-                                                    samples, cause):
+                                                    samples, errors):
     """Valid sample values at which the field cannot be evaluated end the
-    run with exit 1 and a message, without a report or a traceback."""
-    out = tmp_path / "out"
+    run with exit 1 and a message, without a report or a traceback.  A
+    field that overflows to inf or NaN there fails its gates instead,
+    with a report."""
     cfg = _write(tmp_path, _family_body("moving444", **dict(
         _M444, c1=0.1, n=-2.0)) + f"\n[samples]\n{samples}"
         "\n[orbit]\nelement = rotation\n")
-    for command in ("verify", "orbit"):
+    for command, err in errors.items():
+        out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"evaluation failed: {cause}\n"
-        assert not out.exists()
+        assert capsys.readouterr().err == err
+        assert out.exists() == err.startswith("FAIL")
 
 
 _ACCEPTANCE = {"full413": _FULL, "stationary413s": _STAT, "moving442": _M442,
@@ -569,6 +579,40 @@ def test_orbit_fuzz_ends_in_an_exit_code(tmp_path, capsys, command,
     _run_fuzzed(tmp_path, capsys, command, family_id,
                 _SMALL_SAMPLES + f"\n[orbit]\nelement = {element}\n"
                 f"eps = {eps!r}\nf = {f}\naxis = {axis}\n")
+
+
+_TOLERANCE_NAMES = ("governing", "boundary", "reduced", "orbit_factor")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family_id=st.sampled_from(sorted(_ACCEPTANCE)),
+       scales=st.lists(_mostly(st.floats(-4.0, 4.0)), min_size=8,
+                       max_size=8),
+       tolerances=st.lists(_mostly(st.floats(1e-16, 1e3)), min_size=4,
+                           max_size=4))
+@example(family_id="full413", scales=[1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0,
+                                      1.0], tolerances=[1e-8] * 4)
+@example(family_id="stationary413s", scales=[-1.0, 1.0, -0.75, 1.0, 1.0],
+         tolerances=[1e-8] * 4)
+@example(family_id="full413", scales=[1.0, 1.0, 1.0, -1.0, 1e-3, 1.0, 1.0,
+                                      1.0], tolerances=[1e-8] * 4)
+@example(family_id="steady432", scales=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-3],
+         tolerances=[1e-8] * 4)
+@example(family_id="stationary413s", scales=[1.0, 1.0, 1.0, 1.0, 1e-4],
+         tolerances=[1e300, 5e-324, 1.0, 1e-300])
+def test_verify_fuzz_over_family_and_tolerances(tmp_path, capsys, family_id,
+                                                scales, tolerances):
+    """``verify`` with the acceptance parameters scaled (a negative n sends
+    positive arguments to Ei, a small d0 large ones) and any tolerances."""
+    params = {k: v * s for (k, v), s in zip(_ACCEPTANCE[family_id].items(),
+                                            scales)}
+    cfg = _write(tmp_path, _family_body(family_id, **params) + _SMALL_SAMPLES
+                 + "\n[tolerances]\n" + "".join(
+                     f"{k} = {v!r}\n" for k, v in zip(_TOLERANCE_NAMES,
+                                                     tolerances)))
+    assert main(["verify", "--config", cfg]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- figure -----------------------------------------------------------------
