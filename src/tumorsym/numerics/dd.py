@@ -20,6 +20,7 @@ inputs.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -38,20 +39,14 @@ def elementwise(f, x):
 
 
 def _inf_on_overflow(f):
-    """``elementwise(f, x)`` for math.exp or math.expm1, but inf where the
-    result overflows (libm returns inf there; math raises OverflowError)."""
+    """``f`` for math.exp or math.expm1, but inf where the result
+    overflows (libm returns inf there; math raises OverflowError)."""
     def scalar(v):
         try:
             return f(v)
         except OverflowError:
             return math.inf
-
-    def apply(x):
-        try:
-            return elementwise(f, x)
-        except OverflowError:
-            return elementwise(scalar, x)
-    return apply
+    return partial(elementwise, scalar)
 
 
 _exp = _inf_on_overflow(math.exp)

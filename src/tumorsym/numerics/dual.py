@@ -162,13 +162,7 @@ def sqrt(z):
         return Dual(s, z.dot / (2.0 * s))
     if isinstance(z, DD):
         return z.sqrt()
-    if isinstance(z, np.ndarray):
-        # IEEE sqrt is correctly rounded, so numpy's equals libm's element
-        # for element; only math.sqrt's domain error needs restating
-        if (z < 0.0).any():
-            raise ValueError("math domain error")
-        return np.sqrt(z)
-    return math.sqrt(z)
+    return elementwise(math.sqrt, z)
 
 
 def atan(z):

@@ -38,8 +38,7 @@ a normal double (tests/test_special.py).
 ``_ei`` is the float path: Horner sums on Python floats with exp and log
 from libm (``math``).  ``_ei_array`` calls the same polynomials on numpy
 arrays, piece by piece, and takes exp and log from libm element by
-element, so each element equals the float call bit for bit; a piece with
-fewer than ``_FLOAT_BELOW`` elements takes the float path.  Both stay
+element, so each element equals the float call bit for bit.  Both stay
 private, the inside of :func:`exp_over_z_integral`.
 """
 
@@ -129,25 +128,21 @@ _PIECES = ([partial(_e1_piece, poly) for poly in E1[::-1]]
            + [partial(_root_piece, poly) for poly in ROOT]
            + [partial(_tail_piece, poly) for poly in TAIL]
            + [lambda x: np.where(np.isnan(x), x, inf)])
-# below this many elements the float path costs less than a numpy pass
-_FLOAT_BELOW = 32
 
 
 def _ei_array(x):
     """Ei of each element of the float array ``x``, bit for bit ``_ei``."""
-    if x.size < _FLOAT_BELOW:
-        return elementwise(_ei, x)
-    k = np.searchsorted(_EDGES, x, side="right")
-    present = np.flatnonzero(np.bincount(k.ravel()))
+    flat = x.ravel()
+    k = np.searchsorted(_EDGES, flat, side="right")
+    present = np.flatnonzero(np.bincount(k))
     if len(present) == 1:
-        return _PIECES[present[0]](x)
-    out = np.empty_like(x)
-    for piece in present:
-        mask = k == piece
-        part = x[mask]
-        out[mask] = (_PIECES[piece](part) if part.size >= _FLOAT_BELOW
-                     else elementwise(_ei, part))
-    return out
+        out = _PIECES[present[0]](flat)
+    else:
+        out = np.empty_like(flat)
+        for piece in present:
+            mask = k == piece
+            out[mask] = _PIECES[piece](flat[mask])
+    return out.reshape(x.shape)
 
 
 class SingularEndpointError(ValueError):
