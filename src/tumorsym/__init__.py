@@ -5,26 +5,21 @@ group actions that generate them, symmetry reductions to radial profiles,
 and independent residual checks of all of the above.
 """
 
-from .core_model import (ConstitutiveTriplet, DegenerateScaleError,
-                         DomainError, GeneralTriplet, PhysConstants,
-                         PowerLawParams, PowerLawTriplet, ScaleExponents,
-                         compatibility_residual, s0_link, scale_exponents,
-                         sigma_from_proliferation, validate_power_law)
+from .core_model import (ConstitutiveTriplet, DomainError, GeneralTriplet,
+                         PhysConstants, PowerLawParams, PowerLawTriplet,
+                         s0_link)
 from .jets import AnalyticEngine, FdEngine, Field, FieldJet, JetProvider, \
     analytic_jet, fd_jet
-from .reduction import (ReducedProfiles, first_integral_R,
-                        integrate_ode_4_6, lift_profiles,
-                        overdetermined_residual, pressure_from_lambda,
-                        reduced_bc_residual, reduced_ode_residual)
+from .reduction import (ReducedProfiles, integrate_ode_4_6, lift_profiles,
+                        pressure_from_lambda, reduced_bc_residual,
+                        reduced_ode_residual)
 from .residuals import (ResidualReport, SampleSet, boundary_residual,
                         cross_engine_check, governing_residual)
-from .solutions import (FAMILY_IDS, BoundaryCircle, ConstantState, Full413,
-                        Moving442, Moving444, RestrictionError,
-                        SingularityError, Stationary413s, Steady432,
-                        reduced_profiles_of)
+from .solutions import (FAMILY_IDS, BoundaryCircle, Full413, Moving442,
+                        Moving444, RestrictionError, SingularityError,
+                        Stationary413s, Steady432, reduced_profiles_of)
 from .symmetry import (Galilei, InapplicableSymmetryError, PressureShift,
-                       Rotation, Scale, TimeTranslation,
-                       boundary_invariance, orbit_residual,
+                       Rotation, Scale, TimeTranslation, orbit_residual,
                        transform_field)
 
 __version__ = "1.0.0"

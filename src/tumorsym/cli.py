@@ -60,13 +60,29 @@ def _load(path, need_orbit=False):
         return cfg, cfg.build_family()
 
 
+def _strict(obj):
+    """``obj`` as strict JSON can hold it: a non-finite float becomes the
+    string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return obj
+        return "NaN" if math.isnan(obj) else \
+            ("Infinity" if obj > 0.0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_json(out_dir, name, payload):
     if not out_dir:
         return
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_strict(payload), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
 
 

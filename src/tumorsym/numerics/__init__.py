@@ -4,7 +4,7 @@ and finite-difference stencils."""
 
 from . import dual
 from .dual import Dual
-from .fd import fd_derivative, richardson_order
+from .fd import fd_derivative
 from .ode import IntegrationError, OdeSpec, Trajectory, ode_integrate
 from .quadrature import QuadratureError, QuadratureSpec, quad_adaptive
 from .special import (SingularEndpointError, exp_over_z_integral,
@@ -12,7 +12,7 @@ from .special import (SingularEndpointError, exp_over_z_integral,
 
 __all__ = [
     "Dual", "dual",
-    "fd_derivative", "richardson_order",
+    "fd_derivative",
     "IntegrationError", "OdeSpec", "Trajectory", "ode_integrate",
     "QuadratureError", "QuadratureSpec", "quad_adaptive",
     "SingularEndpointError", "exp_over_z_integral", "exp_over_z_quadrature",

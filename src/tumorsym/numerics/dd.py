@@ -229,7 +229,15 @@ class DD:
             return DD.of(m) + (1.0 + m) * corr
 
         m = _expm1(self.hi)
-        return _special(m == math.inf, m, m, refine)
+        # below about -37.4 libm rounds to -1, where log1p(m) fails; the
+        # exact -1 + e^x is then itself a DD, since e^x < ulp(1)/2
+        tail = m == -1.0
+        if tail is True:
+            return DD(-1.0, math.exp(self.hi))
+        out = _special((m == math.inf) | tail, m, m, refine)
+        if isinstance(tail, np.ndarray) and tail.any():
+            out = DD(out.hi, np.where(tail, _exp(self.hi), out.lo))
+        return out
 
     def log(self):
         y = elementwise(math.log, self.hi)

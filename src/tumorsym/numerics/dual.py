@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .dd import DD, elementwise
+from .dd import DD, _exp, _expm1, elementwise
 
 
 class Dual:
@@ -100,28 +100,42 @@ def value(z):
 
 # Plain floats are tested first: model formulas evaluated on floats (the
 # pressure quadrature, the lift points, the reduced checks) pay one type
-# check per elementary function or value().
+# check per elementary function or value().  exp and expm1 give inf where
+# libm overflows (math raises OverflowError there), as DD's do; the retry
+# costs nothing until an argument overflows.
 
 def exp(z):
     if type(z) is float:
-        return math.exp(z)
+        try:
+            return math.exp(z)
+        except OverflowError:
+            return math.inf
     if isinstance(z, Dual):
         e = exp(z.val)
         return Dual(e, z.dot * e)
     if isinstance(z, DD):
         return z.exp()
-    return elementwise(math.exp, z)
+    try:
+        return elementwise(math.exp, z)
+    except OverflowError:
+        return _exp(z)
 
 
 def expm1(z):
     # e^z - 1 without cancellation near z = 0; derivative is e^z
     if type(z) is float:
-        return math.expm1(z)
+        try:
+            return math.expm1(z)
+        except OverflowError:
+            return math.inf
     if isinstance(z, Dual):
         return Dual(expm1(z.val), z.dot * exp(z.val))
     if isinstance(z, DD):
         return z.expm1()
-    return elementwise(math.expm1, z)
+    try:
+        return elementwise(math.expm1, z)
+    except OverflowError:
+        return _expm1(z)
 
 
 def log(z):
@@ -224,30 +238,3 @@ def seed2(x):
 def seed_pair(x, y):
     """Mixed-partial seeds: f(*seed_pair(x, y)).dot.dot == f_xy."""
     return Dual(Dual(x, 1.0), Dual(0.0, 0.0)), Dual(Dual(y, 0.0), Dual(1.0, 0.0))
-
-
-def derivative(f, x):
-    z = f(seed1(x))
-    return value(z.dot) if isinstance(z, Dual) else 0.0
-
-
-def second_derivative(f, x):
-    z = f(seed2(x))
-    if not isinstance(z, Dual):
-        return 0.0
-    d = z.dot
-    return value(d.dot) if isinstance(d, Dual) else 0.0
-
-
-def ddr(f):
-    """Derivative of a dual-aware callable as a new dual-aware callable.
-
-    ``ddr(f)(r)`` accepts dual ``r``, so ``ddr`` composes: second derivatives
-    of products of first derivatives come out exact.
-    """
-    def df(r):
-        z = f(Dual(r, 1.0))
-        if not isinstance(z, Dual):
-            return 0.0
-        return z.dot
-    return df

@@ -1,12 +1,8 @@
-"""Central finite-difference stencils and observed-order estimation."""
+"""Central finite-difference stencils."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-__all__ = ["fd_derivative", "richardson_order"]
+__all__ = ["fd_derivative"]
 
 
 def fd_derivative(f, x, order=1, scheme_order=2, h=1e-5):
@@ -27,19 +23,3 @@ def fd_derivative(f, x, order=1, scheme_order=2, h=1e-5):
                 + 16.0 * f(x - h) - f(x - 2 * h)) / (12.0 * h * h)
     raise ValueError(f"unsupported stencil: order={order}, "
                      f"scheme_order={scheme_order}")
-
-
-def richardson_order(errors, ratio=2.0):
-    """Observed convergence order from errors sampled over halved step sizes.
-
-    Least-squares slope of log(error) against log(h) for h_i = h0/ratio^i.
-    """
-    errs = [float(e) for e in errors]
-    if len(errs) < 3:
-        raise ValueError("need at least 3 error samples")
-    if any(e <= 0.0 or math.isnan(e) for e in errs):
-        raise ValueError("errors must be positive and finite")
-    log_h = np.array([-i * math.log(ratio) for i in range(len(errs))])
-    log_e = np.log(np.array(errs))
-    slope = np.polyfit(log_h, log_e, 1)[0]
-    return float(slope)

@@ -11,18 +11,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core_model import (ConstitutiveTriplet, PhysConstants, PowerLawParams,
-                         scale_exponents)
+from .core_model import ConstitutiveTriplet, PhysConstants, PowerLawParams
 from .jets import Field, _d, _d2
 from .numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                        ode_integrate, quad_adaptive)
-from .numerics.dual import atan2, cos, ddr, seed2, sin, sqrt, value
+from .numerics.dual import atan2, cos, seed2, sin, sqrt, value
 from .residuals import ResidualReport, _collect, nan_max
 
 __all__ = ["ReducedProfiles", "lift_profiles", "reduced_ode_residual",
-           "reduced_bc_residual", "BcResiduals", "first_integral_R",
-           "integrate_ode_4_6", "LambdaTrajectory",
-           "overdetermined_residual", "pressure_from_lambda"]
+           "reduced_bc_residual", "BcResiduals", "integrate_ode_4_6",
+           "LambdaTrajectory", "pressure_from_lambda"]
 
 REDUCED_NAMES = ("radial_mass", "radial_divergence",
                  "radial_momentum_phi", "radial_momentum_r")
@@ -46,11 +44,12 @@ class ReducedProfiles:
 
     @property
     def gamma(self) -> float:
-        """Exponent of the scale ansatz; 0 for the steady reduction."""
+        """Exponent of the scale ansatz, (m+1)/(2(n-1)); 0 for the steady
+        reduction."""
         if self.steady:
             return 0.0
         p = self.triplet.params
-        return scale_exponents(p.m, p.n).gamma
+        return (p.m + 1.0) / (2.0 * (p.n - 1.0))
 
 
 class LiftedField(Field):
@@ -166,15 +165,6 @@ def reduced_bc_residual(profiles: ReducedProfiles,
         simplified=(R, P, R1))
 
 
-def first_integral_R(beta: float, d0: float, m: float,
-                     lambda_profile: Callable,
-                     p_prime_profile: Callable) -> Callable:
-    """Radial speed implied by the zero-swirl divergence equation."""
-    def R(r):
-        return beta / r + d0 * lambda_profile(r) ** m * p_prime_profile(r)
-    return R
-
-
 class LambdaTrajectory:
     """Callable concentration profile wrapping an ODE trajectory."""
 
@@ -247,52 +237,6 @@ def integrate_ode_4_6(params: PowerLawParams, phys: PhysConstants,
 
     traj = ode_integrate(rhs, [lambda0], r0, r1, spec)
     return LambdaTrajectory(traj)
-
-
-def overdetermined_residual(lambda_profile: Callable,
-                            params: Optional[PowerLawParams],
-                            phys: PhysConstants, system: str,
-                            samples_r, beta: float = 0.0,
-                            triplet: Optional[ConstitutiveTriplet] = None):
-    """L-infinity residuals of both equations of an overdetermined pair.
-
-    system 'eq_4_5' is the power-law pair in (m, n, s0, sigma0);
-    system 'eq_4_23' takes a general triplet and checks its
-    function-valued second equation with the given beta.
-    """
-    lamv = phys.lam
-    L = lambda_profile
-    dL = ddr(L)
-    d2L = ddr(dL)
-    res1, res2 = [0.0], [0.0]
-    for r in samples_r:
-        lam, lp, lpp = L(r), dL(r), d2L(r)
-        if system == "eq_4_5":
-            m, n = params.m, params.n
-            d0, s0, sigma0 = params.d0, params.s0, params.sigma0
-            e1 = lam ** m * lpp - lam ** (m - 1.0) * lp * lp \
-                - lamv / ((2.0 + lamv) * r) * lam ** m * lp \
-                + 1.0 / (d0 * (2.0 + lamv))
-            e2 = ((1.0 + m) * r + 2.0 * (n - 1.0) * beta / r) \
-                * (lpp - lp * lp / lam) \
-                + 2.0 * (n - 1.0) * (n * sigma0 / (2.0 + lamv)
-                                     - (n - 1.0) * s0) \
-                * lam ** (n - 1.0) * lp \
-                + (1.0 + m
-                   - 2.0 * (n - 1.0) * beta * lamv
-                   / ((2.0 + lamv) * r * r)) * lp
-        elif system == "eq_4_23":
-            c = triplet.eval(lam)
-            e1 = lpp - lp * lp / lam - lamv / ((2.0 + lamv) * r) * lp \
-                + 1.0 / ((2.0 + lamv) * c.D)
-            e2 = c.D * (c.S / lam - c.dS
-                        + c.d_alpha_sigma / (2.0 + lamv)) * lp \
-                - beta / ((2.0 + lamv) * r)
-        else:
-            raise ValueError(f"unknown system {system!r}")
-        res1.append(abs(e1))
-        res2.append(abs(e2))
-    return nan_max(res1), nan_max(res2)
 
 
 def pressure_from_lambda(lambda_profile: Callable, source: Callable,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core_model import (GeneralTriplet, PhysConstants, PowerLawParams,
-                         PowerLawTriplet, s0_link, sigma_from_proliferation)
+                         PowerLawTriplet, s0_link)
 from .jets import Field, SingularityError
 from .numerics import exp_over_z_integral
 from .numerics.dual import exp, expm1, lift, log, sqrt, value
@@ -22,7 +22,7 @@ from .numerics.dual import exp, expm1, lift, log, sqrt, value
 __all__ = [
     "SingularityError", "RestrictionError", "BoundaryCircle",
     "Full413", "Stationary413s", "Moving442", "Moving444", "Steady432",
-    "ConstantState", "reduced_profiles_of", "FAMILY_IDS",
+    "reduced_profiles_of", "FAMILY_IDS",
 ]
 
 
@@ -392,26 +392,18 @@ class Steady432(SolutionFamily):
         return alpha, vel, p
 
     def triplet(self):
+        """S = k1 a^m - k2 a^n, D = d0/a, and the Sigma compatible with
+        that S: S/a - S' + (a Sigma)'/(2+lambda) = 0 holds identically."""
         k1, k2, m, n, d0 = self.k1, self.k2, self.m_exp, self.n_exp, self.d0
-        sigma, dsigma = sigma_from_proliferation(k1, k2, m, n, self.phys())
+        a1 = (2.0 + self.lam) * k1 * (1.0 - 1.0 / m)
+        a2 = (2.0 + self.lam) * k2 * (1.0 / n - 1.0)
         return GeneralTriplet(
             S=lambda a: k1 * a ** m - k2 * a ** n,
-            dS=lambda a: k1 * m * a ** (m - 1.0) - k2 * n * a ** (n - 1.0),
             D=lambda a: d0 / a,
             dD=lambda a: -d0 / (a * a),
-            Sigma=sigma, dSigma=dsigma)
-
-
-class ConstantState(Field):
-    """Spatially uniform rest state; exact whenever S(alpha0) = 0."""
-
-    def __init__(self, alpha0, p0=0.0):
-        self.alpha0 = alpha0
-        self.p0 = p0
-
-    def values(self, t, x, y):
-        zero = 0.0 * (x + y + t)
-        return self.alpha0 + zero, zero, zero, self.p0 + zero
+            Sigma=lambda a: a1 * a ** (m - 1.0) + a2 * a ** (n - 1.0),
+            dSigma=lambda a: a1 * (m - 1.0) * a ** (m - 2.0)
+            + a2 * (n - 1.0) * a ** (n - 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .solutions import BoundaryCircle, SolutionFamily
 
 __all__ = ["Rotation", "Galilei", "PressureShift", "TimeTranslation",
            "Scale", "GroupElement", "TransformedField", "transform_field",
-           "orbit_residual", "boundary_invariance",
+           "orbit_residual",
            "InapplicableSymmetryError"]
 
 
@@ -179,24 +179,3 @@ def orbit_residual(elem: GroupElement, sol: SolutionFamily,
         boundary = sol.boundary()
     provider = JetProvider(transform_field(elem, sol), AnalyticEngine())
     return governing_residual(provider, triplet, phys, samples, boundary)
-
-
-def boundary_invariance(elem: GroupElement, boundary: BoundaryCircle,
-                        m: float, n: float, t: float = 1.0) -> float:
-    """Residual of the Lie invariance criterion on the moving circle.
-
-    The criterion applies the element's infinitesimal generator to the
-    front function and evaluates on the front itself; zero means the
-    element maps the moving boundary to itself.
-    """
-    if isinstance(elem, (Rotation, PressureShift)):
-        return 0.0
-    if isinstance(elem, TimeTranslation):
-        return abs(boundary.level_t(t))
-    if isinstance(elem, Galilei):
-        return abs(2.0 * boundary.radius(t) * elem.g(t))
-    if isinstance(elem, Scale):
-        w = boundary.radius(t) ** 2
-        return abs(2.0 * (1.0 - n) * t * boundary.level_t(t)
-                   + (1.0 + m) * 2.0 * w)
-    raise TypeError(f"unknown group element {elem!r}")

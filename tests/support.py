@@ -1,0 +1,146 @@
+"""Helpers that only the tests use: exact rest states, dual-number
+derivatives, observed convergence orders, and reference residuals of the
+paper's reduction conditions and of the front's invariance criterion.
+
+The tests import them as ``from support import ...``; pytest puts this
+directory on ``sys.path`` because ``tests/`` is not a package.
+"""
+
+import math
+
+import numpy as np
+
+from tumorsym.jets import Field
+from tumorsym.numerics.dual import Dual, seed1, seed2, value
+from tumorsym.residuals import nan_max
+from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
+                               TimeTranslation)
+
+
+class ConstantState(Field):
+    """Spatially uniform rest state; exact whenever S(alpha0) = 0."""
+
+    def __init__(self, alpha0, p0=0.0):
+        self.alpha0 = alpha0
+        self.p0 = p0
+
+    def values(self, t, x, y):
+        zero = 0.0 * (x + y + t)
+        return self.alpha0 + zero, zero, zero, self.p0 + zero
+
+
+# -- dual-number derivatives ------------------------------------------------
+
+def derivative(f, x):
+    z = f(seed1(x))
+    return value(z.dot) if isinstance(z, Dual) else 0.0
+
+
+def second_derivative(f, x):
+    z = f(seed2(x))
+    if not isinstance(z, Dual):
+        return 0.0
+    d = z.dot
+    return value(d.dot) if isinstance(d, Dual) else 0.0
+
+
+def ddr(f):
+    """Derivative of a dual-aware callable as a new dual-aware callable.
+
+    ``ddr(f)(r)`` accepts dual ``r``, so ``ddr`` composes: second derivatives
+    of products of first derivatives come out exact.
+    """
+    def df(r):
+        z = f(Dual(r, 1.0))
+        if not isinstance(z, Dual):
+            return 0.0
+        return z.dot
+    return df
+
+
+def richardson_order(errors, ratio=2.0):
+    """Observed convergence order from errors sampled over halved step sizes.
+
+    Least-squares slope of log(error) against log(h) for h_i = h0/ratio^i.
+    """
+    errs = [float(e) for e in errors]
+    if len(errs) < 3:
+        raise ValueError("need at least 3 error samples")
+    if any(e <= 0.0 or math.isnan(e) for e in errs):
+        raise ValueError("errors must be positive and finite")
+    log_h = np.array([-i * math.log(ratio) for i in range(len(errs))])
+    log_e = np.log(np.array(errs))
+    slope = np.polyfit(log_h, log_e, 1)[0]
+    return float(slope)
+
+
+# -- reference residuals ----------------------------------------------------
+
+def first_integral_R(beta, d0, m, lambda_profile, p_prime_profile):
+    """Radial speed implied by the zero-swirl divergence equation."""
+    def R(r):
+        return beta / r + d0 * lambda_profile(r) ** m * p_prime_profile(r)
+    return R
+
+
+def overdetermined_residual(lambda_profile, params, phys, system, samples_r,
+                            beta=0.0, triplet=None):
+    """L-infinity residuals of both equations of an overdetermined pair.
+
+    system 'eq_4_5' is the power-law pair in (m, n, s0, sigma0);
+    system 'eq_4_23' takes a general triplet and checks its
+    function-valued second equation with the given beta.
+    """
+    lamv = phys.lam
+    L = lambda_profile
+    dL = ddr(L)
+    d2L = ddr(dL)
+    res1, res2 = [0.0], [0.0]
+    for r in samples_r:
+        lam, lp, lpp = L(r), dL(r), d2L(r)
+        if system == "eq_4_5":
+            m, n = params.m, params.n
+            d0, s0, sigma0 = params.d0, params.s0, params.sigma0
+            e1 = lam ** m * lpp - lam ** (m - 1.0) * lp * lp \
+                - lamv / ((2.0 + lamv) * r) * lam ** m * lp \
+                + 1.0 / (d0 * (2.0 + lamv))
+            e2 = ((1.0 + m) * r + 2.0 * (n - 1.0) * beta / r) \
+                * (lpp - lp * lp / lam) \
+                + 2.0 * (n - 1.0) * (n * sigma0 / (2.0 + lamv)
+                                     - (n - 1.0) * s0) \
+                * lam ** (n - 1.0) * lp \
+                + (1.0 + m
+                   - 2.0 * (n - 1.0) * beta * lamv
+                   / ((2.0 + lamv) * r * r)) * lp
+        elif system == "eq_4_23":
+            c = triplet.eval(lam)
+            e1 = lpp - lp * lp / lam - lamv / ((2.0 + lamv) * r) * lp \
+                + 1.0 / ((2.0 + lamv) * c.D)
+            e2 = c.D * (c.S / lam - derivative(triplet.S, lam)
+                        + c.d_alpha_sigma / (2.0 + lamv)) * lp \
+                - beta / ((2.0 + lamv) * r)
+        else:
+            raise ValueError(f"unknown system {system!r}")
+        res1.append(abs(e1))
+        res2.append(abs(e2))
+    return nan_max(res1), nan_max(res2)
+
+
+def boundary_invariance(elem, boundary, m, n, t=1.0):
+    """Residual of the Lie invariance criterion on the moving circle.
+
+    The criterion applies the element's infinitesimal generator to the
+    front function and evaluates on the front itself; zero means the
+    element maps the moving boundary to itself.
+    """
+    if isinstance(elem, (Rotation, PressureShift)):
+        return 0.0
+    if isinstance(elem, TimeTranslation):
+        return abs(boundary.level_t(t))
+    if isinstance(elem, Galilei):
+        return abs(2.0 * boundary.radius(t) * elem.g(t))
+    if isinstance(elem, Scale):
+        w = boundary.radius(t) ** 2
+        return abs(2.0 * (1.0 - n) * t * boundary.level_t(t)
+                   + (1.0 + m) * 2.0 * w)
+    raise TypeError(f"unknown group element {elem!r}")

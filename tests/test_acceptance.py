@@ -7,7 +7,7 @@ import time
 
 from tumorsym.jets import AnalyticEngine, FdEngine, JetProvider
 from tumorsym.numerics import (exp_over_z_integral, exp_over_z_quadrature,
-                               fd_derivative, richardson_order)
+                               fd_derivative)
 from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams)
 from tumorsym.cli import main
@@ -15,12 +15,14 @@ from tumorsym.reduction import (integrate_ode_4_6, lift_profiles,
                                 reduced_bc_residual, reduced_ode_residual)
 from tumorsym.residuals import (SampleSet, boundary_residual,
                                 cross_engine_check, governing_residual)
-from tumorsym.solutions import (BoundaryCircle, ConstantState, Full413,
-                                Moving442, Moving444, Stationary413s,
-                                Steady432, reduced_profiles_of)
+from tumorsym.solutions import (BoundaryCircle, Full413, Moving442,
+                                Moving444, Stationary413s, Steady432,
+                                reduced_profiles_of)
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation, orbit_residual,
                                transform_field)
+
+from support import ConstantState, richardson_order
 
 
 def _families():
@@ -163,7 +165,7 @@ def test_criterion_5_orbit_suite(capsys):
 
     cs = ConstantState(alpha0=2.0)
     trip = GeneralTriplet(
-        S=lambda a: a - 2.0, dS=lambda a: 1.0,
+        S=lambda a: a - 2.0,
         D=lambda a: 1.0 + a, dD=lambda a: 1.0,
         Sigma=lambda a: a * a, dSigma=lambda a: 2.0 * a,
         needs_positive_alpha=False)

@@ -503,12 +503,42 @@ def test_field_not_evaluable_at_the_samples_exits_1(tmp_path, capsys,
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == err
         assert out.exists() == err.startswith("FAIL")
+        if out.exists():
+            _load_strict(out / f"{command}.json")
+
+
+def _load_strict(path):
+    """The report at ``path``, read as strict JSON: no NaN or Infinity
+    tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 _ACCEPTANCE = {"full413": _FULL, "stationary413s": _STAT, "moving442": _M442,
                "moving444": dict(_M444, c1=0.1, n=-2.0),
                "steady432": _STEADY}
 _SMALL_SAMPLES = "\n[samples]\ntimes = 1.0\nn_r = 2\nn_theta = 2\n"
+
+
+@pytest.mark.parametrize("family_id, params", [
+    ("full413", dict(_FULL, n=-3.0, d0=7.5e-4)),
+    ("steady432", dict(_STEADY, d0=0.002)),
+], ids=["power-overflows", "expm1-below-minus-37"])
+def test_evaluable_field_with_extreme_values_fails_its_gates(
+        tmp_path, capsys, family_id, params):
+    """A field whose values overflow or whose arguments reach libm's
+    rounding limits fails its gates with a strict-JSON report, instead of
+    ending in ``evaluation failed``."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _family_body(family_id, **params)
+                 + _SMALL_SAMPLES)
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("FAIL ") for line in lines)
+    assert lines[0].startswith("FAIL governing Linf ")
+    payload = _load_strict(out / "verify.json")
+    assert payload["failures"] == [line[5:] for line in lines]
 
 
 def _mostly(valid, bad=_EXTREME):

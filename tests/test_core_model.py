@@ -4,15 +4,15 @@ exponents and the steady compatibility relation."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tumorsym.core_model import (CONSTRAINT_TOL, ConstitutiveValues,
-                                 DegenerateScaleError, DomainError,
-                                 GeneralTriplet, PhysConstants,
-                                 PowerLawParams, PowerLawTriplet,
-                                 compatibility_residual, scale_exponents,
-                                 sigma_from_proliferation,
-                                 validate_power_law)
+from tumorsym.core_model import (DomainError, GeneralTriplet, PhysConstants,
+                                 PowerLawParams, PowerLawTriplet)
+from tumorsym.reduction import ReducedProfiles
+from tumorsym.solutions import (Moving442, RestrictionError, Steady432,
+                                reduced_profiles_of)
+
+from support import derivative
 
 
 def _triplet(d0=1.0, s0=0.5, sigma0=-1.0, m=1.0, n=2.0):
@@ -42,8 +42,6 @@ def test_power_law_eval_hand_values():
     cv = trip.eval(2.0)
     assert cv.S == 3.0 * 8.0
     assert cv.D == 2.0 * 4.0
-    assert cv.Sigma == -1.5 * 4.0
-    assert cv.dS == 3.0 * 3.0 * 4.0
     # d(alpha Sigma)/d alpha = n sigma0 alpha^(n-1)
     assert cv.d_alpha_sigma == 3.0 * -1.5 * 4.0
     assert cv.dD == 2.0 * 2.0 * 2.0
@@ -71,89 +69,72 @@ def test_general_triplet_matches_power_law():
     p = trip.params
     gen = GeneralTriplet(
         S=lambda a: p.s0 * a ** p.n,
-        dS=lambda a: p.s0 * p.n * a ** (p.n - 1),
         D=lambda a: p.d0 * a ** p.m,
         dD=lambda a: p.d0 * p.m * a ** (p.m - 1),
         Sigma=lambda a: p.sigma0 * a ** (p.n - 1),
         dSigma=lambda a: p.sigma0 * (p.n - 1) * a ** (p.n - 2))
     for a in (0.25, 1.0, 1.7):
         cv, cw = trip.eval(a), gen.eval(a)
-        for name in ("S", "D", "Sigma", "dS", "d_alpha_sigma", "dD"):
+        for name in ("S", "D", "d_alpha_sigma", "dD"):
             assert getattr(cw, name) == pytest.approx(getattr(cv, name),
                                                       rel=1e-14)
 
 
 def test_general_triplet_domain_guard():
-    gen = GeneralTriplet(S=lambda a: a, dS=lambda a: 1.0,
-                         D=lambda a: 1.0 / a, dD=lambda a: -1.0 / a ** 2,
+    gen = GeneralTriplet(S=lambda a: a, D=lambda a: 1.0 / a, dD=lambda a: -1.0 / a ** 2,
                          Sigma=lambda a: a, dSigma=lambda a: 1.0)
     with pytest.raises(DomainError):
         gen.eval(-1.0)
 
 
+def test_power_law_overflow_gives_nan():
+    """A power that overflows gives NaN values, which fail every gate,
+    instead of the OverflowError of float **."""
+    cv = _triplet(d0=7.5e-4, s0=1.0, sigma0=-3.0, m=-1.0, n=-3.0).eval(
+        1e-120)
+    assert all(math.isnan(v) for v in
+               (cv.S, cv.D, cv.d_alpha_sigma, cv.dD))
+
+
 # -- scale exponents --------------------------------------------------------
 
 def test_scale_exponents_values():
-    se = scale_exponents(m=1.0, n=3.0)
-    assert se.gamma == 0.5
-    assert se.kappa == -1.0
-    se = scale_exponents(m=-1.0, n=2.0)
-    assert se.gamma == 0.0
-    assert se.kappa == 0.0
+    def gamma(m, n, steady=False):
+        return ReducedProfiles(fields=None, triplet=_triplet(m=m, n=n),
+                               phys=PhysConstants(), steady=steady).gamma
+
+    assert gamma(1.0, 3.0) == 0.5
+    assert gamma(-1.0, 2.0) == 0.0
+    assert gamma(1.0, 3.0, steady=True) == 0.0
 
 
-def test_scale_exponents_degenerate():
-    with pytest.raises(DegenerateScaleError):
-        scale_exponents(m=1.0, n=1.0)
-
-
-@given(st.floats(min_value=-3, max_value=3, allow_nan=False),
-       st.floats(min_value=-3, max_value=3, allow_nan=False).filter(
-           lambda n: abs(n - 1.0) > 1e-3))
+@given(st.floats(min_value=-0.99, max_value=3, allow_nan=False),
+       st.floats(min_value=-3, max_value=3, allow_nan=False))
 @settings(max_examples=50, deadline=None)
 def test_scale_exponents_tied(m, n):
-    se = scale_exponents(m, n)
-    assert se.kappa == -2.0 * se.gamma
-    assert se.gamma == pytest.approx((m + 1.0) / (2.0 * (n - 1.0)), rel=1e-15)
-
-
-# -- diagnostics ------------------------------------------------------------
-
-def test_validate_power_law_link_holds():
-    phys = PhysConstants(lam=4.0)
-    n, sigma0 = 3.0, -3.0
-    s0 = n * sigma0 / ((n - 1.0) * (2.0 + phys.lam))
-    diag = validate_power_law(
-        PowerLawParams(d0=0.75, s0=s0, sigma0=sigma0, m=-1.0, n=n), phys)
-    assert diag.all_ok
-    assert diag.s0_link_holds
-    assert diag.s0_required == pytest.approx(s0, rel=1e-15)
-
-
-def test_validate_power_law_link_broken():
-    phys = PhysConstants(lam=4.0)
-    diag = validate_power_law(
-        PowerLawParams(d0=0.75, s0=-0.9, sigma0=-3.0, m=-1.0, n=3.0), phys)
-    assert not diag.all_ok
-    assert diag.s0_link_holds is False
-    assert any("s0" in f for f in diag.flags)
-
-
-def test_validate_power_law_degenerate_exponent():
-    phys = PhysConstants(lam=1.0)
-    for n in (0.0, 1.0):
-        diag = validate_power_law(
-            PowerLawParams(d0=1.0, s0=0.0, sigma0=0.0, m=1.0, n=n), phys)
-        assert not diag.exponents_nondegenerate
-        assert not diag.all_ok
-    # n = 1 skips the s0 link entirely
-    diag = validate_power_law(
-        PowerLawParams(d0=1.0, s0=5.0, sigma0=1.0, m=1.0, n=1.0), phys)
-    assert diag.s0_required is None
-    assert diag.s0_link_holds is None
+    """The front exponent of a moving family is tied exactly to the
+    ansatz exponent of its scale reduction: kappa = -2 gamma."""
+    assume(min(abs(n), abs(n - 1.0), abs(1.0 + m + n)) > 1e-3)
+    sol = Moving442(c1=1.0, delta=1.0, m=m, n=n, lam=1.0)
+    gamma = reduced_profiles_of(sol).gamma
+    assert sol.kappa == -2.0 * gamma
+    assert gamma == pytest.approx((m + 1.0) / (2.0 * (n - 1.0)), rel=1e-15)
 
 
 # -- steady compatibility ---------------------------------------------------
+
+def _compatibility(triplet, S, phys, alpha_samples):
+    """Max |S/a - S' + (a Sigma)'/(2+lambda)| over the samples, with S'
+    from a dual seed of the proliferation rate ``S``; zero exactly when
+    the triplet admits the steady radial reduction."""
+    worst = 0.0
+    for a in alpha_samples:
+        cv = triplet.eval(a)
+        res = cv.S / a - derivative(S, a) \
+            + cv.d_alpha_sigma / (2.0 + phys.lam)
+        worst = max(worst, abs(res))
+    return worst
+
 
 def test_compatibility_residual_power_law():
     phys = PhysConstants(lam=4.0)
@@ -161,38 +142,35 @@ def test_compatibility_residual_power_law():
     s0 = n * sigma0 / ((n - 1.0) * (2.0 + phys.lam))
     trip = _triplet(d0=2.0, s0=s0, sigma0=sigma0, m=1.0, n=n)
     samples = [0.1, 0.5, 1.0, 2.0, 5.0]
-    assert compatibility_residual(trip, phys, samples) < 1e-14
+    assert _compatibility(trip, lambda a: s0 * a ** n, phys,
+                          samples) < 1e-14
     # breaking the link shows up at leading order
     bad = _triplet(d0=2.0, s0=s0 + 1e-3, sigma0=sigma0, m=1.0, n=n)
-    assert compatibility_residual(bad, phys, samples) > 1e-4
+    assert _compatibility(bad, lambda a: (s0 + 1e-3) * a ** n, phys,
+                          samples) > 1e-4
+
+
+STEADY = dict(c1=1.0, c3=1.0, delta=1.0, lam=4.0, d0=2.0)
 
 
 def test_sigma_from_proliferation_compatible():
-    phys = PhysConstants(lam=4.0)
-    k1, k2, m_exp, n_exp = 1.1331484530668263, 1.2840254166877415, 2.0, 3.0
-    sigma, dsigma = sigma_from_proliferation(k1, k2, m_exp, n_exp, phys)
-    trip = GeneralTriplet(
-        S=lambda a: k1 * a ** m_exp - k2 * a ** n_exp,
-        dS=lambda a: k1 * m_exp * a ** (m_exp - 1)
-        - k2 * n_exp * a ** (n_exp - 1),
-        D=lambda a: 8.0, dD=lambda a: 0.0,
-        Sigma=sigma, dSigma=dsigma)
+    """The Sigma of steady432's triplet is the one compatible with its
+    two-term proliferation rate."""
+    sol = Steady432(m_exp=2.0, n_exp=3.0, **STEADY)
+    trip = sol.triplet()
     samples = [0.2, 0.5, 0.9, 1.3, 2.0]
-    assert compatibility_residual(trip, phys, samples) < 1e-13
+    assert _compatibility(trip, trip.S, sol.phys(), samples) < 1e-13
 
 
 def test_sigma_from_proliferation_derivative_consistency():
-    phys = PhysConstants(lam=1.0)
-    sigma, dsigma = sigma_from_proliferation(0.7, 0.4, 2.0, 4.0, phys)
-    h = 1e-6
+    trip = Steady432(m_exp=2.0, n_exp=4.0, **dict(STEADY, lam=1.0)).triplet()
     for a in (0.5, 1.0, 1.8):
-        fd = (sigma(a + h) - sigma(a - h)) / (2.0 * h)
-        assert dsigma(a) == pytest.approx(fd, rel=1e-8)
+        assert trip.dSigma(a) == pytest.approx(derivative(trip.Sigma, a),
+                                               rel=1e-14)
 
 
 def test_sigma_from_proliferation_rejects_zero_exponent():
-    phys = PhysConstants(lam=1.0)
-    with pytest.raises(ZeroDivisionError):
-        sigma_from_proliferation(1.0, 1.0, 0.0, 2.0, phys)
-    with pytest.raises(ZeroDivisionError):
-        sigma_from_proliferation(1.0, 1.0, 2.0, 0.0, phys)
+    with pytest.raises(RestrictionError):
+        Steady432(m_exp=0.0, n_exp=2.0, **STEADY)
+    with pytest.raises(RestrictionError):
+        Steady432(m_exp=2.0, n_exp=0.0, **STEADY)

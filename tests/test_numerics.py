@@ -3,19 +3,20 @@ arithmetic."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tumorsym.numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                                SingularEndpointError, exp_over_z_integral,
                                exp_over_z_quadrature, fd_derivative,
-                               ode_integrate, quad_adaptive,
-                               richardson_order)
+                               ode_integrate, quad_adaptive)
 from tumorsym.numerics.dd import DD, two_prod, two_sum
-from tumorsym.numerics.dual import (Dual, atan2, cos, ddr, derivative, exp,
-                                    expm1, lift, log, second_derivative,
+from tumorsym.numerics.dual import (Dual, atan2, cos, exp, expm1, lift, log,
                                     seed2, sin, sqrt, value)
 from tumorsym.numerics.quadrature import _GK15
+
+from support import ddr, derivative, richardson_order, second_derivative
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -238,3 +239,38 @@ def test_dd_log_exp_roundtrip():
         z = DD.of(v).log().exp()
         assert z.to_float() == pytest.approx(v, rel=5e-16)
 
+
+
+@pytest.mark.parametrize("f, libm", [(exp, math.exp), (expm1, math.expm1)],
+                         ids=["exp", "expm1"])
+def test_float_paths_give_inf_where_libm_overflows(f, libm):
+    """math raises OverflowError where libm returns inf; the float, dual
+    and array paths give inf there, as DD's do."""
+    assert f(710.0) == math.inf
+    assert f(Dual(710.0, 1.0)).dot == math.inf
+    got = f(np.array([1.0, 710.0]))
+    assert got.tolist() == [libm(1.0), math.inf]
+    assert f(np.array([1.0, 2.0])).tolist() == [libm(1.0), libm(2.0)]
+
+
+_EXPM1_TAIL = (-37.5, -80.0, -745.0, -800.0)
+
+
+def test_dd_expm1_where_libm_rounds_to_minus_one():
+    """Below about -37.4 libm's expm1 is -1; the DD is then -1 + e^x,
+    which mpmath confirms to DD precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for x in _EXPM1_TAIL:
+            z = DD(x).expm1()
+            err = mpmath.mpf(z.hi) + mpmath.mpf(z.lo) - mpmath.expm1(x)
+            assert abs(err) < 1e-32, x
+            assert z.hi + z.lo == z.hi == -1.0  # a normalised DD
+
+
+def test_dd_expm1_arrays_mixing_the_tail():
+    xs = np.array(_EXPM1_TAIL + (-37.0, -1.0, 1e-7, 0.5, 30.0, 800.0))
+    z = DD(xs).expm1()
+    for k, x in enumerate(xs.tolist()):
+        one = DD(x).expm1()
+        assert (z.hi[k], z.lo[k]) == (one.hi, one.lo), x

@@ -9,16 +9,16 @@ import pytest
 
 from tumorsym.core_model import PhysConstants, PowerLawParams, PowerLawTriplet
 from tumorsym.numerics import IntegrationError
-from tumorsym.numerics.dual import (cos as dcos, ddr, exp as dexp,
+from tumorsym.numerics.dual import (cos as dcos, exp as dexp,
                                     sin as dsin, value)
 from tumorsym.reduction import (BcResiduals, ReducedProfiles,
-                                first_integral_R, integrate_ode_4_6,
-                                lift_profiles,
-                                overdetermined_residual,
+                                integrate_ode_4_6, lift_profiles,
                                 pressure_from_lambda, reduced_bc_residual,
                                 reduced_ode_residual)
 from tumorsym.solutions import (Full413, Stationary413s, Steady432,
                                 reduced_profiles_of)
+
+from support import ddr, first_integral_R, overdetermined_residual
 
 FIG34 = dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0)
 STEADY = dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0,

@@ -6,13 +6,15 @@ import math
 
 import pytest
 
-from tumorsym.core_model import s0_link, validate_power_law
+from tumorsym.core_model import s0_link
 from tumorsym.jets import analytic_jet
 from tumorsym.numerics import exp_over_z_quadrature
-from tumorsym.solutions import (BoundaryCircle, ConstantState, Full413,
-                                Moving442, Moving444, RestrictionError,
+from tumorsym.solutions import (BoundaryCircle, Full413, Moving442,
+                                Moving444, RestrictionError,
                                 SingularityError, Stationary413s, Steady432,
                                 reduced_profiles_of)
+
+from support import ConstantState
 
 # Frozen oracle constants, computed independently with mpmath at 50 digits
 # from the defining relations delta = exp(-c4/c3), E = exp(delta^2/(4 d0)),
@@ -93,13 +95,10 @@ def test_full413_regular_c3_fig1():
     Moving444(c1=0.1, delta=1.0, n=-2.0, lam=1.0),
 ], ids=["full413", "stationary413s", "moving442", "moving444"])
 def test_s0_is_the_link_of_the_family(sol):
-    """Every power-law family derives s0 through the one s0 link, the
-    value ``validate_power_law`` requires."""
+    """Every power-law family derives s0 through the one s0 link, and
+    its triplet carries that s0."""
     assert sol.s0 == s0_link(sol.n, sol.sigma0, sol.lam)
-    diag = validate_power_law(sol.triplet().params, sol.phys())
-    assert diag.s0_required == sol.s0 and diag.s0_link_holds
-    assert validate_power_law(sol.triplet(s0=sol.s0 + 1.0).params,
-                              sol.phys()).flags
+    assert sol.triplet().params.s0 == sol.s0
 
 
 # -- restrictions -----------------------------------------------------------
