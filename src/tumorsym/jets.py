@@ -4,10 +4,15 @@ with every partial derivative the governing and boundary residuals consume.
 A *field* is any object with a ``values(t, x, y) -> (alpha, u1, u2, p)``
 method written in generic arithmetic, so it accepts dual-number seeds.  The
 analytic engine builds jets from nested dual evaluations on whole arrays of
-points at one time (vector forward mode); the finite-difference engine
-rebuilds the spatial entries from value calls only, one array call per
-stencil offset, and serves only as the independent reference of
-``cross_engine_check``.
+points at one time (vector forward mode).  A radial field, one with a
+closed form ``radial(t, w) -> (alpha, vel, p)`` in w = x^2 + y^2 (every
+solution family), takes one second-order pass in w, and the chain rule in
+double-double gives the Cartesian entries (univariate Taylor propagation,
+Griewank and Walther, *Evaluating Derivatives*, 2008); any other field
+(a transformed or lifted one) takes second-order passes in x, in y and in
+the mixed pair.  The finite-difference engine rebuilds the spatial
+entries from value calls only, one array call per stencil offset, and
+serves only as the independent reference of ``cross_engine_check``.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
 carry fractional powers of t that make time differencing unreliable.
@@ -95,9 +100,24 @@ def _d2(z):
     return 0.0
 
 
+def radial_argument(t, x, y):
+    """w = x^2 + y^2 of a radial field at (t, x, y), after the domain
+    checks of every radial evaluation: t > 0, and not the origin, where
+    the fields are singular (with the mask of those points for arrays)."""
+    if value(t) <= 0.0:
+        raise ValueError(f"t must be positive, got {value(t)}")
+    w = x * x + y * y
+    at_origin = value(w) == 0.0  # a bool, or a mask for arrays
+    if at_origin is True:
+        raise SingularityError("field is singular at the origin")
+    if at_origin is not False and at_origin.any():
+        raise SingularityError("field is singular at the origin", at_origin)
+    return w
+
+
 @np.errstate(all="ignore")
 def analytic_jet(field: Field, t, x, y) -> FieldJet:
-    """Jet via nested forward-mode AD: four field evaluations.
+    """Jet via nested forward-mode AD.
 
     ``x`` and ``y`` are floats or equal-length arrays of points at the one
     time ``t``; every arithmetic step is elementwise, so each array entry
@@ -107,8 +127,15 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     entry is correct to about one ulp even where the field formulas lose
     a dozen digits to cancellation near the inner rim.  Overflow leaves
     inf or NaN entries for the gates to judge, without a warning.
+
+    A field with a closed form ``radial(t, w)`` takes one second-order
+    pass in w and one time seed (:func:`_radial_jet`); any other field
+    four ``values()`` passes: x, y and the mixed xy at second order, and
+    the time seed.
     """
     t, x, y = DD.of(t), DD.of(x), DD.of(y)
+    if hasattr(field, "radial"):
+        return _radial_jet(field, t, x, y)
     exx = field.values(t, seed2(x), y)
     eyy = field.values(t, x, seed2(y))
     sx, sy = seed_pair(x, y)
@@ -130,6 +157,45 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
         u1_xx=_d2(u1_xx), u1_xy=_d2(u1_xy), u1_yy=_d2(u1_yy),
         u2_xx=_d2(u2_xx), u2_xy=_d2(u2_xy), u2_yy=_d2(u2_yy),
         p_x=_d(p_xx), p_y=_d(p_yy), p_xx=_d2(p_xx), p_yy=_d2(p_yy))
+
+
+def _taylor(z):
+    """(f, f', f'') of ``z = f(seed2(w))``, kept in double-double."""
+    if not isinstance(z, Dual):
+        return z, 0.0, 0.0
+    f, d = z.val, z.dot
+    f = f.val if isinstance(f, Dual) else f
+    d1, d2 = (d.val, d.dot) if isinstance(d, Dual) else (d, 0.0)
+    return f, d1, d2
+
+
+def _radial_jet(field, t, x, y):
+    """The jet of a radial field (alpha, x V, y V, P) of w = x^2 + y^2 from
+    one second-order pass of ``field.radial`` in w: the chain rule in
+    double-double gives every Cartesian entry, e.g. u1_xx = 6x V' +
+    4x^3 V'' and p_xx = 2P' + 4x^2 P''."""
+    w = radial_argument(t, x, y)
+    (A, A1, _), (V, V1, V2), (P, P1, P2) = map(
+        _taylor, field.radial(t, seed2(w)))
+    a_t = field.radial(seed1(t), w)[0]
+    tx, ty = x + x, y + y  # dw/dx, dw/dy
+    v_x, v_y = tx * V1, ty * V1
+    v_xx = 2.0 * V1 + tx * tx * V2
+    v_xy = tx * ty * V2
+    v_yy = 2.0 * V1 + ty * ty * V2
+    return _field_jet(
+        value(t), value(x), value(y),
+        alpha=value(A), u1=value(x * V), u2=value(y * V), p=value(P),
+        alpha_t=_d(a_t), alpha_x=value(tx * A1), alpha_y=value(ty * A1),
+        u1_x=value(x * v_x + V), u1_y=value(x * v_y),
+        u2_x=value(y * v_x), u2_y=value(y * v_y + V),
+        u1_xx=value(x * v_xx + 2.0 * v_x), u1_xy=value(x * v_xy + v_y),
+        u1_yy=value(x * v_yy),
+        u2_xx=value(y * v_xx), u2_xy=value(y * v_xy + v_x),
+        u2_yy=value(y * v_yy + 2.0 * v_y),
+        p_x=value(tx * P1), p_y=value(ty * P1),
+        p_xx=value(2.0 * P1 + tx * tx * P2),
+        p_yy=value(2.0 * P1 + ty * ty * P2))
 
 
 @np.errstate(all="ignore")

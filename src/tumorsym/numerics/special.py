@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import partial
+from functools import lru_cache, partial
 from math import exp, inf, log, log1p
 
 import numpy as np
@@ -156,6 +156,13 @@ def _check_endpoints(r, delta):
             "must be positive")
 
 
+@lru_cache(maxsize=16)
+def _ei_end(a, delta):
+    """Ei(-a delta^2), the end of the integral that a family fixes: a
+    pressure quadrature asks for it at every node."""
+    return _ei(-a * delta * delta)
+
+
 def exp_over_z_integral(a, r, delta):
     """int_r^delta exp(-a z^2)/z dz via the exponential-integral form.
 
@@ -172,7 +179,7 @@ def exp_over_z_integral(a, r, delta):
         return math.log(delta / r)
     # d/du Ei(-a u) = exp(-a u)/u, so the substitution u = z^2 gives
     # 1/2 * [Ei(-a delta^2) - Ei(-a r^2)].
-    return 0.5 * (_ei(-a * delta * delta) - _ei(-a * r * r))
+    return 0.5 * (_ei_end(a, delta) - _ei(-a * r * r))
 
 
 def _exp_over_z_integral_array(a, r, delta):
@@ -183,7 +190,7 @@ def _exp_over_z_integral_array(a, r, delta):
     if a == 0.0:
         return elementwise(math.log, delta / r)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for floats
-        diff = _ei(-a * delta * delta) - _ei_array(-a * r * r)
+        diff = _ei_end(a, delta) - _ei_array(-a * r * r)
     return np.where(r == delta, 0.0, 0.5 * diff)
 
 

@@ -11,12 +11,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .core_model import ConstitutiveTriplet, PhysConstants, PowerLawParams
 from .jets import Field, _d, _d2
 from .numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                        ode_integrate, quad_adaptive)
+from .numerics.dd import DD
 from .numerics.dual import atan2, cos, seed2, sin, sqrt, value
-from .residuals import ResidualReport, _collect, nan_max
+from .residuals import ResidualReport, _collect, _constitutive, nan_max
 
 __all__ = ["ReducedProfiles", "lift_profiles", "reduced_ode_residual",
            "reduced_bc_residual", "BcResiduals", "integrate_ode_4_6",
@@ -85,49 +88,55 @@ def lift_profiles(profiles: ReducedProfiles) -> LiftedField:
     return LiftedField(profiles)
 
 
+@np.errstate(all="ignore")
 def reduced_ode_residual(profiles: ReducedProfiles,
                          samples_r) -> ResidualReport:
     """Residuals of the four reduced radial ODEs at the given radii.
 
     Both reductions give one system whose coefficients come from the
     family's own triplet; the scale reduction adds the ansatz terms
-    gamma r^2 lam' - r lam/(n-1) to the mass equation.
+    gamma r^2 lam' - r lam/(n-1) to the mass equation.  The profiles are
+    evaluated once, at a second-order seed on the double-double array of
+    all positive radii; the triplet is evaluated radius by radius (libm
+    powers).  Radii that are not positive are listed in ``rejected``.
     """
     lamv, gamma = profiles.phys.lam, profiles.gamma
-    rows, locations, rejected = [], [], []
-    for idx, r in enumerate(samples_r):
-        if r <= 0.0:
-            rejected.append(idx)
-            continue
-        (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
-            (value(f), _d(f), _d2(f)) for f in profiles.fields(seed2(r))]
-        c = profiles.triplet.eval(L)
-        cos_f, sin_f = cos(F), sin(F)
-        # products differentiated by hand from the one profile jet:
-        # (r L R cos F)', (r R cos F)', (r R L F')', (r L R')', (r D P')'
-        d_mass_flux = (L * R + r * L1 * R + r * L * R1) * cos_f \
-            - r * L * R * F1 * sin_f
-        d_vol_flux = (R + r * R1) * cos_f - r * R * F1 * sin_f
-        d_swirl = R * L * F1 + r * R1 * L * F1 + r * R * L1 * F1 \
-            + r * R * L * F2
-        d_shear = L * R1 + r * L1 * R1 + r * L * R2
-        darcy = c.D * P1 + r * c.dD * L1 * P1 + r * c.D * P2
-        src = c.d_alpha_sigma * L1 + P1
-        eq1 = d_mass_flux - r * c.S
-        if not profiles.steady:
-            n = profiles.triplet.params.n
-            eq1 += gamma * r * r * L1 - r * L / (n - 1.0)
-        eq2 = d_vol_flux - darcy
-        eq3 = (1.0 + lamv) * R * L1 * sin(2.0 * F) \
-            - (2.0 + lamv) * d_swirl \
-            - (2.0 + lamv) * r * L * R1 * F1 \
-            - r * src * sin_f
-        eq4 = (1.0 + lamv) * r * R * L1 * cos(2.0 * F) \
-            + (2.0 + lamv) * r * d_shear \
-            - (2.0 + lamv) * L * R * (1.0 + (r * F1) ** 2) \
-            - r * R * L1 - r * r * src * cos_f
-        rows.append((eq1, eq2, eq3, eq4))
-        locations.append((0.0, r, 0.0))
+    radii = np.asarray(samples_r, dtype=float)
+    kept = radii > 0.0
+    rejected = np.flatnonzero(~kept).tolist()
+    r = radii[kept]
+    (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
+        (value(f), _d(f), _d2(f))
+        for f in profiles.fields(seed2(DD.of(r)))]
+    S, D, dD, d_alpha_sigma = _constitutive(
+        profiles.triplet, np.broadcast_to(L, r.shape))
+    cos_f, sin_f = cos(F), sin(F)
+    # products differentiated by hand from the one profile jet:
+    # (r L R cos F)', (r R cos F)', (r R L F')', (r L R')', (r D P')'
+    d_mass_flux = (L * R + r * L1 * R + r * L * R1) * cos_f \
+        - r * L * R * F1 * sin_f
+    d_vol_flux = (R + r * R1) * cos_f - r * R * F1 * sin_f
+    d_swirl = R * L * F1 + r * R1 * L * F1 + r * R * L1 * F1 \
+        + r * R * L * F2
+    d_shear = L * R1 + r * L1 * R1 + r * L * R2
+    darcy = D * P1 + r * dD * L1 * P1 + r * D * P2
+    src = d_alpha_sigma * L1 + P1
+    eq1 = d_mass_flux - r * S
+    if not profiles.steady:
+        n = profiles.triplet.params.n
+        eq1 += gamma * r * r * L1 - r * L / (n - 1.0)
+    eq2 = d_vol_flux - darcy
+    eq3 = (1.0 + lamv) * R * L1 * sin(2.0 * F) \
+        - (2.0 + lamv) * d_swirl \
+        - (2.0 + lamv) * r * L * R1 * F1 \
+        - r * src * sin_f
+    eq4 = (1.0 + lamv) * r * R * L1 * cos(2.0 * F) \
+        + (2.0 + lamv) * r * d_shear \
+        - (2.0 + lamv) * L * R * (1.0 + (r * F1) ** 2) \
+        - r * R * L1 - r * r * src * cos_f
+    rows = np.column_stack([np.broadcast_to(eq, r.shape)
+                            for eq in (eq1, eq2, eq3, eq4)]).tolist()
+    locations = [(0.0, ri, 0.0) for ri in r.tolist()]
     engine = "steady-ode" if profiles.steady else "reduced-ode"
     return _collect(REDUCED_NAMES, rows, locations, engine, rejected)
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .core_model import (GeneralTriplet, PhysConstants, PowerLawParams,
                          PowerLawTriplet, s0_link)
-from .jets import Field, SingularityError
+from .jets import Field, SingularityError, radial_argument
 from .numerics import exp_over_z_integral
-from .numerics.dual import exp, expm1, lift, log, sqrt, value
+from .numerics.dual import exp, expm1, lift, log, sqrt
 
 __all__ = [
     "SingularityError", "RestrictionError", "BoundaryCircle",
@@ -129,16 +129,7 @@ class SolutionFamily(Field):
     def values(self, t, x, y):
         """The fields at (t, x, y), arrays of points allowed, from the
         family's ``radial(t, w) -> (alpha, vel, p)`` at w = x^2 + y^2."""
-        if value(t) <= 0.0:
-            raise ValueError(f"t must be positive, got {value(t)}")
-        w = x * x + y * y
-        at_origin = value(w) == 0.0  # a bool, or a mask for arrays
-        if at_origin is True:
-            raise SingularityError("field is singular at the origin")
-        if at_origin is not False and at_origin.any():
-            raise SingularityError("field is singular at the origin",
-                                   at_origin)
-        alpha, vel, p = self.radial(t, w)
+        alpha, vel, p = self.radial(t, radial_argument(t, x, y))
         return alpha, x * vel, y * vel, p
 
 

@@ -1,4 +1,5 @@
-"""Helpers that only the tests use: exact rest states, dual-number
+"""Helpers that only the tests use: exact rest states, a values-only view
+of a field (the Cartesian jet reference), dual-number
 derivatives, observed convergence orders, and reference residuals of the
 paper's reduction conditions and of the front's invariance criterion.
 
@@ -27,6 +28,18 @@ class ConstantState(Field):
     def values(self, t, x, y):
         zero = 0.0 * (x + y + t)
         return self.alpha0 + zero, zero, zero, self.p0 + zero
+
+
+class CartesianView(Field):
+    """A field seen through ``values`` alone: ``analytic_jet`` then makes
+    its Cartesian passes even for a family with a closed form ``radial``,
+    the reference of the radial pass."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def values(self, t, x, y):
+        return self.field.values(t, x, y)
 
 
 # -- dual-number derivatives ------------------------------------------------

@@ -16,6 +16,8 @@ from tumorsym.residuals import (SampleSet, boundary_residual,
 from tumorsym.solutions import FAMILY_IDS, BoundaryCircle
 from tumorsym.symmetry import Galilei, Rotation, transform_field
 
+from support import CartesianView
+
 PARAMS = {
     "full413": dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0,
                     sigma0=-3.0, delta=1.0),
@@ -114,6 +116,84 @@ def test_origin_points_are_masked_like_pointwise():
     with pytest.raises(SingularityError) as err:
         analytic_jet(sol, 1.0, x, y)
     assert np.flatnonzero(err.value.mask).tolist() == singular
+
+
+# -- the radial pass against the Cartesian passes ----------------------------
+
+# the Ei families' pressure integral is a double under its Leibniz
+# derivative, which the radial pass takes in w, the Cartesian one in x and y
+EXACT_RADIAL = ("full413", "moving442", "moving444")
+
+
+def _annulus_and_ring(sol, t):
+    """The default annulus at time t and the 64-point ring on the front."""
+    pts = list(SampleSet(times=(t,)).points(sol.boundary()))
+    yield np.array([p[1] for p in pts]), np.array([p[2] for p in pts])
+    rad = sol.boundary().radius(t)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    yield (np.array([rad * math.cos(a) for a in theta.tolist()]),
+           np.array([rad * math.sin(a) for a in theta.tolist()]))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("fid", sorted(PARAMS))
+def test_radial_jet_matches_the_cartesian_passes(fid, t):
+    sol = FAMILY_IDS[fid](**PARAMS[fid])
+    for x, y in _annulus_and_ring(sol, t):
+        radial = analytic_jet(sol, t, x, y)
+        cartesian = analytic_jet(CartesianView(sol), t, x, y)
+        assert radial.t == cartesian.t == t
+        for entry in ("x", "y") + JET_ENTRIES:
+            got, want = getattr(radial, entry), getattr(cartesian, entry)
+            assert got.shape == x.shape, entry
+            if fid in EXACT_RADIAL or entry in ("x", "y", "alpha", "u1",
+                                                "u2", "p", "alpha_t"):
+                assert _bits(got) == _bits(want), entry
+            else:
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), \
+                    entry
+
+
+def test_a_family_jet_is_one_radial_pass_and_a_time_seed(monkeypatch):
+    sol = FAMILY_IDS["moving444"](**PARAMS["moving444"])
+    calls = []
+    for name in ("radial", "values"):
+        method = getattr(sol, name)
+        monkeypatch.setattr(sol, name, lambda *a, name=name, method=method:
+                            calls.append(name) or method(*a))
+    t, x, y = _slice(sol)
+    analytic_jet(sol, t, x, y)
+    assert calls == ["radial", "radial"]
+
+
+class _WithOrigin:
+    """The default t = 1 annulus with the origin inserted as sample 5."""
+
+    def points(self, boundary):
+        pts = list(SampleSet().points(boundary))
+        return pts[:5] + [(1.0, 0.0, 0.0)] + pts[5:]
+
+
+@pytest.mark.parametrize("fid", sorted(PARAMS))
+def test_radial_and_cartesian_passes_reject_the_origin_alike(fid):
+    sol = FAMILY_IDS[fid](**PARAMS[fid])
+    x = np.array([0.3, 0.0, -0.2, 0.0, 0.5])
+    y = np.array([0.1, 0.0, 0.4, 0.0, -0.5])
+    masks = []
+    for field in (sol, CartesianView(sol)):
+        with pytest.raises(SingularityError) as err:
+            analytic_jet(field, 1.0, x, y)
+        masks.append(np.flatnonzero(err.value.mask).tolist())
+        with pytest.raises(ValueError, match="t must be positive, got 0.0"):
+            analytic_jet(field, 0.0, x, y)
+    assert masks == [[1, 3], [1, 3]]
+    args = (sol.triplet(), sol.phys(), _WithOrigin(), sol.boundary())
+    radial = governing_residual(JetProvider(sol), *args)
+    cartesian = governing_residual(JetProvider(CartesianView(sol)), *args)
+    assert radial.rejected == cartesian.rejected == (5,)
+    assert radial.sample_count == cartesian.sample_count == 96
+    if fid in EXACT_RADIAL:
+        assert radial == cartesian
 
 
 def test_governing_rejects_the_pointwise_singular_samples():

@@ -78,8 +78,10 @@ def test_steady_residual_profile():
     lambda: Stationary413s(**FIG34),
     lambda: Steady432(**STEADY),
 ], ids=["stationary413s", "steady432"])
-def test_reduced_checks_evaluate_the_family_once_per_radius(mk,
-                                                            monkeypatch):
+def test_reduced_checks_evaluate_the_family_once_per_check(mk,
+                                                           monkeypatch):
+    """One array call of ``radial`` serves all 64 radii, and one more the
+    front conditions."""
     sol = mk()
     calls = []
     radial = sol.radial
@@ -90,10 +92,11 @@ def test_reduced_checks_evaluate_the_family_once_per_radius(mk,
 
     monkeypatch.setattr(sol, "radial", counted)
     prof = reduced_profiles_of(sol)
-    reduced_ode_residual(prof, _radii(sol.delta))
-    assert len(calls) == 64
+    rep = reduced_ode_residual(prof, _radii(sol.delta))
+    assert rep.sample_count == 64
+    assert len(calls) == 1
     reduced_bc_residual(prof, sol.delta)
-    assert len(calls) == 65
+    assert len(calls) == 2
 
 
 def _swirl_profiles(steady):

@@ -16,9 +16,13 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from tumorsym import solutions  # noqa: E402
+from tumorsym.numerics import QuadratureSpec  # noqa: E402
 from tumorsym.numerics import _ei_pieces as pieces  # noqa: E402
+from tumorsym.numerics import special  # noqa: E402
 from tumorsym.numerics.special import (_EDGES, _ei,  # noqa: E402
                                        _ei_array, exp_over_z_integral)
+from tumorsym.reduction import pressure_from_lambda  # noqa: E402
 
 mp = mpmath.mp
 X0 = pieces.X0_HI
@@ -153,6 +157,61 @@ def test_integral_array_equals_its_float_calls():
         want = [exp_over_z_integral(a, v, 1.0) for v in r.tolist()]
         assert got.view(np.int64).tolist() \
             == np.array(want).view(np.int64).tolist()
+
+
+def _integral_bits(a, r, delta):
+    v = exp_over_z_integral(a, r, delta)
+    return np.asarray(v, dtype=float).ravel().view(np.int64).tolist()
+
+
+def test_the_memoised_end_keeps_the_bits():
+    """Ei(-a delta^2) is memoised: a cold and a warm cache give the bits
+    of the unmemoised formula, on floats and on arrays."""
+    r = np.linspace(0.05, 3.0, 33)
+    cases = [(a, v, d) for a in (0.25, 3.0, -0.5, -200.0, 1e-300)
+             for d in (0.3, 1.0, 2.5) for v in (r, *r[::8].tolist())]
+    cold = []
+    for case in cases:
+        special._ei_end.cache_clear()
+        cold.append(_integral_bits(*case))
+    for case in cases:
+        _integral_bits(*case)
+    misses = special._ei_end.cache_info().misses
+    warm = [_integral_bits(*case) for case in cases]
+    assert special._ei_end.cache_info().misses == misses
+    with np.errstate(invalid="ignore"):  # inf - inf, as in the integral
+        want = [np.atleast_1d(np.where(v == d, 0.0, 0.5 * (
+            _ei(-a * d * d) - _ei_array(-a * np.asarray(v) * v))))
+            .view(np.int64).tolist() for a, v, d in cases]
+    assert cold == warm == want
+
+
+def test_a_pressure_quadrature_computes_the_fixed_end_once(monkeypatch):
+    """Each closed-form pressure call of a quadrature node evaluates Ei
+    at its radius only: the Ei calls are the integral calls plus one per
+    distinct coefficient, where they were twice the integral calls."""
+    sol = solutions.Full413(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75,
+                            lam=4.0, sigma0=-3.0, delta=1.0)
+    calls = {"ei": 0, "integral": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(special, "_ei", counted("ei", special._ei))
+    monkeypatch.setattr(solutions, "exp_over_z_integral",
+                        counted("integral", exp_over_z_integral))
+    special._ei_end.cache_clear()
+    P = pressure_from_lambda(
+        lambda r: sol.values(1.0, r, 0.0)[0],
+        lambda a: sol.s0 * a ** sol.n + a / (sol.n - 1.0), sol.d0,
+        c3=sol.c3, c4=sol.c4, delta=sol.delta,
+        quad=QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12))
+    P(0.5)
+    assert calls["integral"] > 100
+    assert calls["ei"] == calls["integral"] + 2
 
 
 def test_the_command_line_loads_without_scipy():
