@@ -19,7 +19,7 @@ from .solutions import (FAMILY_IDS, BoundaryCircle, Full413, Moving442,
                         Moving444, RestrictionError, SingularityError,
                         Stationary413s, Steady432, reduced_profiles_of)
 from .symmetry import (Galilei, InapplicableSymmetryError, PressureShift,
-                       Rotation, Scale, TimeTranslation, orbit_residual,
-                       transform_field)
+                       Rotation, Scale, TimeTranslation, TransformedField,
+                       orbit_residual)
 
 __version__ = "1.0.0"

@@ -23,13 +23,9 @@ from .symmetry import (Galilei, InapplicableSymmetryError, PressureShift,
 __all__ = ["main"]
 
 
-def _fail(message, code):
-    print(message, file=sys.stderr)
-    return code
-
-
 class _Exit(Exception):
-    """Ends a command early with a message on stderr and an exit code."""
+    """Ends a command with a message on stderr and a non-zero exit code;
+    :func:`main` prints it, so every failing exit takes this one way."""
 
     def __init__(self, message, code):
         super().__init__(message)
@@ -246,9 +242,7 @@ def cmd_verify(args):
         print(f"boundary t={t} Linf={rep.linf:.6e}")
     print(f"reduced Linf={red.linf:.6e} bc={bc.general_max:.6e}")
     if failures:
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
-        return 1
+        raise _Exit("\n".join(f"FAIL {f}" for f in failures), 1)
     print("all checks passed")
     return 0
 
@@ -258,7 +252,7 @@ def cmd_orbit(args):
     triplet, base = _governing(cfg, sol)
     orb, allowed, failure = _orbit_check(cfg, sol, triplet, base.linf)
     if orb is None:
-        return _fail(f"inapplicable symmetry: {failure}", 1)
+        raise _Exit(f"inapplicable symmetry: {failure}", 1)
     shown = "none" if allowed is None else f"{allowed:.6e}"
     print(f"base Linf={base.linf:.6e} orbit Linf={orb.linf:.6e} "
           f"allowed={shown}")
@@ -266,9 +260,9 @@ def cmd_orbit(args):
                 {"base": _report_payload(base),
                  "orbit": _report_payload(orb),
                  "allowed": allowed})
-    if allowed is None:
-        return _fail(f"FAIL {failure}", 1)
-    return 0 if failure is None else 1
+    if failure is not None:
+        raise _Exit(f"FAIL {failure}", 1)
+    return 0
 
 
 _FIG12_PARAMS = dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0,
@@ -327,9 +321,9 @@ _PLOT_SCRIPT = """\
 
 def cmd_figure(args):
     if args.figure not in _FIGURES:
-        return _fail(f"unknown figure id {args.figure}; choose 1-5", 2)
+        raise _Exit(f"unknown figure id {args.figure}; choose 1-5", 2)
     if args.grid < 2:
-        return _fail(f"grid must be at least 2, got {args.grid}", 2)
+        raise _Exit(f"grid must be at least 2, got {args.grid}", 2)
     family_id, params, panels = _FIGURES[args.figure]
     sol = FAMILY_IDS[family_id](**params)
     out_dir = args.out or "figures"
@@ -384,7 +378,8 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except _Exit as e:
-        return _fail(str(e), e.code)
+        print(e, file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ solution family), takes one second-order pass in w, and the chain rule in
 double-double gives the Cartesian entries (univariate Taylor propagation,
 Griewank and Walther, *Evaluating Derivatives*, 2008); any other field
 (a transformed or lifted one) takes second-order passes in x, in y and in
-the mixed pair.  The finite-difference engine rebuilds the spatial
-entries from value calls only, one array call per stencil offset, and
-serves only as the independent reference of ``cross_engine_check``.
+the mixed pair.  Every pass reads its value and derivatives with the one
+reader of seeded results, ``numerics.dual.taylor``.  The finite-difference
+engine rebuilds the spatial entries from value calls only, one array call
+per stencil offset, and serves only as the independent reference of
+``cross_engine_check``.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
 carry fractional powers of t that make time differencing unreliable.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .numerics import fd_derivative
 from .numerics.dd import DD
-from .numerics.dual import Dual, seed1, seed2, seed_pair, value
+from .numerics.dual import seed1, seed2, seed_pair, taylor, value
 
 __all__ = ["FieldJet", "Field", "JetEngine", "AnalyticEngine", "FdEngine",
            "JetProvider", "SingularityError", "JET_ENTRIES"]
@@ -87,19 +89,6 @@ class Field:
         raise NotImplementedError
 
 
-def _d(z):
-    # first-order dual component (0 when the result does not depend on the seed)
-    if isinstance(z, Dual):
-        return value(z.dot)
-    return 0.0
-
-
-def _d2(z):
-    if isinstance(z, Dual) and isinstance(z.dot, Dual):
-        return value(z.dot.dot)
-    return 0.0
-
-
 def radial_argument(t, x, y):
     """w = x^2 + y^2 of a radial field at (t, x, y), after the domain
     checks of every radial evaluation: t > 0, and not the origin, where
@@ -136,37 +125,24 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     t, x, y = DD.of(t), DD.of(x), DD.of(y)
     if hasattr(field, "radial"):
         return _radial_jet(field, t, x, y)
-    exx = field.values(t, seed2(x), y)
-    eyy = field.values(t, x, seed2(y))
-    sx, sy = seed_pair(x, y)
-    exy = field.values(t, sx, sy)
+
+    def read(values):
+        return [[value(c) for c in taylor(z)] for z in values]
+
+    (a, a_x, _), (u1, u1_x, u1_xx), (u2, u2_x, u2_xx), (p, p_x, p_xx) = \
+        read(field.values(t, seed2(x), y))
+    (_, a_y, _), (_, u1_y, u1_yy), (_, u2_y, u2_yy), (_, p_y, p_yy) = \
+        read(field.values(t, x, seed2(y)))
+    _, (_, _, u1_xy), (_, _, u2_xy), _ = \
+        read(field.values(t, *seed_pair(x, y)))
     a_t = field.values(seed1(t), x, y)[0]
-
-    a_xx, u1_xx, u2_xx, p_xx = exx
-    a_yy, u1_yy, u2_yy, p_yy = eyy
-    _, u1_xy, u2_xy, _ = exy
-
-    x, y = value(x), value(y)
     return _field_jet(
-        value(t), x, y,
-        alpha=value(a_xx), u1=value(u1_xx), u2=value(u2_xx), p=value(p_xx),
-        alpha_t=_d(a_t),
-        alpha_x=_d(a_xx), alpha_y=_d(a_yy),
-        u1_x=_d(u1_xx), u1_y=_d(u1_yy),
-        u2_x=_d(u2_xx), u2_y=_d(u2_yy),
-        u1_xx=_d2(u1_xx), u1_xy=_d2(u1_xy), u1_yy=_d2(u1_yy),
-        u2_xx=_d2(u2_xx), u2_xy=_d2(u2_xy), u2_yy=_d2(u2_yy),
-        p_x=_d(p_xx), p_y=_d(p_yy), p_xx=_d2(p_xx), p_yy=_d2(p_yy))
-
-
-def _taylor(z):
-    """(f, f', f'') of ``z = f(seed2(w))``, kept in double-double."""
-    if not isinstance(z, Dual):
-        return z, 0.0, 0.0
-    f, d = z.val, z.dot
-    f = f.val if isinstance(f, Dual) else f
-    d1, d2 = (d.val, d.dot) if isinstance(d, Dual) else (d, 0.0)
-    return f, d1, d2
+        value(t), value(x), value(y), alpha=a, u1=u1, u2=u2, p=p,
+        alpha_t=value(taylor(a_t)[1]), alpha_x=a_x, alpha_y=a_y,
+        u1_x=u1_x, u1_y=u1_y, u2_x=u2_x, u2_y=u2_y,
+        u1_xx=u1_xx, u1_xy=u1_xy, u1_yy=u1_yy,
+        u2_xx=u2_xx, u2_xy=u2_xy, u2_yy=u2_yy,
+        p_x=p_x, p_y=p_y, p_xx=p_xx, p_yy=p_yy)
 
 
 def _radial_jet(field, t, x, y):
@@ -176,7 +152,7 @@ def _radial_jet(field, t, x, y):
     4x^3 V'' and p_xx = 2P' + 4x^2 P''."""
     w = radial_argument(t, x, y)
     (A, A1, _), (V, V1, V2), (P, P1, P2) = map(
-        _taylor, field.radial(t, seed2(w)))
+        taylor, field.radial(t, seed2(w)))
     a_t = field.radial(seed1(t), w)[0]
     tx, ty = x + x, y + y  # dw/dx, dw/dy
     v_x, v_y = tx * V1, ty * V1
@@ -186,7 +162,8 @@ def _radial_jet(field, t, x, y):
     return _field_jet(
         value(t), value(x), value(y),
         alpha=value(A), u1=value(x * V), u2=value(y * V), p=value(P),
-        alpha_t=_d(a_t), alpha_x=value(tx * A1), alpha_y=value(ty * A1),
+        alpha_t=value(taylor(a_t)[1]),
+        alpha_x=value(tx * A1), alpha_y=value(ty * A1),
         u1_x=value(x * v_x + V), u1_y=value(x * v_y),
         u2_x=value(y * v_x), u2_y=value(y * v_y + V),
         u1_xx=value(x * v_xx + 2.0 * v_x), u1_xy=value(x * v_xy + v_y),
@@ -231,8 +208,8 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
         y, 1, 4, h)
     return _field_jet(
         t, x, y, alpha=a, u1=u1, u2=u2, p=p,
-        alpha_t=_d(a_t), alpha_x=a_x, alpha_y=a_y, u1_x=u1_x, u1_y=u1_y,
-        u2_x=u2_x, u2_y=u2_y,
+        alpha_t=value(taylor(a_t)[1]), alpha_x=a_x, alpha_y=a_y,
+        u1_x=u1_x, u1_y=u1_y, u2_x=u2_x, u2_y=u2_y,
         u1_xx=u1_xx, u1_xy=u1_xy, u1_yy=u1_yy,
         u2_xx=u2_xx, u2_xy=u2_xy, u2_yy=u2_yy,
         p_x=p_x, p_y=p_y, p_xx=p_xx, p_yy=p_yy)

@@ -6,6 +6,12 @@ jets in this package are built that way.  Floats mix freely with duals, so
 model formulas are written once in plain arithmetic and evaluated either on
 floats or on seeded duals.  Components may be numpy arrays or DDs of arrays
 (vector forward mode): one evaluation then differentiates at many points.
+
+The elementary functions (exp, expm1, log, sin, cos, sqrt, atan) share one
+dispatch over float, Dual, DD and ndarray arguments (:func:`_elementary`);
+each names only its libm kernel, its DD method and its derivative.  Every
+jet reads its seeded results through one reader, :func:`taylor`, next to
+the seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dd import DD, _exp, _expm1, elementwise
+from .dd import DD, elementwise
 
 
 class Dual:
@@ -98,95 +104,45 @@ def value(z):
     return z if isinstance(z, np.ndarray) else float(z)
 
 
-# Plain floats are tested first: model formulas evaluated on floats (the
-# pressure quadrature, the lift points, the reduced checks) pay one type
-# check per elementary function or value().  exp and expm1 give inf where
-# libm overflows (math raises OverflowError there), as DD's do; the retry
-# costs nothing until an argument overflows.
-
-def exp(z):
-    if type(z) is float:
+def _elementary(kernel, method, derivative):
+    """One elementary function on every argument type the models use:
+    a float goes to the libm ``kernel``; a :class:`Dual` gets the value
+    and ``derivative(dot, x, f(x))``, the seed times f'(x); a :class:`DD`
+    goes to its own ``method``; an ndarray (any other argument) goes to
+    the kernel element by element, so each element has the bits of the
+    float call.  Plain floats are tested first: model formulas evaluated
+    on floats (the pressure quadrature, the lift points, the reduced
+    checks) pay one type check.  Where libm overflows (only exp and expm1
+    do) math raises OverflowError; the result is then inf, as DD's is, and
+    the retry costs nothing until an argument overflows."""
+    def f(z):
+        if type(z) is float:
+            try:
+                return kernel(z)
+            except OverflowError:
+                return math.inf
+        if isinstance(z, Dual):
+            fx = f(z.val)
+            return Dual(fx, derivative(z.dot, z.val, fx))
+        if isinstance(z, DD):
+            return method(z)
         try:
-            return math.exp(z)
+            return elementwise(kernel, z)
         except OverflowError:
-            return math.inf
-    if isinstance(z, Dual):
-        e = exp(z.val)
-        return Dual(e, z.dot * e)
-    if isinstance(z, DD):
-        return z.exp()
-    try:
-        return elementwise(math.exp, z)
-    except OverflowError:
-        return _exp(z)
+            return elementwise(lambda v: f(float(v)), z)
+
+    f.__name__ = f.__qualname__ = kernel.__name__
+    return f
 
 
-def expm1(z):
-    # e^z - 1 without cancellation near z = 0; derivative is e^z
-    if type(z) is float:
-        try:
-            return math.expm1(z)
-        except OverflowError:
-            return math.inf
-    if isinstance(z, Dual):
-        return Dual(expm1(z.val), z.dot * exp(z.val))
-    if isinstance(z, DD):
-        return z.expm1()
-    try:
-        return elementwise(math.expm1, z)
-    except OverflowError:
-        return _expm1(z)
-
-
-def log(z):
-    if type(z) is float:
-        return math.log(z)
-    if isinstance(z, Dual):
-        return Dual(log(z.val), z.dot / z.val)
-    if isinstance(z, DD):
-        return z.log()
-    return elementwise(math.log, z)
-
-
-def sin(z):
-    if type(z) is float:
-        return math.sin(z)
-    if isinstance(z, Dual):
-        return Dual(sin(z.val), z.dot * cos(z.val))
-    if isinstance(z, DD):
-        return z.sin()
-    return elementwise(math.sin, z)
-
-
-def cos(z):
-    if type(z) is float:
-        return math.cos(z)
-    if isinstance(z, Dual):
-        return Dual(cos(z.val), -z.dot * sin(z.val))
-    if isinstance(z, DD):
-        return z.cos()
-    return elementwise(math.cos, z)
-
-
-def sqrt(z):
-    if type(z) is float:
-        return math.sqrt(z)
-    if isinstance(z, Dual):
-        s = sqrt(z.val)
-        return Dual(s, z.dot / (2.0 * s))
-    if isinstance(z, DD):
-        return z.sqrt()
-    return elementwise(math.sqrt, z)
-
-
-def atan(z):
-    if type(z) is float:
-        return math.atan(z)
-    if isinstance(z, Dual):
-        return Dual(atan(z.val), z.dot / (1.0 + z.val * z.val))
-    if isinstance(z, DD):
-        return z.atan()
-    return elementwise(math.atan, z)
+exp = _elementary(math.exp, DD.exp, lambda d, x, e: d * e)
+# e^x - 1 without cancellation near x = 0
+expm1 = _elementary(math.expm1, DD.expm1, lambda d, x, m: d * exp(x))
+log = _elementary(math.log, DD.log, lambda d, x, y: d / x)
+sin = _elementary(math.sin, DD.sin, lambda d, x, s: d * cos(x))
+cos = _elementary(math.cos, DD.cos, lambda d, x, c: -d * sin(x))
+sqrt = _elementary(math.sqrt, DD.sqrt, lambda d, x, s: d / (2.0 * s))
+atan = _elementary(math.atan, DD.atan, lambda d, x, a: d / (1.0 + x * x))
 
 
 def atan2(y, x):
@@ -238,3 +194,19 @@ def seed2(x):
 def seed_pair(x, y):
     """Mixed-partial seeds: f(*seed_pair(x, y)).dot.dot == f_xy."""
     return Dual(Dual(x, 1.0), Dual(0.0, 0.0)), Dual(Dual(y, 0.0), Dual(1.0, 0.0))
+
+
+def taylor(z):
+    """(f, f', f'') of ``z = f(seed)`` for any of the seeds above: the
+    value and the derivatives along the seed, in the components' own type
+    (DDs stay DDs; :func:`value` rounds them).  f' and f'' are 0.0 where
+    ``z`` does not depend on the seed, and f'' is 0.0 at a first-order
+    seed."""
+    if not isinstance(z, Dual):
+        return z, 0.0, 0.0
+    f, d = z.val, z.dot
+    if isinstance(f, Dual):
+        f = f.val
+    if isinstance(d, Dual):
+        return f, d.val, d.dot
+    return f, d, 0.0

@@ -19,7 +19,6 @@ __all__ = ["OdeSpec", "IntegrationError", "Trajectory", "ode_integrate"]
 class OdeSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    initial_step: float | None = None
     max_steps: int = 100_000
 
     def __post_init__(self):
@@ -63,14 +62,6 @@ class Trajectory:
         self._sign = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
         self._keys = [self._sign * v for v in self.ts]
 
-    @property
-    def t_end(self):
-        return self.ts[-1]
-
-    @property
-    def y_end(self):
-        return self.ys[-1]
-
     def __call__(self, t):
         ts, keys, key = self.ts, self._keys, self._sign * t
         if not keys[0] <= key <= keys[-1]:
@@ -100,8 +91,7 @@ def ode_integrate(rhs, y0, r0, r1, spec: OdeSpec = OdeSpec()) -> Trajectory:
 
     direction = 1.0 if r1 > r0 else -1.0
     span = abs(r1 - r0)
-    h = spec.initial_step if spec.initial_step else span / 100.0
-    h = direction * min(abs(h), span)
+    h = direction * (span / 100.0)
 
     t = r0
     f = np.atleast_1d(np.asarray(rhs(t, y), dtype=float))

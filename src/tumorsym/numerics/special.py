@@ -194,12 +194,12 @@ def _exp_over_z_integral_array(a, r, delta):
     return np.where(r == delta, 0.0, 0.5 * diff)
 
 
-def exp_over_z_quadrature(a, r, delta, spec: QuadratureSpec | None = None):
+def exp_over_z_quadrature(a, r, delta):
     """Same integral by adaptive Gauss-Kronrod; the cross-check path."""
     _check_endpoints(r, delta)
     if r == delta:
         return 0.0
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_depth=50)
-    val, _ = quad_adaptive(lambda z: math.exp(-a * z * z) / z, r, delta, spec)
+    val, _ = quad_adaptive(lambda z: math.exp(-a * z * z) / z, r, delta,
+                           QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15,
+                                          max_depth=50))
     return val

@@ -14,12 +14,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core_model import ConstitutiveTriplet, PhysConstants, PowerLawParams
-from .jets import Field, _d, _d2
-from .numerics import (IntegrationError, OdeSpec, QuadratureSpec,
-                       ode_integrate, quad_adaptive)
+from .jets import Field
+from .numerics import (IntegrationError, QuadratureSpec, ode_integrate,
+                       quad_adaptive)
 from .numerics.dd import DD
-from .numerics.dual import atan2, cos, seed2, sin, sqrt, value
-from .residuals import ResidualReport, _collect, _constitutive, nan_max
+from .numerics.dual import atan2, cos, seed2, sin, sqrt, taylor, value
+from .residuals import (ResidualReport, collect_report, constitutive_terms,
+                        nan_max)
 
 __all__ = ["ReducedProfiles", "lift_profiles", "reduced_ode_residual",
            "reduced_bc_residual", "BcResiduals", "integrate_ode_4_6",
@@ -106,9 +107,9 @@ def reduced_ode_residual(profiles: ReducedProfiles,
     rejected = np.flatnonzero(~kept).tolist()
     r = radii[kept]
     (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
-        (value(f), _d(f), _d2(f))
+        [value(c) for c in taylor(f)]
         for f in profiles.fields(seed2(DD.of(r)))]
-    S, D, dD, d_alpha_sigma = _constitutive(
+    S, D, dD, d_alpha_sigma = constitutive_terms(
         profiles.triplet, np.broadcast_to(L, r.shape))
     cos_f, sin_f = cos(F), sin(F)
     # products differentiated by hand from the one profile jet:
@@ -138,7 +139,7 @@ def reduced_ode_residual(profiles: ReducedProfiles,
                             for eq in (eq1, eq2, eq3, eq4)]).tolist()
     locations = [(0.0, ri, 0.0) for ri in r.tolist()]
     engine = "steady-ode" if profiles.steady else "reduced-ode"
-    return _collect(REDUCED_NAMES, rows, locations, engine, rejected)
+    return collect_report(REDUCED_NAMES, rows, locations, engine, rejected)
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def reduced_bc_residual(profiles: ReducedProfiles,
                         delta: float) -> BcResiduals:
     lamv = profiles.phys.lam
     _, (R, R1, _), (P, _, _), (F, F1, _) = [
-        (value(f), _d(f), _d2(f)) for f in profiles.fields(seed2(delta))]
+        [value(c) for c in taylor(f)] for f in profiles.fields(seed2(delta))]
     kin = profiles.gamma * delta + R * cos(F)
     t1 = (2.0 + lamv) * delta * R1 + R * ((1.0 + lamv) * cos(2.0 * F) - 1.0)
     t2 = R * ((2.0 + lamv) * delta * F1 - (1.0 + lamv) * sin(2.0 * F))
@@ -188,7 +189,6 @@ class LambdaTrajectory:
 
 def integrate_ode_4_6(params: PowerLawParams, phys: PhysConstants,
                       beta: float, r0: float, r1: float, lambda0: float,
-                      spec: Optional[OdeSpec] = None,
                       dlambda0: Optional[float] = None) -> LambdaTrajectory:
     """Integrate the first-order concentration ODE of the profile chain.
 
@@ -199,8 +199,6 @@ def integrate_ode_4_6(params: PowerLawParams, phys: PhysConstants,
     the second-order equation of the overdetermined pair is integrated
     instead; that path needs the initial slope dlambda0.
     """
-    if spec is None:
-        spec = OdeSpec()
     m, n = params.m, params.n
     d0, s0, sigma0 = params.d0, params.s0, params.sigma0
     lamv = phys.lam
@@ -229,7 +227,7 @@ def integrate_ode_4_6(params: PowerLawParams, phys: PhysConstants,
             return [dl, lamv / ((2.0 + lamv) * r) * dl
                     - math.exp(-(1.0 + m) * y[0]) / (d0 * (2.0 + lamv))]
 
-        traj = ode_integrate(rhs2, y0, r0, r1, spec)
+        traj = ode_integrate(rhs2, y0, r0, r1)
         return LambdaTrajectory(traj, transform=math.exp)
 
     if b0 == 0.0:
@@ -244,7 +242,7 @@ def integrate_ode_4_6(params: PowerLawParams, phys: PhysConstants,
                 f"coefficient of the derivative crosses zero near r={r}")
         return [forcing(r) / b]
 
-    traj = ode_integrate(rhs, [lambda0], r0, r1, spec)
+    traj = ode_integrate(rhs, [lambda0], r0, r1)
     return LambdaTrajectory(traj)
 
 

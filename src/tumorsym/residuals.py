@@ -138,7 +138,7 @@ def _fsum(terms):
         return math.nan
 
 
-def _constitutive(triplet, alpha):
+def constitutive_terms(triplet, alpha):
     """(S, D, dD, d_alpha_sigma) at alpha, evaluated point by point so the
     powers come from libm; arrays for an array alpha."""
     if not isinstance(alpha, np.ndarray):
@@ -153,7 +153,7 @@ def governing_residual_at(jet: FieldJet, triplet: ConstitutiveTriplet,
                           phys: PhysConstants):
     """The four governing residuals at a jet (lists for an array jet)."""
     lam = phys.lam
-    S, D, dD, d_alpha_sigma = _constitutive(triplet, jet.alpha)
+    S, D, dD, d_alpha_sigma = constitutive_terms(triplet, jet.alpha)
     r_mass = _acc([
         (1.0, jet.alpha_t, 1.0),
         (1.0, jet.alpha_x, jet.u1), (1.0, jet.alpha, jet.u1_x),
@@ -182,7 +182,7 @@ def governing_residual_at(jet: FieldJet, triplet: ConstitutiveTriplet,
     return r_mass, r_div, r_mx, r_my
 
 
-def _collect(names, rows, locations, engine, rejected):
+def collect_report(names, rows, locations, engine, rejected):
     equations = []
     for k, name in enumerate(names):
         col = [abs(row[k]) for row in rows]
@@ -241,8 +241,8 @@ def governing_residual(jets: JetProvider, triplet: ConstitutiveTriplet,
             continue
         rows += zip(*governing_residual_at(jet, triplet, phys))
         locations += itertools.compress(pts, keep.tolist())
-    return _collect(GOVERNING_NAMES, rows, locations, jets.descriptor,
-                    rejected)
+    return collect_report(GOVERNING_NAMES, rows, locations,
+                          jets.descriptor, rejected)
 
 
 def boundary_residual_at(jet: FieldJet, boundary: BoundaryCircle,
@@ -273,7 +273,8 @@ def boundary_residual(jets: JetProvider, boundary: BoundaryCircle,
                    np.array([p[2] for p in locations]))
     rows = np.stack(np.broadcast_arrays(
         *boundary_residual_at(jet, boundary, phys)), axis=-1).tolist()
-    return _collect(BOUNDARY_NAMES, rows, locations, jets.descriptor, [])
+    return collect_report(BOUNDARY_NAMES, rows, locations, jets.descriptor,
+                          [])
 
 
 def cross_engine_check(analytic: JetProvider, fd: JetProvider,

@@ -16,11 +16,10 @@ from .jets import AnalyticEngine, Field, JetProvider
 from .numerics.dd import DD
 from .numerics.dual import cos, lift, sin
 from .residuals import ResidualReport, SampleSet, governing_residual
-from .solutions import BoundaryCircle, SolutionFamily
+from .solutions import SolutionFamily
 
 __all__ = ["Rotation", "Galilei", "PressureShift", "TimeTranslation",
-           "Scale", "GroupElement", "TransformedField", "transform_field",
-           "orbit_residual",
+           "Scale", "GroupElement", "TransformedField", "orbit_residual",
            "InapplicableSymmetryError"]
 
 
@@ -62,9 +61,6 @@ class Rotation:
         u2 = -(u1s + fd_eps * ys) * sa + (u2s - fd_eps * xs) * ca
         return alpha, u1, u2, p
 
-    def inverse(self):
-        return Rotation(self.f, self.fdot, -self.eps)
-
 
 @dataclass(frozen=True)
 class Galilei:
@@ -88,9 +84,6 @@ class Galilei:
         alpha, u1, u2, p = field.values(t, x, y - shift)
         return alpha, u1, u2 + dshift, p
 
-    def inverse(self):
-        return Galilei(self.g, self.gdot, -self.eps, self.axis)
-
 
 @dataclass(frozen=True)
 class PressureShift:
@@ -104,9 +97,6 @@ class PressureShift:
         alpha, u1, u2, p = field.values(t, x, y)
         return alpha, u1, u2, p + _tcall(self.F, self.Fdot, t) * self.eps
 
-    def inverse(self):
-        return PressureShift(self.F, self.Fdot, -self.eps)
-
 
 @dataclass(frozen=True)
 class TimeTranslation:
@@ -114,9 +104,6 @@ class TimeTranslation:
 
     def pull_values(self, field: Field, t, x, y):
         return field.values(t - self.eps, x, y)
-
-    def inverse(self):
-        return TimeTranslation(-self.eps)
 
 
 @dataclass(frozen=True)
@@ -136,9 +123,6 @@ class Scale:
         return (math.exp(2.0 * e) * alpha, cu * u1, cu * u2,
                 math.exp(2.0 * self.n * e) * p)
 
-    def inverse(self):
-        return Scale(-self.eps, self.m, self.n)
-
 
 GroupElement = Rotation | Galilei | PressureShift | TimeTranslation | Scale
 
@@ -152,15 +136,9 @@ class TransformedField(Field):
         return self.elem.pull_values(self.source, t, x, y)
 
 
-def transform_field(elem: GroupElement, field: Field) -> TransformedField:
-    return TransformedField(elem, field)
-
-
 def orbit_residual(elem: GroupElement, sol: SolutionFamily,
                    triplet: ConstitutiveTriplet, phys: PhysConstants,
-                   samples: SampleSet,
-                   boundary: Optional[BoundaryCircle] = None
-                   ) -> ResidualReport:
+                   samples: SampleSet) -> ResidualReport:
     """Governing residual of the transformed solution.
 
     A valid symmetry keeps this in the magnitude class of the base
@@ -175,7 +153,6 @@ def orbit_residual(elem: GroupElement, sol: SolutionFamily,
             raise InapplicableSymmetryError(
                 f"scale exponents ({elem.m}, {elem.n}) do not match the "
                 f"triplet ({triplet.params.m}, {triplet.params.n})")
-    if boundary is None:
-        boundary = sol.boundary()
-    provider = JetProvider(transform_field(elem, sol), AnalyticEngine())
-    return governing_residual(provider, triplet, phys, samples, boundary)
+    provider = JetProvider(TransformedField(elem, sol), AnalyticEngine())
+    return governing_residual(provider, triplet, phys, samples,
+                              sol.boundary())

@@ -19,8 +19,8 @@ from tumorsym.solutions import (BoundaryCircle, Full413, Moving442,
                                 Moving444, Stationary413s, Steady432,
                                 reduced_profiles_of)
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
-                               TimeTranslation, orbit_residual,
-                               transform_field)
+                               TimeTranslation, TransformedField,
+                               orbit_residual)
 
 from support import ConstantState, richardson_order
 
@@ -172,7 +172,7 @@ def test_criterion_5_orbit_suite(capsys):
     for eps in eps_set:
         g = Galilei(g=lambda t: t * t, gdot=lambda t: 2.0 * t, eps=eps)
         linf = governing_residual(
-            JetProvider(transform_field(g, cs), AnalyticEngine()),
+            JetProvider(TransformedField(g, cs), AnalyticEngine()),
             trip, PhysConstants(lam=1.0), SampleSet(),
             BoundaryCircle(delta=1.0)).linf
         if linf > 1e-13:

@@ -14,7 +14,7 @@ from tumorsym.residuals import (SampleSet, boundary_residual,
                                 cross_engine_check, governing_residual,
                                 governing_residual_at)
 from tumorsym.solutions import FAMILY_IDS, BoundaryCircle
-from tumorsym.symmetry import Galilei, Rotation, transform_field
+from tumorsym.symmetry import Galilei, Rotation, TransformedField
 
 from support import CartesianView
 
@@ -39,7 +39,7 @@ def _fields():
         yield fid, sol, sol
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
     rot = Rotation(f=math.sin, fdot=math.cos, eps=1.0)
-    yield "rotation", transform_field(rot, sol), sol
+    yield "rotation", TransformedField(rot, sol), sol
 
 
 class _PointwiseEngine:
@@ -203,7 +203,7 @@ def test_governing_rejects_the_pointwise_singular_samples():
     samples = SampleSet(times=(2.0, 1.0))
     pts = list(samples.points(sol.boundary()))
     eps = pts[96 + 5 * 8][1]
-    field = transform_field(Galilei(g=lambda t: t, gdot=lambda t: 1.0,
+    field = TransformedField(Galilei(g=lambda t: t, gdot=lambda t: 1.0,
                                     eps=eps), sol)
     args = (sol.triplet(), sol.phys(), samples, sol.boundary())
     batched = governing_residual(JetProvider(field, AnalyticEngine()),
@@ -312,7 +312,7 @@ def test_fd_governing_rejects_the_pointwise_singular_samples():
     r = 0.5 and r = 1 reach it at the x offsets +2h and -2h, so the slice
     fails at two different stencil offsets before its jet succeeds."""
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
-    field = transform_field(Galilei(g=lambda t: t, gdot=lambda t: 1.0,
+    field = TransformedField(Galilei(g=lambda t: t, gdot=lambda t: 1.0,
                                     eps=0.75), sol)
     h = 0.125
     samples = SampleSet(r_min_fraction=0.25, n_r=3)

@@ -291,6 +291,18 @@ def test_orbit_reports_no_bound_for_a_nan_base_residual(tmp_path, capsys):
     assert json.loads((out / "orbit.json").read_text())["allowed"] is None
 
 
+def test_orbit_over_its_bound_prints_the_fail_line_of_verify(tmp_path,
+                                                             capsys):
+    cfg = _write(tmp_path, _family_body("full413", **_FULL)
+                 + "\n[orbit]\nelement = galilei\neps = -4.5\n")
+    assert main(["orbit", "--config", cfg]) == 1
+    orbit = capsys.readouterr()
+    assert "orbit Linf=4.342160e-13 allowed=1.000000e-13" in orbit.out
+    assert orbit.err == "FAIL orbit Linf 4.342e-13 > 1.000e-13\n"
+    assert main(["verify", "--config", cfg]) == 1
+    assert orbit.err in capsys.readouterr().err.splitlines(keepends=True)
+
+
 def test_validate_rejects_a_non_finite_derived_constant(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, _OVERFLOW_BODY)
@@ -549,11 +561,16 @@ def _mostly(valid, bad=_EXTREME):
 
 def _run_fuzzed(tmp_path, capsys, command, family_id, sections):
     """``command`` on an acceptance family with the given sections ends in
-    exit 0, 1 or 2, never in an uncaught exception or a traceback."""
+    exit 0, 1 or 2, never in an uncaught exception or a traceback, and a
+    non-zero exit always says why on stderr."""
     cfg = _write(tmp_path, _family_body(family_id, **_ACCEPTANCE[family_id])
                  + sections)
-    assert main([command, "--config", cfg]) in (0, 1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    code = main([command, "--config", cfg])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.strip()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
@@ -604,6 +621,8 @@ def test_samples_fuzz_ends_in_an_exit_code(tmp_path, capsys, command,
          element="time-translation", eps=1.0, f="const", axis="x")
 @example(command="verify", family_id="stationary413s", element="scale",
          eps=400.0, f="const", axis="x")
+@example(command="orbit", family_id="full413", element="galilei",
+         eps=-4.5, f="const", axis="x")
 def test_orbit_fuzz_ends_in_an_exit_code(tmp_path, capsys, command,
                                          family_id, element, eps, f, axis):
     _run_fuzzed(tmp_path, capsys, command, family_id,

@@ -12,8 +12,8 @@ from tumorsym.numerics import (IntegrationError, OdeSpec, QuadratureSpec,
                                exp_over_z_quadrature, fd_derivative,
                                ode_integrate, quad_adaptive)
 from tumorsym.numerics.dd import DD, two_prod, two_sum
-from tumorsym.numerics.dual import (Dual, atan2, cos, exp, expm1, lift, log,
-                                    seed2, sin, sqrt, value)
+from tumorsym.numerics.dual import (Dual, atan, atan2, cos, exp, expm1, lift,
+                                    log, seed2, sin, sqrt, value)
 from tumorsym.numerics.quadrature import _GK15
 
 from support import ddr, derivative, richardson_order, second_derivative
@@ -186,6 +186,59 @@ def test_expm1_near_zero():
     assert derivative(expm1, 1e-12) == math.exp(1e-12)
 
 
+# (function, libm kernel, DD method, derivative d * f'(x) written as the
+# dual rule writes it, from the seed d, the point x and the value f(x))
+_ELEMENTARY = [
+    (exp, math.exp, DD.exp, lambda d, x, fx: d * fx),
+    (expm1, math.expm1, DD.expm1, lambda d, x, fx: d * exp(x)),
+    (log, math.log, DD.log, lambda d, x, fx: d / x),
+    (sin, math.sin, DD.sin, lambda d, x, fx: d * cos(x)),
+    (cos, math.cos, DD.cos, lambda d, x, fx: -d * sin(x)),
+    (sqrt, math.sqrt, DD.sqrt, lambda d, x, fx: d / (2.0 * fx)),
+    (atan, math.atan, DD.atan, lambda d, x, fx: d / (1.0 + x * x)),
+]
+_POINTS = (0.3, 1.7, 12.5, 1e-9)
+
+
+def _bits(z):
+    return (z.hi, z.lo) if isinstance(z, DD) else z
+
+
+@pytest.mark.parametrize("f, libm, method, der", _ELEMENTARY,
+                         ids=[row[1].__name__ for row in _ELEMENTARY])
+def test_elementary_dispatch_keeps_every_path(f, libm, method, der):
+    """Floats take libm's bits, arrays libm's bits element by element,
+    DDs their method's (hi, lo), duals the derivative rule."""
+    for x in _POINTS:
+        assert f(x) == libm(x)
+        zero_d = f(np.array(x))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert zero_d.item() == libm(x)
+        got, want = f(DD(x, x * 1e-17)), method(DD(x, x * 1e-17))
+        assert (got.hi, got.lo) == (want.hi, want.lo)
+        for dot in (1.0, 0.7):
+            z = f(Dual(x, dot))
+            assert (z.val, z.dot) == (libm(x), der(dot, x, libm(x)))
+        z = f(Dual(DD.of(x), 0.7))
+        fx = method(DD.of(x))
+        assert _bits(z.val) == _bits(fx)
+        assert _bits(z.dot) == _bits(der(0.7, DD.of(x), fx))
+    xs = np.array([list(_POINTS), [2.0, 0.5, 3.25, 7.0]])
+    got = f(xs)
+    assert got.shape == xs.shape
+    assert got.tolist() == [[libm(v) for v in row] for row in xs.tolist()]
+
+
+@pytest.mark.parametrize("f", [log, sqrt], ids=["log", "sqrt"])
+def test_log_and_sqrt_of_a_negative_float_raise(f):
+    with pytest.raises(ValueError):
+        f(-1.0)
+    with pytest.raises(ValueError):
+        f(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        f(np.array(-1.0))
+
+
 # -- double-double ----------------------------------------------------------
 
 def test_two_sum_error_exact():
@@ -251,6 +304,10 @@ def test_float_paths_give_inf_where_libm_overflows(f, libm):
     got = f(np.array([1.0, 710.0]))
     assert got.tolist() == [libm(1.0), math.inf]
     assert f(np.array([1.0, 2.0])).tolist() == [libm(1.0), libm(2.0)]
+    zero_d = f(np.array(710.0))
+    assert zero_d.shape == () and zero_d.item() == math.inf
+    assert f(np.float64(710.0)) == math.inf
+    assert f(np.array([[710.0], [1.0]])).tolist() == [[math.inf], [libm(1.0)]]
 
 
 _EXPM1_TAIL = (-37.5, -80.0, -745.0, -800.0)

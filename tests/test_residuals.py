@@ -11,8 +11,8 @@ import pytest
 from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams, PowerLawTriplet)
 from tumorsym.jets import AnalyticEngine, FdEngine, Field, JetProvider
-from tumorsym.residuals import (SampleSet, _acc, _collect,
-                                boundary_residual, cross_engine_check,
+from tumorsym.residuals import (SampleSet, _acc, boundary_residual,
+                                collect_report, cross_engine_check,
                                 governing_residual)
 from tumorsym.solutions import (BoundaryCircle, Full413, Stationary413s,
                                 Steady432)
@@ -208,7 +208,7 @@ def test_cross_engine_counts_a_nan_disagreement():
 def test_collect_reports_a_nan_anywhere_in_the_column():
     rows = [(1e-12,), (math.nan,), (1e-12,)]
     locations = [(1.0, 0.1, 0.0), (1.0, 0.2, 0.0), (1.0, 0.3, 0.0)]
-    rep = _collect(("mass",), rows, locations, "analytic", [])
+    rep = collect_report(("mass",), rows, locations, "analytic", [])
     eq = rep.norm("mass")
     assert math.isnan(eq.linf) and math.isnan(rep.linf)
     assert eq.linf_location == (1.0, 0.2, 0.0)
@@ -220,7 +220,8 @@ def test_collect_l2_of_an_infinite_residual_is_inf():
     residual makes the L2 norm infinite, not NaN."""
     rows = [(1e-12,), (math.inf,), (1e-12,)]
     locations = [(1.0, 0.1, 0.0), (1.0, 0.2, 0.0), (1.0, 0.3, 0.0)]
-    eq = _collect(("mass",), rows, locations, "analytic", []).norm("mass")
+    eq = collect_report(("mass",), rows, locations, "analytic",
+                        []).norm("mass")
     assert eq.linf == math.inf and eq.l2 == math.inf
     assert eq.linf_location == (1.0, 0.2, 0.0)
 
@@ -234,7 +235,8 @@ def test_collect_l2_of_finite_residuals_is_finite(column, want):
     norm: it is computed from the squares scaled by the Linf norm."""
     rows = [(v,) for v in column]
     locations = [(1.0, 0.1, 0.0), (1.0, 0.2, 0.0)]
-    eq = _collect(("mass",), rows, locations, "analytic", []).norm("mass")
+    eq = collect_report(("mass",), rows, locations, "analytic",
+                        []).norm("mass")
     assert eq.l2 == pytest.approx(want, rel=1e-15)
     assert eq.linf == column[0]
 
@@ -242,7 +244,7 @@ def test_collect_l2_of_finite_residuals_is_finite(column, want):
 def test_collect_l2_keeps_the_plain_sum_when_it_is_finite():
     col = [3e-9, 4e-9, 1.2e-10]
     rows = [(v,) for v in col]
-    eq = _collect(("mass",), rows, [(1.0, 0.0, 0.0)] * 3, "analytic",
+    eq = collect_report(("mass",), rows, [(1.0, 0.0, 0.0)] * 3, "analytic",
                   []).norm("mass")
     assert eq.l2 == math.sqrt(math.fsum(v * v for v in col))
 
