@@ -9,12 +9,14 @@ closed form ``radial(t, w) -> (alpha, vel, p)`` in w = x^2 + y^2 (every
 solution family), takes one second-order pass in w, and the chain rule in
 double-double gives the Cartesian entries (univariate Taylor propagation,
 Griewank and Walther, *Evaluating Derivatives*, 2008); any other field
-(a transformed or lifted one) takes second-order passes in x, in y and in
-the mixed pair.  Every pass reads its value and derivatives with the one
-reader of seeded results, ``numerics.dual.taylor``.  The finite-difference
-engine rebuilds the spatial entries from value calls only, one array call
-per stencil offset, and serves only as the independent reference of
-``cross_engine_check``.
+(a transformed or lifted one) takes one second-order pass on three stacked
+copies of the points, seeded in x, in y and in the mixed pair.  Every pass
+reads its value and derivatives with the one reader of seeded results,
+``numerics.dual.taylor``.  The finite-difference engine rebuilds the
+spatial entries from values only, all stencil points of a slice in one
+array call, and serves only as the independent reference of
+``cross_engine_check``.  Off the radial pass, a single point goes
+through as a one-element array.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
 carry fractional powers of t that make time differencing unreliable.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .numerics import fd_derivative
 from .numerics.dd import DD
-from .numerics.dual import seed1, seed2, seed_pair, taylor, value
+from .numerics.dual import Dual, seed1, seed2, taylor, value
 
 __all__ = ["FieldJet", "Field", "JetEngine", "AnalyticEngine", "FdEngine",
            "JetProvider", "SingularityError", "JET_ENTRIES"]
@@ -119,22 +121,67 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
 
     A field with a closed form ``radial(t, w)`` takes one second-order
     pass in w and one time seed (:func:`_radial_jet`); any other field
-    four ``values()`` passes: x, y and the mixed xy at second order, and
-    the time seed.
+    one ``values()`` call on three seeded copies of the points and the
+    time seed (:func:`_cartesian_jet`).
     """
-    t, x, y = DD.of(t), DD.of(x), DD.of(y)
     if hasattr(field, "radial"):
-        return _radial_jet(field, t, x, y)
+        return _radial_jet(field, DD.of(t), DD.of(x), DD.of(y))
+    return _on_arrays(_cartesian_jet, field, t, x, y)
 
-    def read(values):
-        return [[value(c) for c in taylor(z)] for z in values]
 
-    (a, a_x, _), (u1, u1_x, u1_xx), (u2, u2_x, u2_xx), (p, p_x, p_xx) = \
-        read(field.values(t, seed2(x), y))
-    (_, a_y, _), (_, u1_y, u1_yy), (_, u2_y, u2_yy), (_, p_y, p_yy) = \
-        read(field.values(t, x, seed2(y)))
-    _, (_, _, u1_xy), (_, _, u2_xy), _ = \
-        read(field.values(t, *seed_pair(x, y)))
+def _on_arrays(jet, field, t, x, y, *args):
+    """``jet`` at arrays of points; a single point goes through it as a
+    one-element array and comes back as floats (a singular one raises
+    :class:`SingularityError` without a mask)."""
+    if np.ndim(x):
+        return jet(field, t, x, y, *args)
+    try:
+        one = jet(field, t, np.array([x], dtype=float),
+                  np.array([y], dtype=float), *args)
+    except SingularityError as e:
+        raise SingularityError(str(e)) from None
+    return FieldJet(t=one.t, x=x, y=y,
+                    **{k: getattr(one, k).item() for k in JET_ENTRIES})
+
+
+def _stacked_values(field, t, x, y, copies):
+    """``field.values`` at ``copies`` stacked copies of the points of a
+    slice; a :class:`SingularityError` mask is folded back onto the
+    slice's points (singular in any copy)."""
+    try:
+        return field.values(t, x, y)
+    except SingularityError as e:
+        if e.mask is None:
+            raise
+        mask = e.mask.reshape(copies, -1).any(axis=0)
+        raise SingularityError(str(e), mask) from None
+
+
+def _blocks(v, copies):
+    """A stacked result cut into its copies; a constant stays a scalar."""
+    return v.reshape(copies, -1) if np.ndim(v) else (v,) * copies
+
+
+def _cartesian_jet(field, t, x, y):
+    """The jet of a field without ``radial`` from one second-order
+    ``values()`` call on three copies of the points (vector forward mode):
+    the seeds, 0/1 arrays in the dual components, make copy 0 seed2(x),
+    copy 1 seed2(y) and copy 2 the mixed pair, so the three copies give
+    f_xx, f_yy and f_xy; plus the time seed."""
+    t, x, y = DD.of(t), DD.of(x), DD.of(y)
+
+    def seed(*copies):
+        return np.repeat(np.array(copies, dtype=float), x.hi.size)
+
+    sx = Dual(Dual(DD.of(np.tile(x.hi, 3)), seed(1, 0, 1)),
+              Dual(seed(1, 0, 0), 0.0))
+    sy = Dual(Dual(DD.of(np.tile(y.hi, 3)), seed(0, 1, 0)),
+              Dual(seed(0, 1, 1), 0.0))
+    rows = [[_blocks(value(c), 3) for c in taylor(z)]
+            for z in _stacked_values(field, t, sx, sy, 3)]
+    ((a, a_x, a_y, _, _, _), (u1, u1_x, u1_y, u1_xx, u1_yy, u1_xy),
+     (u2, u2_x, u2_y, u2_xx, u2_yy, u2_xy), (p, p_x, p_y, p_xx, p_yy, _)) = \
+        [(f[0], d[0], d[1], dd[0], dd[1], dd[2]) for f, d, dd in rows]
     a_t = field.values(seed1(t), x, y)[0]
     return _field_jet(
         value(t), value(x), value(y), alpha=a, u1=u1, u2=u2, p=p,
@@ -180,32 +227,43 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
     """Jet with spatial derivatives from fourth-order central differences
     of the values, at one point or at arrays of points at the one time t.
 
-    Each stencil offset is one ``values()`` call for all points and all
-    four fields: 36 calls (the value, the time seed, and 4 + 4 + 5 + 5 +
-    16 stencil points), whatever the number of points.  A field singular
+    One ``values()`` call takes the value and the 34 stencil points of
+    every entry for all points and all four fields, and the time seed
+    one more: 2 calls, whatever the number of points.  A field singular
     at some stencil point raises :class:`SingularityError` with the mask
-    of the points singular at that offset.  alpha_t still comes from the
+    of the points singular at any offset.  alpha_t still comes from the
     analytic path (see module note).
     """
-    def f(sx, sy):
-        return np.stack(np.broadcast_arrays(
-            *(value(c) for c in field.values(t, sx, sy))))
+    return _on_arrays(_fd_jet, field, t, x, y, h)
 
-    def dx(order):
-        return fd_derivative(lambda s: f(s, y), x, order, 4, h)
 
-    def dy(order):
-        return fd_derivative(lambda s: f(x, s), y, order, 4, h)
+def _fd_jet(field, t, x, y, h):
+    def entries(f):
+        """The values and the spatial entries from the samples f(sx, sy)
+        of the four fields."""
+        return (f(x, y),
+                fd_derivative(lambda s: f(s, y), x, 1, 4, h),
+                fd_derivative(lambda s: f(x, s), y, 1, 4, h),
+                fd_derivative(lambda s: f(s, y), x, 2, 4, h),
+                fd_derivative(lambda s: f(x, s), y, 2, 4, h),
+                fd_derivative(lambda sy: fd_derivative(
+                    lambda sx: f(sx, sy), x, 1, 4, h), y, 1, 4, h))
 
-    a, u1, u2, p = f(x, y)
+    # one pass records where the stencils sample, one values() call
+    # evaluates all those points, and a second pass reads them in order
+    points = []
+    entries(lambda sx, sy: points.append((sx, sy)) or 0.0)
+    xs, ys = zip(*points)
+    k = len(points)
+    out = _stacked_values(field, t, np.concatenate(xs), np.concatenate(ys),
+                          k)
+    samples = iter(np.stack([np.broadcast_to(value(c), (k * len(x),))
+                             for c in out]).reshape(4, k, -1)
+                   .transpose(1, 0, 2))
+    ((a, u1, u2, p), (a_x, u1_x, u2_x, p_x), (a_y, u1_y, u2_y, p_y),
+     (_, u1_xx, u2_xx, p_xx), (_, u1_yy, u2_yy, p_yy),
+     (_, u1_xy, u2_xy, _)) = entries(lambda sx, sy: next(samples))
     a_t = field.values(seed1(t), x, y)[0]
-    a_x, u1_x, u2_x, p_x = dx(1)
-    a_y, u1_y, u2_y, p_y = dy(1)
-    _, u1_xx, u2_xx, p_xx = dx(2)
-    _, u1_yy, u2_yy, p_yy = dy(2)
-    _, u1_xy, u2_xy, _ = fd_derivative(
-        lambda sy: fd_derivative(lambda sx: f(sx, sy), x, 1, 4, h),
-        y, 1, 4, h)
     return _field_jet(
         t, x, y, alpha=a, u1=u1, u2=u2, p=p,
         alpha_t=value(taylor(a_t)[1]), alpha_x=a_x, alpha_y=a_y,

@@ -110,17 +110,13 @@ def _elementary(kernel, method, derivative):
     and ``derivative(dot, x, f(x))``, the seed times f'(x); a :class:`DD`
     goes to its own ``method``; an ndarray (any other argument) goes to
     the kernel element by element, so each element has the bits of the
-    float call.  Plain floats are tested first: model formulas evaluated
-    on floats (the pressure quadrature, the lift points, the reduced
-    checks) pay one type check.  Where libm overflows (only exp and expm1
-    do) math raises OverflowError; the result is then inf, as DD's is, and
-    the retry costs nothing until an argument overflows."""
-    def f(z):
-        if type(z) is float:
-            try:
-                return kernel(z)
-            except OverflowError:
-                return math.inf
+    float call.  Plain floats are tested first, in a closure that holds
+    only the kernel and the closure of the other types: model formulas
+    evaluated on floats (the pressure quadrature, the lift points, the
+    reduced checks) pay one type check.  Where libm overflows (only exp
+    and expm1 do) math raises OverflowError; the result is then inf, as
+    DD's is, and the retry costs nothing until an argument overflows."""
+    def other(z):
         if isinstance(z, Dual):
             fx = f(z.val)
             return Dual(fx, derivative(z.dot, z.val, fx))
@@ -130,6 +126,14 @@ def _elementary(kernel, method, derivative):
             return elementwise(kernel, z)
         except OverflowError:
             return elementwise(lambda v: f(float(v)), z)
+
+    def f(z):
+        if type(z) is float:
+            try:
+                return kernel(z)
+            except OverflowError:
+                return math.inf
+        return other(z)
 
     f.__name__ = f.__qualname__ = kernel.__name__
     return f
@@ -145,22 +149,36 @@ sqrt = _elementary(math.sqrt, DD.sqrt, lambda d, x, s: d / (2.0 * s))
 atan = _elementary(math.atan, DD.atan, lambda d, x, a: d / (1.0 + x * x))
 
 
-def atan2(y, x):
-    """Branch-corrected two-argument arctangent, safe for dual arguments.
+def _select(mask, a, b):
+    """``a`` where ``mask`` holds, else ``b``: a bool picks one whole; a
+    mask of bools picks element by element, through duals and DDs."""
+    if not isinstance(mask, np.ndarray):
+        return a if mask else b
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        a, b = (z if isinstance(z, Dual) else Dual(z, 0.0) for z in (a, b))
+        return Dual(_select(mask, a.val, b.val), _select(mask, a.dot, b.dot))
+    if isinstance(a, DD) or isinstance(b, DD):
+        a, b = DD.of(a), DD.of(b)
+        return DD(np.where(mask, a.hi, b.hi), np.where(mask, a.lo, b.lo))
+    return np.where(mask, a, b)
 
-    The branch is chosen from the float values; the correction is a constant,
-    so derivatives are unaffected.
+
+def atan2(y, x):
+    """Branch-corrected two-argument arctangent, safe for dual arguments
+    and for arrays of points.
+
+    The branch is chosen from the float values, point by point; the
+    correction is a constant, so derivatives are unaffected.
     """
     xv, yv = value(x), value(y)
-    if xv == 0.0 and yv == 0.0:
+    if np.any((xv == 0.0) & (yv == 0.0)):
         raise ZeroDivisionError("atan2(0, 0)")
-    if abs(xv) >= abs(yv):
-        base = atan(y / x)
-        if xv > 0.0:
-            return base
-        return base + (math.pi if yv >= 0.0 else -math.pi)
-    base = -atan(x / y)
-    return base + (math.pi / 2.0 if yv > 0.0 else -math.pi / 2.0)
+    steep = abs(xv) < abs(yv)  # atan of x/y, not y/x
+    base = atan(_select(steep, x, y) / _select(steep, y, x))
+    quarter = _select(yv > 0.0, math.pi / 2.0, -math.pi / 2.0)
+    half = _select(yv >= 0.0, math.pi, -math.pi)
+    return _select(steep, -base + quarter,
+                   _select(xv > 0.0, base, base + half))
 
 
 def lift(z, fval, fder):
@@ -189,11 +207,6 @@ def seed1(x):
 def seed2(x):
     """Second-order nested seed: f(seed2(x)).dot.dot == f''(x)."""
     return Dual(Dual(x, 1.0), Dual(1.0, 0.0))
-
-
-def seed_pair(x, y):
-    """Mixed-partial seeds: f(*seed_pair(x, y)).dot.dot == f_xy."""
-    return Dual(Dual(x, 1.0), Dual(0.0, 0.0)), Dual(Dual(y, 0.0), Dual(1.0, 0.0))
 
 
 def taylor(z):

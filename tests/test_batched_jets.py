@@ -1,6 +1,5 @@
 """Batched jets: one evaluation over all points at a time gives, bit for
-bit, the jets and residuals of the point-by-point evaluation (the FD
-engine up to round-off on the two families with array powers)."""
+bit, the jets and residuals of the point-by-point evaluation."""
 
 import math
 
@@ -13,8 +12,11 @@ from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FdEngine, Field,
 from tumorsym.residuals import (SampleSet, boundary_residual,
                                 cross_engine_check, governing_residual,
                                 governing_residual_at)
-from tumorsym.solutions import FAMILY_IDS, BoundaryCircle
-from tumorsym.symmetry import Galilei, Rotation, TransformedField
+from tumorsym.reduction import lift_profiles
+from tumorsym.solutions import FAMILY_IDS, BoundaryCircle, reduced_profiles_of
+from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
+                               TimeTranslation, TransformedField,
+                               orbit_residual)
 
 from support import CartesianView
 
@@ -34,12 +36,27 @@ def _bits(values):
 
 
 def _fields():
+    """The five families (radial pass) and a field of every other kind
+    (stacked Cartesian pass): each group element, and a lifted field."""
     for fid, params in PARAMS.items():
         sol = FAMILY_IDS[fid](**params)
         yield fid, sol, sol
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
-    rot = Rotation(f=math.sin, fdot=math.cos, eps=1.0)
-    yield "rotation", TransformedField(rot, sol), sol
+    elements = {
+        "rotation": Rotation(f=math.sin, fdot=math.cos, eps=1.0),
+        "galilei-x": Galilei(g=lambda t: t, gdot=lambda t: 1.0, eps=0.3),
+        "galilei-y": Galilei(g=math.sin, gdot=math.cos, eps=-0.2,
+                             axis="y"),
+        "pressure-shift": PressureShift(F=lambda t: t * t,
+                                        Fdot=lambda t: 2.0 * t, eps=0.7),
+        "time-translation": TimeTranslation(eps=0.25),
+    }
+    for name, elem in elements.items():
+        yield name, TransformedField(elem, sol), sol
+    m442 = FAMILY_IDS["moving442"](**PARAMS["moving442"])
+    scale = Scale(eps=0.3, m=m442.m, n=m442.n)
+    yield "scale", TransformedField(scale, m442), m442
+    yield "lifted", lift_profiles(reduced_profiles_of(sol)), sol
 
 
 class _PointwiseEngine:
@@ -247,22 +264,28 @@ class _Counted(Field):
 
 
 @pytest.mark.parametrize("n_r", [1, 12])
-def test_fd_jet_makes_36_values_calls_per_slice(n_r):
+def test_fd_jet_makes_2_values_calls_per_slice(n_r):
+    """One stacked call for the value and every stencil point, and the
+    time seed."""
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
     t, x, y = _slice(sol, SampleSet(r_min_fraction=0.1, n_r=n_r))
     assert x.shape == (8 * n_r,)
     counted = _Counted(sol)
     FdEngine(h=_h(sol)).jet(counted, t, x, y)
-    assert counted.calls == 36
+    assert counted.calls == 2
 
 
-# moving442 and moving444 raise arrays to non-integer powers, where numpy's
-# array ** and libm's pow may differ in the last bit.  A stencil value off
-# by one ulp of the field's scale F moves an order-k FD entry by at most
-# (sum of |coefficients|) ulp(F) / h^k, and the fourth-order stencils'
-# sums are at most 64/12, so 8 eps F / h^k bounds their entries; the other
-# fields match bit for bit.
-ARRAY_POWERS = ("moving442", "moving444")
+def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed():
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    counted = _Counted(sol)
+    field = TransformedField(Rotation(f=math.sin, fdot=math.cos, eps=1.0),
+                             counted)
+    t, x, y = _slice(sol)
+    analytic_jet(field, t, x, y)
+    assert counted.calls == 2
+    one = analytic_jet(field, t, x[0], y[0])
+    assert counted.calls == 4
+    assert all(type(getattr(one, e)) is float for e in JET_ENTRIES)
 
 
 @pytest.mark.parametrize("name, field, sol", list(_fields()),
@@ -276,14 +299,7 @@ def test_fd_jet_equals_pointwise(name, field, sol):
     for entry in ("x", "y") + JET_ENTRIES:
         got, want = getattr(batch, entry), getattr(ref, entry)
         assert isinstance(got, np.ndarray) and got.shape == x.shape, entry
-        if name in ARRAY_POWERS and entry in JET_ENTRIES:
-            comp, _, wrt = entry.partition("_")
-            order = 0 if wrt in ("", "t") else len(wrt)
-            scale = np.max(np.abs(getattr(batch, comp)))
-            assert np.max(np.abs(got - want)) \
-                <= 8 * np.finfo(float).eps * scale / h ** order, entry
-        else:
-            assert _bits(got) == _bits(want), entry
+        assert _bits(got) == _bits(want), entry
 
 
 # cross_engine_check at the cross-check's settings, as the point-by-point
@@ -307,10 +323,47 @@ def test_cross_engine_check_keeps_its_value(fid):
     assert got == XENG[fid]
 
 
+# orbit_residual(...).linf of the symmetry checks as the separate Cartesian
+# passes (x, y, mixed xy) gave it: the default rotation of verify on each
+# family, and the other elements of the orbit command
+ORBIT = {
+    ("full413", "rotation"): 4.083594046070926e-15,
+    ("stationary413s", "rotation"): 5.710010885110494e-11,
+    ("moving442", "rotation"): 1.175506719819935e-10,
+    ("moving444", "rotation"): 6.569428265090483e-10,
+    ("steady432", "rotation"): 5.2071545920812095e-11,
+    ("stationary413s", "rotation-sin"): 5.70996320818221e-11,
+    ("full413", "galilei"): 0.0021479959681978502,
+    ("moving442", "scale"): 7.767852743513493e-11,
+}
+
+
+def _orbit_element(name, sol):
+    if name == "rotation":
+        return Rotation(f=lambda t: 1.0, fdot=lambda t: 0.0, eps=0.5)
+    if name == "rotation-sin":
+        return Rotation(f=math.sin, fdot=math.cos, eps=0.5)
+    if name == "galilei":
+        return Galilei(g=lambda t: t, gdot=lambda t: 1.0, eps=-4.5)
+    return Scale(eps=0.3, m=sol.m, n=sol.n)
+
+
+@pytest.mark.parametrize("fid, name", sorted(ORBIT),
+                         ids=[f"{f}-{n}" for f, n in sorted(ORBIT)])
+def test_orbit_residual_keeps_its_value(fid, name):
+    sol = FAMILY_IDS[fid](**PARAMS[fid])
+    samples = SampleSet(times=(1.0, 2.0)) if name == "galilei" \
+        else SampleSet()
+    got = orbit_residual(_orbit_element(name, sol), sol, sol.triplet(),
+                         sol.phys(), samples)
+    assert got.linf == ORBIT[fid, name]
+
+
 def test_fd_governing_rejects_the_pointwise_singular_samples():
     """The boosted field is singular at (0.75, 0): the theta = 0 samples at
-    r = 0.5 and r = 1 reach it at the x offsets +2h and -2h, so the slice
-    fails at two different stencil offsets before its jet succeeds."""
+    r = 0.5 and r = 1 reach it at the x offsets +2h and -2h, two different
+    stencil offsets; the stacked call folds both into one mask, so the
+    slice fails once before its jet succeeds."""
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
     field = TransformedField(Galilei(g=lambda t: t, gdot=lambda t: 1.0,
                                     eps=0.75), sol)
@@ -320,9 +373,17 @@ def test_fd_governing_rejects_the_pointwise_singular_samples():
     assert [p[1:] for p in samples.points(boundary)][8:17:8] \
         == [(0.5, 0.0), (1.0, 0.0)]
     args = (sol.triplet(), sol.phys(), samples, boundary)
-    batched = governing_residual(JetProvider(field, FdEngine(h=h)), *args)
+    attempts = []
+
+    class Engine(FdEngine):
+        def jet(self, field, t, x, y):
+            attempts.append(len(x))
+            return super().jet(field, t, x, y)
+
+    batched = governing_residual(JetProvider(field, Engine(h=h)), *args)
     pointwise = governing_residual(JetProvider(field, _fd_pointwise(h)),
                                    *args)
+    assert attempts == [24, 22]
     assert batched.engine == "fd"
     assert batched.rejected == (8, 16)
     assert batched == pointwise

@@ -165,6 +165,32 @@ def test_atan2_quadrants():
         assert value(atan2(y, x)) == pytest.approx(math.atan2(y, x))
 
 
+def test_atan2_on_arrays_has_the_bits_of_the_scalar_calls():
+    # every branch: |x| >= |y| with x > 0 and x < 0, |x| < |y| with y of
+    # either sign, and the axes
+    pts = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (0.5, 2.0),
+           (-2.0, 0.5), (0.3, -4.0), (-0.7, 0.0), (0.0, -0.2), (3.0, 0.0)]
+    xs, ys = (np.array(c) for c in zip(*pts))
+
+    def parts(z):
+        return [value(z.val.val), value(z.val.dot), value(z.dot.val),
+                value(z.dot.dot)]
+
+    def seeded(x, y):  # second order along (1, 2)
+        return (Dual(Dual(DD.of(x), 1.0), Dual(1.0, 0.0)),
+                Dual(Dual(DD.of(y), 2.0), Dual(2.0, 0.0)))
+
+    sx, sy = seeded(xs, ys)
+    batch = np.array(parts(atan2(sy, sx)))
+    for i, (x, y) in enumerate(pts):
+        sx, sy = seeded(x, y)
+        single = parts(atan2(sy, sx))
+        assert batch[:, i].view(np.int64).tolist() \
+            == np.array(single).view(np.int64).tolist(), (x, y)
+    with pytest.raises(ZeroDivisionError):
+        atan2(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
 @given(st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=40, deadline=None)
 def test_dual_chain_rule_property(x):
