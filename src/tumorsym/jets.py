@@ -227,12 +227,12 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
     """Jet with spatial derivatives from fourth-order central differences
     of the values, at one point or at arrays of points at the one time t.
 
-    One ``values()`` call takes the value and the 34 stencil points of
-    every entry for all points and all four fields, and the time seed
-    one more: 2 calls, whatever the number of points.  A field singular
-    at some stencil point raises :class:`SingularityError` with the mask
-    of the points singular at any offset.  alpha_t still comes from the
-    analytic path (see module note).
+    One ``values()`` call takes the 25 distinct stencil points of every
+    entry (the value and 24 offsets) for all points and all four fields,
+    and the time seed one more: 2 calls, whatever the number of points.
+    A field singular at some stencil point raises
+    :class:`SingularityError` with the mask of the points singular at any
+    offset.  alpha_t still comes from the analytic path (see module note).
     """
     return _on_arrays(_fd_jet, field, t, x, y, h)
 
@@ -249,17 +249,25 @@ def _fd_jet(field, t, x, y, h):
                 fd_derivative(lambda sy: fd_derivative(
                     lambda sx: f(sx, sy), x, 1, 4, h), y, 1, 4, h))
 
-    # one pass records where the stencils sample, one values() call
-    # evaluates all those points, and a second pass reads them in order
-    points = []
-    entries(lambda sx, sy: points.append((sx, sy)) or 0.0)
-    xs, ys = zip(*points)
+    # one pass records where the stencils sample, keyed on the exact
+    # coordinates (the value and each axis offset recur: 35 samples, 25
+    # distinct points), one values() call evaluates the distinct points,
+    # and a second pass reads them in the recorded order
+    points, order = {}, []
+
+    def record(sx, sy):
+        order.append(points.setdefault((sx.tobytes(), sy.tobytes()),
+                                       (len(points), sx, sy))[0])
+        return 0.0
+
+    entries(record)
+    _, xs, ys = zip(*points.values())
     k = len(points)
     out = _stacked_values(field, t, np.concatenate(xs), np.concatenate(ys),
                           k)
-    samples = iter(np.stack([np.broadcast_to(value(c), (k * len(x),))
-                             for c in out]).reshape(4, k, -1)
-                   .transpose(1, 0, 2))
+    blocks = np.stack([np.broadcast_to(value(c), (k * len(x),))
+                       for c in out]).reshape(4, k, -1).transpose(1, 0, 2)
+    samples = (blocks[i] for i in order)
     ((a, u1, u2, p), (a_x, u1_x, u2_x, p_x), (a_y, u1_y, u2_y, p_y),
      (_, u1_xx, u2_xx, p_xx), (_, u1_yy, u2_yy, p_yy),
      (_, u1_xy, u2_xy, _)) = entries(lambda sx, sy: next(samples))

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core_model import ConstitutiveTriplet, PhysConstants, PowerLawParams
-from .jets import Field
+from .jets import Field, radial_argument
 from .numerics import (IntegrationError, QuadratureSpec, ode_integrate,
                        quad_adaptive)
 from .numerics.dd import DD
@@ -69,7 +69,8 @@ class LiftedField(Field):
         prof = self.profiles
         g = prof.gamma  # 0 for steady profiles: t ** g is exactly 1
         w1, w2 = x * t ** g, y * t ** g
-        r, phi = sqrt(w1 * w1 + w2 * w2), atan2(w2, w1)
+        r = sqrt(radial_argument(t, w1, w2))  # rejects the origin first
+        phi = atan2(w2, w1)
         lam, R, p, Phi = prof.fields(r)
         u1, u2 = R * cos(Phi + phi), R * sin(Phi + phi)
         if prof.steady:
@@ -249,33 +250,58 @@ def integrate_ode_4_6(params: PowerLawParams, phys: PhysConstants,
 def pressure_from_lambda(lambda_profile: Callable, source: Callable,
                          d0: float, c3: float, c4: float, delta: float,
                          quad: Optional[QuadratureSpec] = None) -> Callable:
-    """Pressure profile by double quadrature of the mass source.
+    """Pressure profile by quadrature of the mass source.
 
-    The inner antiderivative of rho*S(lam(rho)) is fixed by requiring
-    decay at infinity, which reproduces the closed exponential-integral
-    forms for Gaussian-decaying concentration profiles.
+    With g(z) = z S(lam(z)), the pressure is
+    P(r) = c4 + c3 ln r - (1/d0) int_r^delta inner(rho)/rho drho, where
+    inner(rho) = -int_rho^inf g is fixed by requiring decay at infinity;
+    this reproduces the closed exponential-integral forms for
+    Gaussian-decaying concentration profiles.  The double integral is
+    taken in the swapped order, one quadrature per radius: with
+    a = min(r, delta) and b = max(r, delta),
+
+        int_a^b (1/rho) int_rho^inf g dz drho
+            = int_a^b g(z) ln(z/a) dz + ln(b/a) int_b^inf g(z) dz,
+
+    entering P with sign + for r < delta and - for r > delta.  The far
+    tail int_b^inf g is summed over doubling segments until one is dust;
+    the one from delta is computed once, on the first radius below it.
     """
     if quad is None:
         quad = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
 
-    def inner(rho):
-        # -int_rho^inf z S(lam(z)) dz, truncated once segments are dust
+    def g(z):
+        return z * source(lambda_profile(z))
+
+    def far(b):
+        # int_b^inf g, truncated once segments are dust
         total = 0.0
-        lo = rho
-        width = max(1.0, 0.5 * rho)
+        lo = b
+        width = max(1.0, 0.5 * b)
         while True:
-            seg, _ = quad_adaptive(lambda z: z * source(lambda_profile(z)),
-                                   lo, lo + width, quad)
+            seg, _ = quad_adaptive(g, lo, lo + width, quad)
             total += seg
             lo += width
             width *= 2.0
-            if abs(seg) < quad.abs_tol and lo > rho + 4.0:
-                break
-        return -total
+            if abs(seg) < quad.abs_tol and lo > b + 4.0:
+                return total
+
+    far_delta = None
 
     def P(r):
-        tail, _ = quad_adaptive(lambda rho: inner(rho) / rho, r, delta, quad)
-        return c4 + c3 * math.log(r) - tail / d0
+        nonlocal far_delta
+        if r == delta:
+            return c4 + c3 * math.log(r)
+        a, b = min(r, delta), max(r, delta)
+        near, _ = quad_adaptive(lambda z: g(z) * math.log(z / a), a, b, quad)
+        if r < delta:
+            if far_delta is None:
+                far_delta = far(delta)
+            sign, tail = 1.0, far_delta
+        else:
+            sign, tail = -1.0, far(r)
+        return c4 + c3 * math.log(r) \
+            + sign * (near + math.log(b / a) * tail) / d0
 
     return P
 

@@ -213,6 +213,21 @@ def test_radial_and_cartesian_passes_reject_the_origin_alike(fid):
         assert radial == cartesian
 
 
+def test_a_lifted_field_rejects_the_origin_as_its_family_does():
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    lifted = lift_profiles(reduced_profiles_of(sol))
+    args = (sol.triplet(), sol.phys(), _WithOrigin(), sol.boundary())
+    family = governing_residual(JetProvider(sol), *args)
+    lift = governing_residual(JetProvider(lifted), *args)
+    assert lift.rejected == family.rejected == (5,)
+    assert lift.sample_count == family.sample_count == 96
+    with pytest.raises(SingularityError) as err:
+        lifted.values(1.0, 0.0, 0.0)
+    assert err.value.mask is None
+    with pytest.raises(ValueError, match="lifted field needs t > 0"):
+        lifted.values(0.0, 0.0, 0.0)
+
+
 def test_governing_rejects_the_pointwise_singular_samples():
     # a boost by exactly the radius of ring 5 moves its theta = 0 sample of
     # the t = 1 slice onto the singular origin
@@ -273,6 +288,23 @@ def test_fd_jet_makes_2_values_calls_per_slice(n_r):
     counted = _Counted(sol)
     FdEngine(h=_h(sol)).jet(counted, t, x, y)
     assert counted.calls == 2
+
+
+@pytest.mark.parametrize("n_r", [1, 12])
+def test_fd_jet_evaluates_each_distinct_stencil_point_once(n_r):
+    """The stacked call takes the 25 distinct points of the 5 x 5 offset
+    grid per sample, not the 35 samples the stencils read."""
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    t, x, y = _slice(sol, SampleSet(r_min_fraction=0.1, n_r=n_r))
+    sizes = []
+
+    class Sized(Field):
+        def values(self, t, x, y):
+            sizes.append(x.size)
+            return sol.values(t, x, y)
+
+    FdEngine(h=_h(sol)).jet(Sized(), t, x, y)
+    assert sizes == [25 * x.size, x.size]
 
 
 def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed():

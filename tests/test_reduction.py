@@ -438,3 +438,55 @@ def test_pressure_quadrature_matches_steady_closed_form():
                              delta=sol.delta)
     for r in (0.1, 0.4, 0.8, sol.delta):
         assert abs(P(r) - sol.values(1.0, r, 0.0)[3]) <= 1e-9
+
+
+def _pressure_oracle(fid):
+    """A family, its pressure rebuilt from lambda and the reduced mass
+    source, and a count of the lambda-profile calls."""
+    if fid == "stationary413s":
+        sol = Stationary413s(**FIG34)
+        src = lambda a: sol.s0 * a ** sol.n + a / (sol.n - 1.0)
+    else:
+        sol = Steady432(**STEADY)
+        src = lambda a: sol.k1 * a ** sol.m_exp - sol.k2 * a ** sol.n_exp
+    calls = [0]
+
+    def lam(r):
+        calls[0] += 1
+        return sol.values(1.0, r, 0.0)[0]
+
+    return sol, pressure_from_lambda(lam, src, sol.d0, c3=sol.c3,
+                                     c4=sol.c4, delta=sol.delta), calls
+
+
+@pytest.mark.parametrize("fid", ["stationary413s", "steady432"])
+def test_pressure_quadrature_outside_the_front(fid):
+    """The r > delta branch: the far tail starts at r, and the near part
+    enters with the opposite sign."""
+    sol, P, _ = _pressure_oracle(fid)
+    r = 1.3 * sol.delta
+    assert abs(P(r) - sol.values(1.0, r, 0.0)[3]) <= 1e-12
+
+
+@pytest.mark.parametrize("fid, radii", [
+    ("stationary413s", (0.1, 0.3, 0.5)), ("steady432", (0.1, 0.4, 0.8))])
+def test_pressure_quadrature_within_1e_12_of_the_closed_form(fid, radii):
+    sol, P, _ = _pressure_oracle(fid)
+    for r in radii + (sol.delta,):
+        assert abs(P(r) - sol.values(1.0, r, 0.0)[3]) <= 1e-12
+
+
+def test_pressure_quadrature_is_one_quadrature_per_radius():
+    """The swapped order integrates each radius once and the far tail from
+    delta once, where the nested order integrated out to infinity at
+    every node (67 770 lambda calls for these four radii)."""
+    sol, P, calls = _pressure_oracle("stationary413s")
+    for r in (0.1, 0.3, 0.5, sol.delta):
+        P(r)
+    assert calls[0] < 2000
+    # a later radius below delta reuses the far tail of the first
+    before = calls[0]
+    P(0.2)
+    _, fresh, fresh_calls = _pressure_oracle("stationary413s")
+    fresh(0.2)
+    assert calls[0] - before < fresh_calls[0]
