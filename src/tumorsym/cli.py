@@ -116,12 +116,12 @@ def cmd_validate(args):
 def _build_element(spec, triplet):
     element, eps = spec["element"], spec["eps"]
     if element == "rotation":
-        if spec.get("f") == "sin":
+        if spec["f"] == "sin":
             return Rotation(f=math.sin, fdot=math.cos, eps=eps)
         return Rotation(f=lambda t: 1.0, fdot=lambda t: 0.0, eps=eps)
     if element == "galilei":
         return Galilei(g=lambda t: t, gdot=lambda t: 1.0, eps=eps,
-                       axis=spec.get("axis", "x"))
+                       axis=spec["axis"])
     if element == "pressure-shift":
         return PressureShift(F=lambda t: t * t, Fdot=lambda t: 2.0 * t,
                              eps=eps)
@@ -159,7 +159,7 @@ def _governing(cfg, sol):
 
 
 # the element ``verify`` checks when the config has no [orbit] section
-_DEFAULT_ORBIT = {"element": "rotation", "eps": 0.5, "f": "const"}
+_DEFAULT_ORBIT = dict(element="rotation", eps=0.5, f="const", axis="x")
 
 
 def _orbit_check(cfg, sol, triplet, base_linf):

@@ -13,10 +13,12 @@ Griewank and Walther, *Evaluating Derivatives*, 2008); any other field
 copies of the points, seeded in x, in y and in the mixed pair.  Every pass
 reads its value and derivatives with the one reader of seeded results,
 ``numerics.dual.taylor``.  The finite-difference engine rebuilds the
-spatial entries from values only, all stencil points of a slice in one
-array call, and serves only as the independent reference of
-``cross_engine_check``.  Off the radial pass, a single point goes
-through as a one-element array.
+spatial entries from values only: one array call takes the 5 x 5 grid
+x + i h, y + j h (i, j in -2..2) around every point of a slice, which
+holds every point the fourth-order stencils read; it serves only as the
+independent reference of ``cross_engine_check``.  Every path hands its
+partials to one assembly of the jet.  Off the radial pass, a single
+point goes through as a one-element array.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
 carry fractional powers of t that make time differencing unreliable.
@@ -179,17 +181,10 @@ def _cartesian_jet(field, t, x, y):
               Dual(seed(0, 1, 1), 0.0))
     rows = [[_blocks(value(c), 3) for c in taylor(z)]
             for z in _stacked_values(field, t, sx, sy, 3)]
-    ((a, a_x, a_y, _, _, _), (u1, u1_x, u1_y, u1_xx, u1_yy, u1_xy),
-     (u2, u2_x, u2_y, u2_xx, u2_yy, u2_xy), (p, p_x, p_y, p_xx, p_yy, _)) = \
-        [(f[0], d[0], d[1], dd[0], dd[1], dd[2]) for f, d, dd in rows]
-    a_t = field.values(seed1(t), x, y)[0]
-    return _field_jet(
-        value(t), value(x), value(y), alpha=a, u1=u1, u2=u2, p=p,
-        alpha_t=value(taylor(a_t)[1]), alpha_x=a_x, alpha_y=a_y,
-        u1_x=u1_x, u1_y=u1_y, u2_x=u2_x, u2_y=u2_y,
-        u1_xx=u1_xx, u1_xy=u1_xy, u1_yy=u1_yy,
-        u2_xx=u2_xx, u2_xy=u2_xy, u2_yy=u2_yy,
-        p_x=p_x, p_y=p_y, p_xx=p_xx, p_yy=p_yy)
+    return _field_jet(value(t), value(x), value(y),
+                      _alpha_t(field, t, x, y),
+                      [(f[0], d[0], d[1], dd[0], dd[1], dd[2])
+                       for f, d, dd in rows])
 
 
 def _radial_jet(field, t, x, y):
@@ -200,26 +195,20 @@ def _radial_jet(field, t, x, y):
     w = radial_argument(t, x, y)
     (A, A1, _), (V, V1, V2), (P, P1, P2) = map(
         taylor, field.radial(t, seed2(w)))
-    a_t = field.radial(seed1(t), w)[0]
+    a_t = value(taylor(field.radial(seed1(t), w)[0])[1])
     tx, ty = x + x, y + y  # dw/dx, dw/dy
     v_x, v_y = tx * V1, ty * V1
     v_xx = 2.0 * V1 + tx * tx * V2
     v_xy = tx * ty * V2
     v_yy = 2.0 * V1 + ty * ty * V2
-    return _field_jet(
-        value(t), value(x), value(y),
-        alpha=value(A), u1=value(x * V), u2=value(y * V), p=value(P),
-        alpha_t=value(taylor(a_t)[1]),
-        alpha_x=value(tx * A1), alpha_y=value(ty * A1),
-        u1_x=value(x * v_x + V), u1_y=value(x * v_y),
-        u2_x=value(y * v_x), u2_y=value(y * v_y + V),
-        u1_xx=value(x * v_xx + 2.0 * v_x), u1_xy=value(x * v_xy + v_y),
-        u1_yy=value(x * v_yy),
-        u2_xx=value(y * v_xx), u2_xy=value(y * v_xy + v_x),
-        u2_yy=value(y * v_yy + 2.0 * v_y),
-        p_x=value(tx * P1), p_y=value(ty * P1),
-        p_xx=value(2.0 * P1 + tx * tx * P2),
-        p_yy=value(2.0 * P1 + ty * ty * P2))
+    return _field_jet(value(t), value(x), value(y), a_t, (
+        (A, tx * A1, ty * A1),
+        (x * V, x * v_x + V, x * v_y, x * v_xx + 2.0 * v_x, x * v_yy,
+         x * v_xy + v_y),
+        (y * V, y * v_x, y * v_y + V, y * v_xx, y * v_yy + 2.0 * v_y,
+         y * v_xy + v_x),
+        (P, tx * P1, ty * P1, 2.0 * P1 + tx * tx * P2,
+         2.0 * P1 + ty * ty * P2)))
 
 
 @np.errstate(all="ignore")
@@ -227,10 +216,10 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
     """Jet with spatial derivatives from fourth-order central differences
     of the values, at one point or at arrays of points at the one time t.
 
-    One ``values()`` call takes the 25 distinct stencil points of every
-    entry (the value and 24 offsets) for all points and all four fields,
-    and the time seed one more: 2 calls, whatever the number of points.
-    A field singular at some stencil point raises
+    One ``values()`` call takes the 5 x 5 grid x + i h, y + j h (i, j in
+    -2..2), which holds every point the stencils read, for all points and
+    all four fields, and the time seed one more: 2 calls, whatever the
+    number of points.  A field singular at some grid point raises
     :class:`SingularityError` with the mask of the points singular at any
     offset.  alpha_t still comes from the analytic path (see module note).
     """
@@ -238,56 +227,55 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
 
 
 def _fd_jet(field, t, x, y, h):
-    def entries(f):
-        """The values and the spatial entries from the samples f(sx, sy)
-        of the four fields."""
-        return (f(x, y),
-                fd_derivative(lambda s: f(s, y), x, 1, 4, h),
-                fd_derivative(lambda s: f(x, s), y, 1, 4, h),
-                fd_derivative(lambda s: f(s, y), x, 2, 4, h),
-                fd_derivative(lambda s: f(x, s), y, 2, 4, h),
-                fd_derivative(lambda sy: fd_derivative(
-                    lambda sx: f(sx, sy), x, 1, 4, h), y, 1, 4, h))
+    # offset 0 is x or y itself, not x + 0 h, so a -0.0 keeps its sign
+    xs = [x + i * h if i else x for i in range(-2, 3)]
+    ys = [y + j * h if j else y for j in range(-2, 3)]
+    grid = [(sx, sy) for sx in xs for sy in ys]
+    out = _stacked_values(field, t, *map(np.concatenate, zip(*grid)), 25)
+    blocks = np.stack([np.broadcast_to(value(c), (25 * len(x),))
+                       for c in out]).reshape(4, 25, -1).transpose(1, 0, 2)
+    # the stencils find their samples by the exact bytes of the offsets
+    at = {(sx.tobytes(), sy.tobytes()): b for (sx, sy), b in zip(grid, blocks)}
 
-    # one pass records where the stencils sample, keyed on the exact
-    # coordinates (the value and each axis offset recur: 35 samples, 25
-    # distinct points), one values() call evaluates the distinct points,
-    # and a second pass reads them in the recorded order
-    points, order = {}, []
+    def f(sx, sy):
+        return at[sx.tobytes(), sy.tobytes()]
 
-    def record(sx, sy):
-        order.append(points.setdefault((sx.tobytes(), sy.tobytes()),
-                                       (len(points), sx, sy))[0])
-        return 0.0
-
-    entries(record)
-    _, xs, ys = zip(*points.values())
-    k = len(points)
-    out = _stacked_values(field, t, np.concatenate(xs), np.concatenate(ys),
-                          k)
-    blocks = np.stack([np.broadcast_to(value(c), (k * len(x),))
-                       for c in out]).reshape(4, k, -1).transpose(1, 0, 2)
-    samples = (blocks[i] for i in order)
-    ((a, u1, u2, p), (a_x, u1_x, u2_x, p_x), (a_y, u1_y, u2_y, p_y),
-     (_, u1_xx, u2_xx, p_xx), (_, u1_yy, u2_yy, p_yy),
-     (_, u1_xy, u2_xy, _)) = entries(lambda sx, sy: next(samples))
-    a_t = field.values(seed1(t), x, y)[0]
-    return _field_jet(
-        t, x, y, alpha=a, u1=u1, u2=u2, p=p,
-        alpha_t=value(taylor(a_t)[1]), alpha_x=a_x, alpha_y=a_y,
-        u1_x=u1_x, u1_y=u1_y, u2_x=u2_x, u2_y=u2_y,
-        u1_xx=u1_xx, u1_xy=u1_xy, u1_yy=u1_yy,
-        u2_xx=u2_xx, u2_xy=u2_xy, u2_yy=u2_yy,
-        p_x=p_x, p_y=p_y, p_xx=p_xx, p_yy=p_yy)
+    return _field_jet(t, x, y, _alpha_t(field, t, x, y), zip(
+        f(x, y),
+        fd_derivative(lambda s: f(s, y), x, 1, 4, h),
+        fd_derivative(lambda s: f(x, s), y, 1, 4, h),
+        fd_derivative(lambda s: f(s, y), x, 2, 4, h),
+        fd_derivative(lambda s: f(x, s), y, 2, 4, h),
+        fd_derivative(lambda sy: fd_derivative(
+            lambda sx: f(sx, sy), x, 1, 4, h), y, 1, 4, h)))
 
 
-def _field_jet(t, x, y, **entries) -> FieldJet:
-    """The jet of both engines; at arrays of points, the entries that do
-    not depend on the point (constants) take the shape of ``x``."""
-    if np.ndim(x):
-        entries = {k: np.full(x.shape, v) if np.ndim(v) == 0 else v
-                   for k, v in entries.items()}
-    return FieldJet(t=t, x=x, y=y, **entries)
+def _alpha_t(field, t, x, y):
+    """The time derivative of alpha from one ``values()`` call seeded in t."""
+    return value(taylor(field.values(seed1(t), x, y)[0])[1])
+
+
+def _field_jet(t, x, y, alpha_t, rows) -> FieldJet:
+    """The one assembly of a jet from its partials: ``rows`` holds, for
+    alpha, u1, u2 and p, the tuple (f, f_x, f_y, f_xx, f_yy, f_xy), of
+    which alpha reads the first three and p the first five.  Every entry
+    is read with ``value``; at arrays of points, an entry that does not
+    depend on the point (a constant) takes the shape of ``x``."""
+    (a, a_x, a_y, *_), (u1, u1_x, u1_y, u1_xx, u1_yy, u1_xy), \
+        (u2, u2_x, u2_y, u2_xx, u2_yy, u2_xy), \
+        (p, p_x, p_y, p_xx, p_yy, *_) = rows
+    entries = dict(
+        alpha=a, u1=u1, u2=u2, p=p, alpha_t=alpha_t,
+        alpha_x=a_x, alpha_y=a_y, u1_x=u1_x, u1_y=u1_y, u2_x=u2_x,
+        u2_y=u2_y, u1_xx=u1_xx, u1_xy=u1_xy, u1_yy=u1_yy, u2_xx=u2_xx,
+        u2_xy=u2_xy, u2_yy=u2_yy, p_x=p_x, p_y=p_y, p_xx=p_xx, p_yy=p_yy)
+
+    def entry(v):
+        v = value(v)
+        return np.full(x.shape, v) if np.ndim(x) and not np.ndim(v) else v
+
+    return FieldJet(t=t, x=x, y=y,
+                    **{k: entry(v) for k, v in entries.items()})
 
 
 class AnalyticEngine:

@@ -1,7 +1,8 @@
-"""Helpers that only the tests use: exact rest states, a values-only view
-of a field (the Cartesian jet reference), dual-number
-derivatives, observed convergence orders, and reference residuals of the
-paper's reduction conditions and of the front's invariance criterion.
+"""Helpers that only the tests use: the acceptance parameter sets, exact
+rest states, a values-only view of a field (the Cartesian jet reference),
+dual-number derivatives, observed convergence orders, and reference
+residuals of the paper's reduction conditions and of the front's
+invariance criterion.
 
 The tests import them as ``from support import ...``; pytest puts this
 directory on ``sys.path`` because ``tests/`` is not a package.
@@ -16,6 +17,21 @@ from tumorsym.numerics.dual import Dual, seed1, seed2, value
 from tumorsym.residuals import nan_max
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation)
+
+
+# the five solution families at the parameters of the acceptance criteria;
+# the CLI fuzz scales the parameters in the order given here
+PARAMS = {
+    "full413": dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0,
+                    sigma0=-3.0, delta=1.0),
+    "stationary413s": dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0),
+    "moving442": dict(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0),
+    "moving444": dict(delta=1.0, lam=1.0, c1=0.1, n=-2.0),
+    "steady432": dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0,
+                      lam=4.0, d0=2.0),
+}
+# the stationary family of Figures 3 and 4
+FIG34 = PARAMS["stationary413s"]
 
 
 class ConstantState(Field):

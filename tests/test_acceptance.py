@@ -15,27 +15,17 @@ from tumorsym.reduction import (integrate_ode_4_6, lift_profiles,
                                 reduced_bc_residual, reduced_ode_residual)
 from tumorsym.residuals import (SampleSet, boundary_residual,
                                 cross_engine_check, governing_residual)
-from tumorsym.solutions import (BoundaryCircle, Full413, Moving442,
-                                Moving444, Stationary413s, Steady432,
+from tumorsym.solutions import (FAMILY_IDS, BoundaryCircle,
                                 reduced_profiles_of)
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation, TransformedField,
                                orbit_residual)
 
-from support import ConstantState, richardson_order
+from support import PARAMS, ConstantState, richardson_order
 
 
 def _families():
-    return {
-        "full413": Full413(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75,
-                           lam=4.0, sigma0=-3.0, delta=1.0),
-        "stationary413s": Stationary413s(c3=5.0, c4=2.0, n=2.0, lam=4.0,
-                                         d0=2.0),
-        "moving442": Moving442(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0),
-        "moving444": Moving444(c1=0.1, delta=1.0, n=-2.0, lam=1.0),
-        "steady432": Steady432(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0,
-                               n_exp=2.0, lam=4.0, d0=2.0),
-    }
+    return {fid: FAMILY_IDS[fid](**params) for fid, params in PARAMS.items()}
 
 
 def _finish(number, failures, started, budget):

@@ -9,6 +9,7 @@ import pytest
 from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FdEngine, Field,
                            FieldJet, JetProvider, SingularityError,
                            analytic_jet, fd_jet)
+from tumorsym.numerics import fd_derivative
 from tumorsym.residuals import (SampleSet, boundary_residual,
                                 cross_engine_check, governing_residual,
                                 governing_residual_at)
@@ -18,17 +19,7 @@ from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation, TransformedField,
                                orbit_residual)
 
-from support import CartesianView
-
-PARAMS = {
-    "full413": dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0,
-                    sigma0=-3.0, delta=1.0),
-    "stationary413s": dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0),
-    "moving442": dict(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0),
-    "moving444": dict(c1=0.1, delta=1.0, n=-2.0, lam=1.0),
-    "steady432": dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0,
-                      lam=4.0, d0=2.0),
-}
+from support import PARAMS, CartesianView
 
 
 def _bits(values):
@@ -305,6 +296,39 @@ def test_fd_jet_evaluates_each_distinct_stencil_point_once(n_r):
 
     FdEngine(h=_h(sol)).jet(Sized(), t, x, y)
     assert sizes == [25 * x.size, x.size]
+
+
+def test_fd_jet_runs_each_stencil_once(monkeypatch):
+    """Five stencils and the mixed one (one outer and four inner calls) on
+    the samples, and no pass that runs them only to find their points."""
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    t, x, y = _slice(sol)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fd_derivative(*args)
+
+    monkeypatch.setattr("tumorsym.jets.fd_derivative", counted)
+    fd_jet(sol, t, x, y, _h(sol))
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("fid", sorted(PARAMS))
+def test_fd_jet_values_are_the_field_values(fid):
+    """The value entries are ``values()`` at the points themselves: offset
+    0 is the coordinate, so y = -0.0 keeps its sign in u2 = y V."""
+    sol = FAMILY_IDS[fid](**PARAMS[fid])
+    r = sol.boundary().radius(1.0)
+    x = np.array([0.3, 0.6, 0.9]) * r
+    y = np.full(3, -0.0)
+    for xs, ys in ((x, y), (x[1], -0.0)):
+        jet = fd_jet(sol, 1.0, xs, ys, _h(sol))
+        for entry, want in zip(("alpha", "u1", "u2", "p"),
+                               sol.values(1.0, xs, ys)):
+            assert _bits(getattr(jet, entry)) == _bits(want), entry
+        # u2 = -0.0 V against u1 = x V with x > 0: opposite sign bits
+        assert np.all(np.signbit(jet.u2) != np.signbit(jet.u1)), fid
 
 
 def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed():

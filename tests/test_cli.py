@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, example, given, settings, \
 
 from tumorsym import cli
 from tumorsym.cli import main
+from tumorsym.config import load_config
 from tumorsym.jets import AnalyticEngine
 from tumorsym.solutions import FAMILY_IDS
+
+from support import PARAMS
 
 FIG34_BODY = """\
 [family]
@@ -114,25 +117,20 @@ def _family_body(family_id, **params):
         f"{k} = {v!r}\n" for k, v in params.items())
 
 
-_M444 = dict(delta=1.0, lam=1.0)
-_STAT = dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0)
-_STEADY = dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0, lam=4.0,
-               d0=2.0)
-_M442 = dict(c1=0.1, delta=1.0, m=1.0, n=3.0, lam=1.0)
-_FULL = dict(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0, sigma0=-3.0,
-             delta=1.0)
-
-
 @pytest.mark.parametrize("family_id, params, hint", [
-    ("moving444", dict(_M444, c1=-0.1, n=2.5), "c1 must be positive"),
-    ("moving444", dict(_M444, c1=0.0, n=-2.0), "c1 must be positive"),
-    ("moving444", dict(_M444, c1=-0.1, n=-2.0), "c1 must be positive"),
-    ("moving444", dict(_M444, c1=-0.1, n=3.0), "c1 must be positive"),
-    ("stationary413s", dict(_STAT, c3=1e-3, c4=-1.0), ""),
-    ("steady432", dict(_STEADY, d0=1e-6), ""),
-    ("moving442", dict(_M442, c1=1e-300), ""),
-    ("full413", dict(_FULL, c1=1e300), ""),
-    ("full413", dict(_FULL, c1=1e250, n=1.3), ""),
+    ("moving444", dict(PARAMS["moving444"], c1=-0.1, n=2.5),
+     "c1 must be positive"),
+    ("moving444", dict(PARAMS["moving444"], c1=0.0, n=-2.0),
+     "c1 must be positive"),
+    ("moving444", dict(PARAMS["moving444"], c1=-0.1, n=-2.0),
+     "c1 must be positive"),
+    ("moving444", dict(PARAMS["moving444"], c1=-0.1, n=3.0),
+     "c1 must be positive"),
+    ("stationary413s", dict(PARAMS["stationary413s"], c3=1e-3, c4=-1.0), ""),
+    ("steady432", dict(PARAMS["steady432"], d0=1e-6), ""),
+    ("moving442", dict(PARAMS["moving442"], c1=1e-300), ""),
+    ("full413", dict(PARAMS["full413"], c1=1e300), ""),
+    ("full413", dict(PARAMS["full413"], c1=1e250, n=1.3), ""),
 ], ids=["444-fractional-n", "444-zero-c1", "444-negative-c1-n-2",
         "444-negative-c1-n3", "413s-overflow", "432-overflow",
         "442-overflow", "413-overflow", "413-pressure-coefficient-overflow"])
@@ -148,17 +146,17 @@ def test_bad_family_parameters_end_in_a_message(tmp_path, capsys,
 def test_validate_reports_an_overflowing_derived_constant(tmp_path, capsys):
     """full413's pressure coefficient, whose sum with the other is the
     reported c3_regular, needs c1^n = 1e325."""
-    cfg = _write(tmp_path, _family_body("full413", **dict(_FULL, c1=1e250,
-                                                         n=1.3)))
+    cfg = _write(tmp_path, _family_body(
+        "full413", **dict(PARAMS["full413"], c1=1e250, n=1.3)))
     assert main(["validate", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("restriction violated:")
 
 
 @pytest.mark.parametrize("family_id, params", [
-    ("stationary413s", dict(_STAT, c4=math.nan)),
-    ("stationary413s", dict(_STAT, lam=math.inf)),
-    ("moving442", dict(_M442, delta=-math.inf)),
-    ("stationary413s", dict(_STAT, s0=math.nan)),
+    ("stationary413s", dict(PARAMS["stationary413s"], c4=math.nan)),
+    ("stationary413s", dict(PARAMS["stationary413s"], lam=math.inf)),
+    ("moving442", dict(PARAMS["moving442"], delta=-math.inf)),
+    ("stationary413s", dict(PARAMS["stationary413s"], s0=math.nan)),
 ], ids=["c4-nan", "lam-inf", "delta-minus-inf", "s0-nan"])
 def test_non_finite_family_parameter_exits_2(tmp_path, capsys, family_id,
                                              params):
@@ -293,7 +291,7 @@ def test_orbit_reports_no_bound_for_a_nan_base_residual(tmp_path, capsys):
 
 def test_orbit_over_its_bound_prints_the_fail_line_of_verify(tmp_path,
                                                              capsys):
-    cfg = _write(tmp_path, _family_body("full413", **_FULL)
+    cfg = _write(tmp_path, _family_body("full413", **PARAMS["full413"])
                  + "\n[orbit]\nelement = galilei\neps = -4.5\n")
     assert main(["orbit", "--config", cfg]) == 1
     orbit = capsys.readouterr()
@@ -443,6 +441,11 @@ def test_orbit_unknown_element_rejected(tmp_path, capsys):
 _ORBIT_BODY = FIG34_BODY + "\n[orbit]\nelement = rotation\n"
 
 
+def test_default_orbit_has_every_key_of_a_loaded_one(tmp_path):
+    cfg = load_config(_write(tmp_path, _ORBIT_BODY))
+    assert cfg.orbit == cli._DEFAULT_ORBIT
+
+
 @pytest.mark.parametrize("body, hint", [
     (FIG34_BODY + "\n[orbit]\nelement = galilei\naxis = z\n",
      "orbit axis must be 'x' or 'y'"),
@@ -508,7 +511,7 @@ def test_field_not_evaluable_at_the_samples_exits_1(tmp_path, capsys,
     field that overflows to inf or NaN there fails its gates instead,
     with a report."""
     cfg = _write(tmp_path, _family_body("moving444", **dict(
-        _M444, c1=0.1, n=-2.0)) + f"\n[samples]\n{samples}"
+        PARAMS["moving444"], c1=0.1, n=-2.0)) + f"\n[samples]\n{samples}"
         "\n[orbit]\nelement = rotation\n")
     for command, err in errors.items():
         out = tmp_path / command
@@ -527,15 +530,12 @@ def _load_strict(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-_ACCEPTANCE = {"full413": _FULL, "stationary413s": _STAT, "moving442": _M442,
-               "moving444": dict(_M444, c1=0.1, n=-2.0),
-               "steady432": _STEADY}
 _SMALL_SAMPLES = "\n[samples]\ntimes = 1.0\nn_r = 2\nn_theta = 2\n"
 
 
 @pytest.mark.parametrize("family_id, params", [
-    ("full413", dict(_FULL, n=-3.0, d0=7.5e-4)),
-    ("steady432", dict(_STEADY, d0=0.002)),
+    ("full413", dict(PARAMS["full413"], n=-3.0, d0=7.5e-4)),
+    ("steady432", dict(PARAMS["steady432"], d0=0.002)),
 ], ids=["power-overflows", "expm1-below-minus-37"])
 def test_evaluable_field_with_extreme_values_fails_its_gates(
         tmp_path, capsys, family_id, params):
@@ -563,7 +563,7 @@ def _run_fuzzed(tmp_path, capsys, command, family_id, sections):
     """``command`` on an acceptance family with the given sections ends in
     exit 0, 1 or 2, never in an uncaught exception or a traceback, and a
     non-zero exit always says why on stderr."""
-    cfg = _write(tmp_path, _family_body(family_id, **_ACCEPTANCE[family_id])
+    cfg = _write(tmp_path, _family_body(family_id, **PARAMS[family_id])
                  + sections)
     code = main([command, "--config", cfg])
     assert code in (0, 1, 2)
@@ -576,7 +576,7 @@ def _run_fuzzed(tmp_path, capsys, command, family_id, sections):
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["verify", "orbit"]),
-       family_id=st.sampled_from(sorted(_ACCEPTANCE)),
+       family_id=st.sampled_from(sorted(PARAMS)),
        times=st.lists(_mostly(st.floats(0.01, 100.0)), min_size=1,
                       max_size=2),
        n_r=_mostly(st.integers(1, 3), st.integers(-1, 0)),
@@ -605,7 +605,7 @@ def test_samples_fuzz_ends_in_an_exit_code(tmp_path, capsys, command,
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["verify", "orbit"]),
-       family_id=st.sampled_from(sorted(_ACCEPTANCE)),
+       family_id=st.sampled_from(sorted(PARAMS)),
        element=_mostly(st.sampled_from(["rotation", "galilei",
                                         "pressure-shift",
                                         "time-translation", "scale"]),
@@ -635,7 +635,7 @@ _TOLERANCE_NAMES = ("governing", "boundary", "reduced", "orbit_factor")
 
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(family_id=st.sampled_from(sorted(_ACCEPTANCE)),
+@given(family_id=st.sampled_from(sorted(PARAMS)),
        scales=st.lists(_mostly(st.floats(-4.0, 4.0)), min_size=8,
                        max_size=8),
        tolerances=st.lists(_mostly(st.floats(1e-16, 1e3)), min_size=4,
@@ -654,7 +654,7 @@ def test_verify_fuzz_over_family_and_tolerances(tmp_path, capsys, family_id,
                                                 scales, tolerances):
     """``verify`` with the acceptance parameters scaled (a negative n sends
     positive arguments to Ei, a small d0 large ones) and any tolerances."""
-    params = {k: v * s for (k, v), s in zip(_ACCEPTANCE[family_id].items(),
+    params = {k: v * s for (k, v), s in zip(PARAMS[family_id].items(),
                                             scales)}
     cfg = _write(tmp_path, _family_body(family_id, **params) + _SMALL_SAMPLES
                  + "\n[tolerances]\n" + "".join(

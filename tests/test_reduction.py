@@ -18,11 +18,8 @@ from tumorsym.reduction import (BcResiduals, ReducedProfiles,
 from tumorsym.solutions import (Full413, Stationary413s, Steady432,
                                 reduced_profiles_of)
 
-from support import ddr, first_integral_R, overdetermined_residual
-
-FIG34 = dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0)
-STEADY = dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0,
-              lam=4.0, d0=2.0)
+from support import (FIG34, PARAMS, ddr, first_integral_R,
+                     overdetermined_residual)
 
 
 def _radii(delta, count=64, inner=1e-2):
@@ -52,7 +49,7 @@ def test_reduced_ode_residual_full_profile():
 
 @pytest.mark.parametrize("mk", [
     lambda: Stationary413s(**FIG34),
-    lambda: Steady432(**STEADY),
+    lambda: Steady432(**PARAMS["steady432"]),
 ], ids=["stationary413s", "steady432"])
 def test_reduced_ode_flags_wrong_profile(mk):
     sol = mk()
@@ -68,7 +65,7 @@ def test_reduced_ode_flags_wrong_profile(mk):
 
 
 def test_steady_residual_profile():
-    sol = Steady432(**STEADY)
+    sol = Steady432(**PARAMS["steady432"])
     rep = reduced_ode_residual(reduced_profiles_of(sol), _radii(sol.delta))
     assert rep.engine == "steady-ode"
     assert rep.linf <= 1e-9
@@ -76,7 +73,7 @@ def test_steady_residual_profile():
 
 @pytest.mark.parametrize("mk", [
     lambda: Stationary413s(**FIG34),
-    lambda: Steady432(**STEADY),
+    lambda: Steady432(**PARAMS["steady432"]),
 ], ids=["stationary413s", "steady432"])
 def test_reduced_checks_evaluate_the_family_once_per_check(mk,
                                                            monkeypatch):
@@ -216,7 +213,7 @@ def test_front_condition_maxima_keep_a_nan():
 
 
 def test_front_conditions_steady():
-    sol = Steady432(**STEADY)
+    sol = Steady432(**PARAMS["steady432"])
     bc = reduced_bc_residual(reduced_profiles_of(sol), sol.delta)
     assert bc.general_max <= 1e-10
 
@@ -227,7 +224,7 @@ def test_front_conditions_steady():
     lambda: Stationary413s(**FIG34),
     lambda: Full413(c1=1.0, c3=0.5, c4=5.0, n=3.0, d0=0.75, lam=4.0,
                     sigma0=-3.0, delta=1.0),
-    lambda: Steady432(**STEADY),
+    lambda: Steady432(**PARAMS["steady432"]),
 ], ids=["stationary", "full", "steady"])
 def test_lift_round_trip(mk):
     sol = mk()
@@ -372,7 +369,7 @@ def test_overdetermined_flags_wrong_decay_rate():
 
 
 def test_overdetermined_general_triplet_pair():
-    sol = Steady432(**STEADY)
+    sol = Steady432(**PARAMS["steady432"])
     prof = lambda r: dexp(-r * r / 8.0)
     rs = [0.1 + 0.1 * k for k in range(20)]
     e1, e2 = overdetermined_residual(prof, None, sol.phys(), "eq_4_23",
@@ -431,7 +428,7 @@ def test_pressure_quadrature_matches_stationary_closed_form():
 
 
 def test_pressure_quadrature_matches_steady_closed_form():
-    sol = Steady432(**STEADY)
+    sol = Steady432(**PARAMS["steady432"])
     lam = lambda r: sol.values(1.0, r, 0.0)[0]
     src = lambda a: sol.k1 * a ** sol.m_exp - sol.k2 * a ** sol.n_exp
     P = pressure_from_lambda(lam, src, sol.d0, c3=sol.c3, c4=sol.c4,
@@ -447,7 +444,7 @@ def _pressure_oracle(fid):
         sol = Stationary413s(**FIG34)
         src = lambda a: sol.s0 * a ** sol.n + a / (sol.n - 1.0)
     else:
-        sol = Steady432(**STEADY)
+        sol = Steady432(**PARAMS["steady432"])
         src = lambda a: sol.k1 * a ** sol.m_exp - sol.k2 * a ** sol.n_exp
     calls = [0]
 

@@ -17,9 +17,7 @@ from tumorsym.residuals import (SampleSet, _acc, boundary_residual,
 from tumorsym.solutions import (BoundaryCircle, Full413, Stationary413s,
                                 Steady432)
 
-from support import ConstantState
-
-FIG34 = dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0)
+from support import FIG34, ConstantState
 
 
 def _provider(sol):

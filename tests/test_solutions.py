@@ -14,12 +14,11 @@ from tumorsym.solutions import (BoundaryCircle, Full413, Moving442,
                                 SingularityError, Stationary413s, Steady432,
                                 reduced_profiles_of)
 
-from support import ConstantState
+from support import FIG34, ConstantState
 
 # Frozen oracle constants, computed independently with mpmath at 50 digits
 # from the defining relations delta = exp(-c4/c3), E = exp(delta^2/(4 d0)),
 # c1 = n c3 E / 2, sigma0 = -(2+lam) c3/2 (2/(n c3))^n.
-FIG34 = dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0)
 FIG34_ORACLE = dict(delta=0.67032004603563930074,
                     E=1.0577733870016834305,
                     c1=5.2888669350084171525,

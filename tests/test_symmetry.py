@@ -16,9 +16,8 @@ from tumorsym.symmetry import (Galilei, InapplicableSymmetryError,
                                TimeTranslation, TransformedField,
                                orbit_residual)
 
-from support import ConstantState, boundary_invariance
+from support import FIG34, ConstantState, boundary_invariance
 
-FIG34 = dict(c3=5.0, c4=2.0, n=2.0, lam=4.0, d0=2.0)
 
 ELEMENTS = [
     Rotation(f=lambda t: 1.0, fdot=lambda t: 0.0, eps=0.7),
