@@ -11,14 +11,12 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
-from .core_model import PowerLawTriplet
+from .config import DEFAULT_ORBIT, ConfigError, load_config
 from .jets import AnalyticEngine, JetProvider
 from .reduction import reduced_bc_residual, reduced_ode_residual
 from .residuals import boundary_residual, governing_residual
 from .solutions import FAMILY_IDS, reduced_profiles_of
-from .symmetry import (Galilei, InapplicableSymmetryError, PressureShift,
-                       Rotation, Scale, TimeTranslation, orbit_residual)
+from .symmetry import ELEMENTS, InapplicableSymmetryError, orbit_residual
 
 __all__ = ["main"]
 
@@ -113,29 +111,6 @@ def cmd_validate(args):
     return 0
 
 
-def _build_element(spec, triplet):
-    element, eps = spec["element"], spec["eps"]
-    if element == "rotation":
-        if spec["f"] == "sin":
-            return Rotation(f=math.sin, fdot=math.cos, eps=eps)
-        return Rotation(f=lambda t: 1.0, fdot=lambda t: 0.0, eps=eps)
-    if element == "galilei":
-        return Galilei(g=lambda t: t, gdot=lambda t: 1.0, eps=eps,
-                       axis=spec["axis"])
-    if element == "pressure-shift":
-        return PressureShift(F=lambda t: t * t, Fdot=lambda t: 2.0 * t,
-                             eps=eps)
-    if element == "time-translation":
-        return TimeTranslation(eps=eps)
-    if element == "scale":
-        if not isinstance(triplet, PowerLawTriplet):
-            raise InapplicableSymmetryError(
-                "scale action is not applicable: the family's "
-                "constitutive triplet is not power-law")
-        return Scale(eps=eps, m=triplet.params.m, n=triplet.params.n)
-    raise ConfigError(f"unknown orbit element {element!r}")
-
-
 def _orbit_bound(base_linf, orbit_factor):
     """``orbit_factor`` times the base residual floored at 1e-14; None,
     no finite bound, when the base residual is NaN."""
@@ -158,10 +133,6 @@ def _governing(cfg, sol):
             cfg.samples, sol.boundary())
 
 
-# the element ``verify`` checks when the config has no [orbit] section
-_DEFAULT_ORBIT = dict(element="rotation", eps=0.5, f="const", axis="x")
-
-
 def _orbit_check(cfg, sol, triplet, base_linf):
     """The orbit block of ``verify`` and ``orbit``: (report, allowed,
     failure).  ``allowed`` is None when the base residual gives no finite
@@ -169,8 +140,9 @@ def _orbit_check(cfg, sol, triplet, base_linf):
     element that does not apply to the triplet, or that maps the samples
     outside the field's domain, gives no report, and the failure is then
     an :class:`InapplicableSymmetryError`."""
+    spec = cfg.orbit or DEFAULT_ORBIT
     try:
-        elem = _build_element(cfg.orbit or _DEFAULT_ORBIT, triplet)
+        elem = ELEMENTS[spec["element"]](triplet=triplet, **spec)
         orb = orbit_residual(elem, sol, triplet, sol.phys(), cfg.samples)
     except InapplicableSymmetryError as e:
         return None, None, e

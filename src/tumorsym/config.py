@@ -8,27 +8,31 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .residuals import SampleSet
 from .solutions import FAMILY_IDS
+from .symmetry import ELEMENTS, TIME_FUNCTIONS
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "DEFAULT_ORBIT"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-_SAMPLE_KEYS = {"times", "n_r", "n_theta", "r_min_fraction"}
-_TOLERANCE_KEYS = {"governing", "boundary", "reduced", "orbit_factor"}
-_ORBIT_KEYS = {"element", "eps", "f", "axis"}
 _OUTPUT_KEYS = {"dir"}
 _KNOWN_SECTIONS = {"family", "samples", "tolerances", "orbit", "output"}
 
 _DEFAULT_TOLERANCES = {"governing": 1e-8, "boundary": 1e-9,
                        "reduced": 1e-8, "orbit_factor": 10.0}
+
+# The [orbit] keys and the values of those an [orbit] section leaves out.
+# With no section, verify checks this element itself: the first entry of
+# each table in symmetry.py, a rotation by a constant angle.
+DEFAULT_ORBIT = {"element": next(iter(ELEMENTS)), "eps": 0.5,
+                 "f": next(iter(TIME_FUNCTIONS)), "axis": "x"}
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,12 @@ class RunConfig:
         return FAMILY_IDS[self.family_id](**self.family_params)
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(","))
+def _parse_like(default, text):
+    """``text`` as a value of ``default``'s type; a tuple is a
+    comma-separated list of floats."""
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in text.split(","))
+    return type(default)(text)
 
 
 def _number(section, key, text):
@@ -106,17 +114,10 @@ def load_config(path: str) -> RunConfig:
     sample_kwargs = {}
     if "samples" in parser:
         sec = parser["samples"]
-        _check_keys("samples", sec, _SAMPLE_KEYS)
+        defaults = {f.name: f.default for f in fields(SampleSet)}
+        _check_keys("samples", sec, defaults)
         try:
-            if "times" in sec:
-                sample_kwargs["times"] = _floats(sec["times"])
-            if "n_r" in sec:
-                sample_kwargs["n_r"] = int(sec["n_r"])
-            if "n_theta" in sec:
-                sample_kwargs["n_theta"] = int(sec["n_theta"])
-            if "r_min_fraction" in sec:
-                sample_kwargs["r_min_fraction"] = float(
-                    sec["r_min_fraction"])
+            sample_kwargs = {k: _parse_like(defaults[k], sec[k]) for k in sec}
         except ValueError as e:
             raise ConfigError(f"bad [samples] value: {e}") from None
     try:
@@ -127,7 +128,7 @@ def load_config(path: str) -> RunConfig:
     tolerances = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in parser:
         sec = parser["tolerances"]
-        _check_keys("tolerances", sec, _TOLERANCE_KEYS)
+        _check_keys("tolerances", sec, _DEFAULT_TOLERANCES)
         for k in sec:
             tolerances[k] = _number("tolerances", k, sec[k])
         if any(v <= 0 or not math.isfinite(v)
@@ -137,22 +138,20 @@ def load_config(path: str) -> RunConfig:
     orbit = None
     if "orbit" in parser:
         sec = parser["orbit"]
-        _check_keys("orbit", sec, _ORBIT_KEYS)
+        _check_keys("orbit", sec, DEFAULT_ORBIT)
         if "element" not in sec:
             raise ConfigError("[orbit] needs an 'element' key")
-        element = sec["element"]
-        if element not in ("rotation", "galilei", "pressure-shift",
-                           "time-translation", "scale"):
-            raise ConfigError(f"unknown orbit element {element!r}")
-        orbit = {"element": element,
-                 "eps": _number("orbit", "eps", sec.get("eps", 0.5)),
-                 "f": sec.get("f", "const"),
-                 "axis": sec.get("axis", "x")}
+        orbit = {**DEFAULT_ORBIT, **sec}
+        if orbit["element"] not in ELEMENTS:
+            raise ConfigError(
+                f"unknown orbit element {orbit['element']!r}")
+        orbit["eps"] = _number("orbit", "eps", orbit["eps"])
         if not math.isfinite(orbit["eps"]):
             raise ConfigError(f"[orbit] eps must be finite, got "
                               f"{orbit['eps']!r}")
-        if orbit["f"] not in ("const", "sin"):
-            raise ConfigError("orbit f must be 'const' or 'sin'")
+        if orbit["f"] not in TIME_FUNCTIONS:
+            raise ConfigError("orbit f must be "
+                              + " or ".join(map(repr, TIME_FUNCTIONS)))
         if orbit["axis"] not in ("x", "y"):
             raise ConfigError("orbit axis must be 'x' or 'y'")
 

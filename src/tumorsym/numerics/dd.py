@@ -185,13 +185,6 @@ class DD:
             return NotImplemented
         return DD.of(other) / self
 
-    def __abs__(self):
-        neg = self.hi < 0.0
-        if isinstance(neg, np.ndarray):
-            return DD(np.where(neg, -self.hi, self.hi),
-                      np.where(neg, -self.lo, self.lo))
-        return -self if neg else self
-
     def __pow__(self, p):
         if isinstance(p, int) or (isinstance(p, float) and p == int(p)
                                   and abs(p) <= 64):
@@ -206,9 +199,6 @@ class DD:
                 k >>= 1
             return out
         return (self.log() * p).exp()
-
-    def __rpow__(self, base):
-        return (self * math.log(base)).exp()
 
     # -- elementary functions -----------------------------------------------
 

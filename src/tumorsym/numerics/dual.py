@@ -88,9 +88,6 @@ class Dual:
         vp = self.val ** (p - 1)
         return Dual(vp * self.val, p * vp * self.dot)
 
-    def __rpow__(self, base):
-        return exp(self * math.log(base))
-
 
 def value(z):
     """Deep value of a (possibly nested) dual: a float, or an ndarray for

@@ -20,7 +20,7 @@ from .solutions import SolutionFamily
 
 __all__ = ["Rotation", "Galilei", "PressureShift", "TimeTranslation",
            "Scale", "GroupElement", "TransformedField", "orbit_residual",
-           "InapplicableSymmetryError"]
+           "InapplicableSymmetryError", "ELEMENTS", "TIME_FUNCTIONS"]
 
 
 class InapplicableSymmetryError(ValueError):
@@ -127,6 +127,35 @@ class Scale:
 GroupElement = Rotation | Galilei | PressureShift | TimeTranslation | Scale
 
 
+def _power_law_exponents(triplet: ConstitutiveTriplet):
+    """(m, n) of a power-law triplet, the only kind the scale action
+    applies to."""
+    if not isinstance(triplet, PowerLawTriplet):
+        raise InapplicableSymmetryError(
+            "scale action is not applicable: the family's "
+            "constitutive triplet is not power-law")
+    return triplet.params.m, triplet.params.n
+
+
+# The time functions that [orbit] f names, each with its derivative.
+TIME_FUNCTIONS = {"const": (lambda t: 1.0, lambda t: 0.0),
+                  "sin": (math.sin, math.cos)}
+
+# The elements that [orbit] element names, each built from the section's
+# values and the run's triplet.  A rotation turns by eps*f(t); the boost
+# g(t) = t and the pressure shift F(t) = t^2 are fixed.
+ELEMENTS = {
+    "rotation": lambda eps, f, **_: Rotation(*TIME_FUNCTIONS[f], eps=eps),
+    "galilei": lambda eps, axis, **_: Galilei(
+        g=lambda t: t, gdot=lambda t: 1.0, eps=eps, axis=axis),
+    "pressure-shift": lambda eps, **_: PressureShift(
+        F=lambda t: t * t, Fdot=lambda t: 2.0 * t, eps=eps),
+    "time-translation": lambda eps, **_: TimeTranslation(eps=eps),
+    "scale": lambda eps, triplet, **_: Scale(
+        eps, *_power_law_exponents(triplet)),
+}
+
+
 class TransformedField(Field):
     def __init__(self, elem: GroupElement, source: Field):
         self.elem = elem
@@ -146,13 +175,11 @@ def orbit_residual(elem: GroupElement, sol: SolutionFamily,
     with matching exponents, anything else is rejected up front.
     """
     if isinstance(elem, Scale):
-        if not isinstance(triplet, PowerLawTriplet):
-            raise InapplicableSymmetryError(
-                "scale action requires the power-law constitutive triplet")
-        if (triplet.params.m, triplet.params.n) != (elem.m, elem.n):
+        m, n = _power_law_exponents(triplet)
+        if (m, n) != (elem.m, elem.n):
             raise InapplicableSymmetryError(
                 f"scale exponents ({elem.m}, {elem.n}) do not match the "
-                f"triplet ({triplet.params.m}, {triplet.params.n})")
+                f"triplet ({m}, {n})")
     provider = JetProvider(TransformedField(elem, sol), AnalyticEngine())
     return governing_residual(provider, triplet, phys, samples,
                               sol.boundary())

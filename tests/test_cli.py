@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, example, given, settings, \
 
 from tumorsym import cli
 from tumorsym.cli import main
-from tumorsym.config import load_config
 from tumorsym.jets import AnalyticEngine
 from tumorsym.solutions import FAMILY_IDS
 
@@ -96,6 +95,23 @@ def test_validate_config_errors(tmp_path, capsys, mutate, hint):
     rc = main(["validate", "--config", cfg])
     assert rc == 2
     assert hint.split()[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", [
+    (FIG34_BODY.replace("[family]\nid = stationary413s\n", "[output]\n"),
+     "missing required [family] section"),
+    (FIG34_BODY.replace("id = stationary413s\n", ""),
+     "[family] needs an 'id' key"),
+    (FIG34_BODY.replace("n_r = 6", "n_r = 1.5"),
+     "bad [samples] value: invalid literal for int() with base 10: '1.5'"),
+    (FIG34_BODY + "\n[orbit]\neps = 0.5\n",
+     "[orbit] needs an 'element' key"),
+], ids=["no-family", "no-id", "n_r-fraction", "orbit-no-element"])
+def test_config_error_message(tmp_path, capsys, body, message):
+    cfg = _write(tmp_path, body)
+    for command in ("validate", "verify", "orbit"):
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("extra", [
@@ -439,11 +455,6 @@ def test_orbit_unknown_element_rejected(tmp_path, capsys):
 
 
 _ORBIT_BODY = FIG34_BODY + "\n[orbit]\nelement = rotation\n"
-
-
-def test_default_orbit_has_every_key_of_a_loaded_one(tmp_path):
-    cfg = load_config(_write(tmp_path, _ORBIT_BODY))
-    assert cfg.orbit == cli._DEFAULT_ORBIT
 
 
 @pytest.mark.parametrize("body, hint", [

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tumorsym.numerics import (IntegrationError, OdeSpec, QuadratureSpec,
-                               SingularEndpointError, exp_over_z_integral,
-                               exp_over_z_quadrature, fd_derivative,
-                               ode_integrate, quad_adaptive)
+from tumorsym.numerics import (IntegrationError, OdeSpec, QuadratureError,
+                               QuadratureSpec, SingularEndpointError,
+                               exp_over_z_integral, exp_over_z_quadrature,
+                               fd_derivative, ode_integrate, quad_adaptive)
 from tumorsym.numerics.dd import DD, two_prod, two_sum
 from tumorsym.numerics.dual import (Dual, atan, atan2, cos, exp, expm1, lift,
                                     log, seed2, sin, sqrt, value)
@@ -50,6 +50,17 @@ def test_quad_orientation():
     a, _ = quad_adaptive(math.sin, 0.0, 1.0)
     b, _ = quad_adaptive(math.sin, 1.0, 0.0)
     assert abs(a + b) < 1e-15
+
+
+def test_quad_reports_its_best_estimate_when_the_depth_budget_runs_out():
+    # the step at 1/3 is on no bisection point, so no panel around it
+    # converges within two halvings
+    with pytest.raises(QuadratureError) as info:
+        quad_adaptive(lambda z: 0.0 if z < 1.0 / 3.0 else 1.0, 0.0, 1.0,
+                      QuadratureSpec(max_depth=2))
+    assert math.isfinite(info.value.estimate)
+    assert math.isfinite(info.value.error) and info.value.error > 0.0
+    assert abs(info.value.estimate - 2.0 / 3.0) < 0.1
 
 
 # -- the exp-over-z integral ------------------------------------------------
@@ -265,7 +276,17 @@ def test_log_and_sqrt_of_a_negative_float_raise(f):
         f(np.array(-1.0))
 
 
+def test_a_float_base_to_a_dual_power_is_a_type_error():
+    with pytest.raises(TypeError):
+        2.0 ** Dual(1.0, 1.0)
+
+
 # -- double-double ----------------------------------------------------------
+
+def test_a_float_base_to_a_dd_power_is_a_type_error():
+    with pytest.raises(TypeError):
+        2.0 ** DD(1.0)
+
 
 def test_two_sum_error_exact():
     s, e = two_sum(1.0, 1e-20)

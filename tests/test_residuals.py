@@ -10,7 +10,8 @@ import pytest
 
 from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams, PowerLawTriplet)
-from tumorsym.jets import AnalyticEngine, FdEngine, Field, JetProvider
+from tumorsym.jets import (AnalyticEngine, FdEngine, Field, JetProvider,
+                          radial_argument)
 from tumorsym.residuals import (SampleSet, _acc, boundary_residual,
                                 collect_report, cross_engine_check,
                                 governing_residual)
@@ -142,6 +143,22 @@ def test_boundary_residual_rejects_bad_time():
     sol = Stationary413s(**FIG34)
     with pytest.raises(ValueError):
         boundary_residual(_provider(sol), sol.boundary(), sol.phys(), 0.0)
+
+
+class _OriginEverywhere(Field):
+    """A field that reads every point as the origin, so it is singular at
+    each sample."""
+
+    def values(self, t, x, y):
+        radial_argument(t, 0.0 * x, 0.0 * y)
+
+
+def test_a_slice_with_every_point_rejected_has_no_valid_samples():
+    sol = Stationary413s(**FIG34)
+    with pytest.raises(ValueError, match="^no valid samples$"):
+        governing_residual(_provider(_OriginEverywhere()), sol.triplet(),
+                           sol.phys(), SampleSet(n_r=2, n_theta=2),
+                           sol.boundary())
 
 
 # -- engine cross-check -----------------------------------------------------
