@@ -13,7 +13,7 @@ from typing import Optional
 
 from .residuals import SampleSet
 from .solutions import FAMILY_IDS
-from .symmetry import ELEMENTS, TIME_FUNCTIONS
+from .symmetry import AXES, ELEMENTS, TIME_FUNCTIONS
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "DEFAULT_ORBIT"]
 
@@ -152,8 +152,9 @@ def load_config(path: str) -> RunConfig:
         if orbit["f"] not in TIME_FUNCTIONS:
             raise ConfigError("orbit f must be "
                               + " or ".join(map(repr, TIME_FUNCTIONS)))
-        if orbit["axis"] not in ("x", "y"):
-            raise ConfigError("orbit axis must be 'x' or 'y'")
+        if orbit["axis"] not in AXES:
+            raise ConfigError("orbit axis must be "
+                              + " or ".join(map(repr, AXES)))
 
     out_dir = None
     if "output" in parser:

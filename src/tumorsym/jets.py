@@ -2,9 +2,12 @@
 with every partial derivative the governing and boundary residuals consume.
 
 A *field* is any object with a ``values(t, x, y) -> (alpha, u1, u2, p)``
-method written in generic arithmetic, so it accepts dual-number seeds.  The
-analytic engine builds jets from nested dual evaluations on whole arrays of
-points at one time (vector forward mode).  A radial field, one with a
+method written in generic arithmetic, so it accepts dual-number seeds.  A
+jet has one shape: it is taken on a time slice, the float arrays x and y
+of points at one time t, and every entry comes back as an array of that
+shape; a single point is a one-element slice.  The analytic engine builds
+jets from nested dual evaluations on the whole slice (vector forward
+mode).  A radial field, one with a
 closed form ``radial(t, w) -> (alpha, vel, p)`` in w = x^2 + y^2 (every
 solution family), takes one second-order pass in w, and the chain rule in
 double-double gives the Cartesian entries (univariate Taylor propagation,
@@ -17,8 +20,7 @@ spatial entries from values only: one array call takes the 5 x 5 grid
 x + i h, y + j h (i, j in -2..2) around every point of a slice, which
 holds every point the fourth-order stencils read; it serves only as the
 independent reference of ``cross_engine_check``.  Every path hands its
-partials to one assembly of the jet.  Off the radial pass, a single
-point goes through as a one-element array.
+partials to one assembly of the jet.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
 carry fractional powers of t that make time differencing unreliable.
@@ -42,7 +44,7 @@ class SingularityError(ValueError):
     """Evaluation at the origin of a field that is singular there.
 
     For an array of points ``mask`` marks the singular ones; it is None for
-    a single point.
+    a ``values()`` call at a single float point.
     """
 
     def __init__(self, message, mask=None):
@@ -52,33 +54,33 @@ class SingularityError(ValueError):
 
 @dataclass(frozen=True)
 class FieldJet:
-    """The jet at one point (float entries) or at an array of points at one
-    time (ndarray entries; ``t`` stays a float)."""
+    """The jet on one time slice: ``x``, ``y`` and the 21 entries are
+    float arrays of one shape, one element per point; ``t`` is a float."""
 
     t: float
-    x: float
-    y: float
-    alpha: float
-    u1: float
-    u2: float
-    p: float
-    alpha_t: float
-    alpha_x: float
-    alpha_y: float
-    u1_x: float
-    u1_y: float
-    u2_x: float
-    u2_y: float
-    u1_xx: float
-    u1_xy: float
-    u1_yy: float
-    u2_xx: float
-    u2_xy: float
-    u2_yy: float
-    p_x: float
-    p_y: float
-    p_xx: float
-    p_yy: float
+    x: np.ndarray
+    y: np.ndarray
+    alpha: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    p: np.ndarray
+    alpha_t: np.ndarray
+    alpha_x: np.ndarray
+    alpha_y: np.ndarray
+    u1_x: np.ndarray
+    u1_y: np.ndarray
+    u2_x: np.ndarray
+    u2_y: np.ndarray
+    u1_xx: np.ndarray
+    u1_xy: np.ndarray
+    u1_yy: np.ndarray
+    u2_xx: np.ndarray
+    u2_xy: np.ndarray
+    u2_yy: np.ndarray
+    p_x: np.ndarray
+    p_y: np.ndarray
+    p_xx: np.ndarray
+    p_yy: np.ndarray
 
 
 # the 21 field entries: everything but the point itself
@@ -112,10 +114,11 @@ def radial_argument(t, x, y):
 def analytic_jet(field: Field, t, x, y) -> FieldJet:
     """Jet via nested forward-mode AD.
 
-    ``x`` and ``y`` are floats or equal-length arrays of points at the one
-    time ``t``; every arithmetic step is elementwise, so each array entry
-    has the bits of the call at that point alone.  A field singular at
-    some of the points raises :class:`SingularityError` with their mask.
+    ``x`` and ``y`` are equal-length float arrays of points at the one
+    time ``t`` (a single point is taken as a one-element array); every
+    arithmetic step is elementwise, so each entry has the bits of the
+    one-element jet at that point alone.  A field singular at some of the
+    points raises :class:`SingularityError` with their mask.
     The dual components carry double-double scalars, so each returned
     entry is correct to about one ulp even where the field formulas lose
     a dozen digits to cancellation near the inner rim.  Overflow leaves
@@ -126,24 +129,8 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     one ``values()`` call on three seeded copies of the points and the
     time seed (:func:`_cartesian_jet`).
     """
-    if hasattr(field, "radial"):
-        return _radial_jet(field, DD.of(t), DD.of(x), DD.of(y))
-    return _on_arrays(_cartesian_jet, field, t, x, y)
-
-
-def _on_arrays(jet, field, t, x, y, *args):
-    """``jet`` at arrays of points; a single point goes through it as a
-    one-element array and comes back as floats (a singular one raises
-    :class:`SingularityError` without a mask)."""
-    if np.ndim(x):
-        return jet(field, t, x, y, *args)
-    try:
-        one = jet(field, t, np.array([x], dtype=float),
-                  np.array([y], dtype=float), *args)
-    except SingularityError as e:
-        raise SingularityError(str(e)) from None
-    return FieldJet(t=one.t, x=x, y=y,
-                    **{k: getattr(one, k).item() for k in JET_ENTRIES})
+    jet = _radial_jet if hasattr(field, "radial") else _cartesian_jet
+    return jet(field, DD.of(t), *map(DD.of, np.atleast_1d(x, y)))
 
 
 def _stacked_values(field, t, x, y, copies):
@@ -170,7 +157,6 @@ def _cartesian_jet(field, t, x, y):
     the seeds, 0/1 arrays in the dual components, make copy 0 seed2(x),
     copy 1 seed2(y) and copy 2 the mixed pair, so the three copies give
     f_xx, f_yy and f_xy; plus the time seed."""
-    t, x, y = DD.of(t), DD.of(x), DD.of(y)
 
     def seed(*copies):
         return np.repeat(np.array(copies, dtype=float), x.hi.size)
@@ -214,7 +200,8 @@ def _radial_jet(field, t, x, y):
 @np.errstate(all="ignore")
 def fd_jet(field: Field, t, x, y, h) -> FieldJet:
     """Jet with spatial derivatives from fourth-order central differences
-    of the values, at one point or at arrays of points at the one time t.
+    of the values, on float arrays of points at the one time t (a single
+    point is taken as a one-element array).
 
     One ``values()`` call takes the 5 x 5 grid x + i h, y + j h (i, j in
     -2..2), which holds every point the stencils read, for all points and
@@ -223,10 +210,7 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
     :class:`SingularityError` with the mask of the points singular at any
     offset.  alpha_t still comes from the analytic path (see module note).
     """
-    return _on_arrays(_fd_jet, field, t, x, y, h)
-
-
-def _fd_jet(field, t, x, y, h):
+    x, y = np.atleast_1d(x, y)
     # offset 0 is x or y itself, not x + 0 h, so a -0.0 keeps its sign
     xs = [x + i * h if i else x for i in range(-2, 3)]
     ys = [y + j * h if j else y for j in range(-2, 3)]
@@ -242,12 +226,12 @@ def _fd_jet(field, t, x, y, h):
 
     return _field_jet(t, x, y, _alpha_t(field, t, x, y), zip(
         f(x, y),
-        fd_derivative(lambda s: f(s, y), x, 1, 4, h),
-        fd_derivative(lambda s: f(x, s), y, 1, 4, h),
-        fd_derivative(lambda s: f(s, y), x, 2, 4, h),
-        fd_derivative(lambda s: f(x, s), y, 2, 4, h),
+        fd_derivative(lambda s: f(s, y), x, 1, h),
+        fd_derivative(lambda s: f(x, s), y, 1, h),
+        fd_derivative(lambda s: f(s, y), x, 2, h),
+        fd_derivative(lambda s: f(x, s), y, 2, h),
         fd_derivative(lambda sy: fd_derivative(
-            lambda sx: f(sx, sy), x, 1, 4, h), y, 1, 4, h)))
+            lambda sx: f(sx, sy), x, 1, h), y, 1, h)))
 
 
 def _alpha_t(field, t, x, y):
@@ -259,8 +243,8 @@ def _field_jet(t, x, y, alpha_t, rows) -> FieldJet:
     """The one assembly of a jet from its partials: ``rows`` holds, for
     alpha, u1, u2 and p, the tuple (f, f_x, f_y, f_xx, f_yy, f_xy), of
     which alpha reads the first three and p the first five.  Every entry
-    is read with ``value``; at arrays of points, an entry that does not
-    depend on the point (a constant) takes the shape of ``x``."""
+    is read with ``value``, and an entry that does not depend on the point
+    (a constant) takes the shape of ``x``."""
     (a, a_x, a_y, *_), (u1, u1_x, u1_y, u1_xx, u1_yy, u1_xy), \
         (u2, u2_x, u2_y, u2_xx, u2_yy, u2_xy), \
         (p, p_x, p_y, p_xx, p_yy, *_) = rows
@@ -272,7 +256,7 @@ def _field_jet(t, x, y, alpha_t, rows) -> FieldJet:
 
     def entry(v):
         v = value(v)
-        return np.full(x.shape, v) if np.ndim(x) and not np.ndim(v) else v
+        return v if np.ndim(v) else np.full(x.shape, v)
 
     return FieldJet(t=t, x=x, y=y,
                     **{k: entry(v) for k, v in entries.items()})

@@ -32,10 +32,12 @@ BOUNDARY_NAMES = ("kinematic", "pressure", "traction_1", "traction_2")
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Deterministic annulus sampling: concentric rings inside the front.
+    """Deterministic annulus sampling: concentric rings inside the front,
+    taken one time slice at a time.
 
     Radii are log-spaced on [r_min_fraction * radius(t), radius(t)] so the
-    near-origin region and the boundary layer are both resolved.
+    near-origin region and the boundary layer are both resolved; with
+    ``n_r = 1`` the one ring is the front itself.
     """
 
     times: tuple = (1.0,)
@@ -51,20 +53,21 @@ class SampleSet:
         if self.n_r < 1 or self.n_theta < 1:
             raise ValueError("grid counts must be positive")
 
-    def points(self, boundary: BoundaryCircle):
-        """Yield (t, x, y) in deterministic t-major, r, theta order."""
+    def slices(self, boundary: BoundaryCircle):
+        """Yield one (t, x, y) per sample time, in the order of ``times``:
+        x and y are float arrays of the points at t in r, theta order."""
+        angles = [2.0 * math.pi * j / self.n_theta
+                  for j in range(self.n_theta)]
         for t in self.times:
             rad = boundary.radius(t)
             r_lo = self.r_min_fraction * rad
-            for i in range(self.n_r):
-                if self.n_r == 1:
-                    r = rad
-                else:
-                    frac = i / (self.n_r - 1)
-                    r = r_lo * (rad / r_lo) ** frac
-                for j in range(self.n_theta):
-                    theta = 2.0 * math.pi * j / self.n_theta
-                    yield t, r * math.cos(theta), r * math.sin(theta)
+            radii = [rad] if self.n_r == 1 else [
+                r_lo * (rad / r_lo) ** (i / (self.n_r - 1))
+                for i in range(self.n_r)]
+            yield (t, np.array([r * math.cos(a) for r in radii
+                                for a in angles]),
+                   np.array([r * math.sin(a) for r in radii
+                             for a in angles]))
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def nan_max(values):
 
 @np.errstate(all="ignore")
 def _acc(terms):
-    """Exactly accumulated sum of c*a*b terms (per point for arrays).
+    """Exactly accumulated sum of c*a*b terms, one list entry per point.
 
     Individual momentum terms grow like r^-3 near the inner sampling rim
     while the residual stays near zero, so every product is split into its
@@ -122,10 +125,7 @@ def _acc(terms):
         p, e = two_prod(a, b)
         q, f = two_prod(p, c)
         parts += (q, f, e * c)
-    table = np.stack(np.broadcast_arrays(*parts), axis=-1)
-    if table.ndim == 1:
-        return _fsum(table.tolist())
-    return [_fsum(row) for row in table.tolist()]
+    return [_fsum(row) for row in np.stack(parts, axis=-1).tolist()]
 
 
 def _fsum(terms):
@@ -139,11 +139,8 @@ def _fsum(terms):
 
 
 def constitutive_terms(triplet, alpha):
-    """(S, D, dD, d_alpha_sigma) at alpha, evaluated point by point so the
-    powers come from libm; arrays for an array alpha."""
-    if not isinstance(alpha, np.ndarray):
-        c = triplet.eval(alpha)
-        return c.S, c.D, c.dD, c.d_alpha_sigma
+    """(S, D, dD, d_alpha_sigma) as arrays at an array alpha, evaluated
+    point by point so the powers come from libm."""
     cs = [triplet.eval(a) for a in alpha.tolist()]
     return tuple(np.array([getattr(c, k) for c in cs], dtype=float)
                  for k in ("S", "D", "dD", "d_alpha_sigma"))
@@ -151,7 +148,8 @@ def constitutive_terms(triplet, alpha):
 
 def governing_residual_at(jet: FieldJet, triplet: ConstitutiveTriplet,
                           phys: PhysConstants):
-    """The four governing residuals at a jet (lists for an array jet)."""
+    """The four governing residuals at the points of a jet, one list
+    each."""
     lam = phys.lam
     S, D, dD, d_alpha_sigma = constitutive_terms(triplet, jet.alpha)
     r_mass = _acc([
@@ -200,14 +198,6 @@ def collect_report(names, rows, locations, engine, rejected):
                           tuple(rejected))
 
 
-def _time_slices(points):
-    """Group t-major (t, x, y) points into (t, points, x array, y array)."""
-    for t, group in itertools.groupby(points, key=lambda p: p[0]):
-        pts = list(group)
-        yield (t, pts, np.array([p[1] for p in pts]),
-               np.array([p[2] for p in pts]))
-
-
 def _jet_slice(jets: JetProvider, t, x, y):
     """One jet over the points at time t, leaving out those where the
     field is singular: returns (jet or None, mask of the kept points).
@@ -233,14 +223,15 @@ def governing_residual(jets: JetProvider, triplet: ConstitutiveTriplet,
                        boundary: BoundaryCircle) -> ResidualReport:
     rows, locations, rejected = [], [], []
     start = 0
-    for t, pts, x, y in _time_slices(samples.points(boundary)):
+    for t, x, y in samples.slices(boundary):
         jet, keep = _jet_slice(jets, t, x, y)
         rejected += (start + np.flatnonzero(~keep)).tolist()
-        start += len(pts)
+        start += x.size
         if jet is None:
             continue
         rows += zip(*governing_residual_at(jet, triplet, phys))
-        locations += itertools.compress(pts, keep.tolist())
+        locations += zip(itertools.repeat(t), x[keep].tolist(),
+                         y[keep].tolist())
     return collect_report(GOVERNING_NAMES, rows, locations,
                           jets.descriptor, rejected)
 
@@ -264,15 +255,10 @@ def boundary_residual(jets: JetProvider, boundary: BoundaryCircle,
                       n_theta: int = 64) -> ResidualReport:
     if t <= 0:
         raise ValueError("t must be positive")
-    rad = boundary.radius(t)
-    locations = []
-    for j in range(n_theta):
-        theta = 2.0 * math.pi * j / n_theta
-        locations.append((t, rad * math.cos(theta), rad * math.sin(theta)))
-    jet = jets.jet(t, np.array([p[1] for p in locations]),
-                   np.array([p[2] for p in locations]))
-    rows = np.stack(np.broadcast_arrays(
-        *boundary_residual_at(jet, boundary, phys)), axis=-1).tolist()
+    (_, x, y), = SampleSet((t,), n_r=1, n_theta=n_theta).slices(boundary)
+    rows = np.stack(boundary_residual_at(jets.jet(t, x, y), boundary, phys),
+                    axis=-1).tolist()
+    locations = list(zip(itertools.repeat(t), x.tolist(), y.tolist()))
     return collect_report(BOUNDARY_NAMES, rows, locations, jets.descriptor,
                           [])
 
@@ -283,7 +269,7 @@ def cross_engine_check(analytic: JetProvider, fd: JetProvider,
     """Worst relative disagreement between the two jet engines; NaN when
     any entry disagrees by NaN."""
     worst = [0.0]
-    for t, _, x, y in _time_slices(samples.points(boundary)):
+    for t, x, y in samples.slices(boundary):
         ja = analytic.jet(t, x, y)
         jf = fd.jet(t, x, y)
         for name in JET_ENTRIES:

@@ -20,7 +20,7 @@ from .solutions import SolutionFamily
 
 __all__ = ["Rotation", "Galilei", "PressureShift", "TimeTranslation",
            "Scale", "GroupElement", "TransformedField", "orbit_residual",
-           "InapplicableSymmetryError", "ELEMENTS", "TIME_FUNCTIONS"]
+           "InapplicableSymmetryError", "ELEMENTS", "TIME_FUNCTIONS", "AXES"]
 
 
 class InapplicableSymmetryError(ValueError):
@@ -72,8 +72,9 @@ class Galilei:
     axis: str = "x"
 
     def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
+        if self.axis not in AXES:
+            raise ValueError(f"axis must be {' or '.join(map(repr, AXES))}, "
+                             f"got {self.axis!r}")
 
     def pull_values(self, field: Field, t, x, y):
         shift = _tcall(self.g, self.gdot, t) * self.eps
@@ -140,6 +141,9 @@ def _power_law_exponents(triplet: ConstitutiveTriplet):
 # The time functions that [orbit] f names, each with its derivative.
 TIME_FUNCTIONS = {"const": (lambda t: 1.0, lambda t: 0.0),
                   "sin": (math.sin, math.cos)}
+
+# The axes that [orbit] axis names, along which a Galilei boost moves.
+AXES = ("x", "y")
 
 # The elements that [orbit] element names, each built from the section's
 # values and the run's triplet.  A rotation turns by eps*f(t); the boost

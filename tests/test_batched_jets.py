@@ -51,7 +51,8 @@ def _fields():
 
 
 class _PointwiseEngine:
-    """A jet function run one point at a time, jets stacked."""
+    """A jet function run on one-element slices, one point at a time, jets
+    joined."""
 
     def __init__(self, jet=analytic_jet, descriptor="analytic"):
         self._jet = jet
@@ -59,40 +60,40 @@ class _PointwiseEngine:
 
     def jet(self, field, t, x, y):
         jets, mask = [], np.zeros(len(x), dtype=bool)
-        for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        for i in range(len(x)):
             try:
-                jets.append(self._jet(field, t, xi, yi))
-            except SingularityError:
+                jets.append(self._jet(field, t, x[i:i + 1], y[i:i + 1]))
+            except SingularityError as e:
+                assert e.mask.tolist() == [True]
                 mask[i] = True
         if mask.any():
             raise SingularityError("singular", mask)
         return FieldJet(t=t, x=x, y=y, **{
-            name: np.array([getattr(j, name) for j in jets])
+            name: np.concatenate([getattr(j, name) for j in jets])
             for name in JET_ENTRIES})
 
 
 @pytest.mark.parametrize("name, field, sol", list(_fields()),
                          ids=[f[0] for f in _fields()])
 def test_batched_jet_equals_pointwise_bit_for_bit(name, field, sol):
-    pts = list(SampleSet().points(sol.boundary()))
-    t = pts[0][0]
-    x = np.array([p[1] for p in pts])
-    y = np.array([p[2] for p in pts])
+    t, x, y = next(SampleSet().slices(sol.boundary()))
     batch = analytic_jet(field, t, x, y)
     assert len(JET_ENTRIES) == 21
-    single = [analytic_jet(field, t, xi, yi) for _, xi, yi in pts]
+    single = [analytic_jet(field, t, xi, yi)
+              for xi, yi in zip(x.tolist(), y.tolist())]
     assert batch.t == t
     for entry in ("x", "y") + JET_ENTRIES:
         got = getattr(batch, entry)
         assert isinstance(got, np.ndarray) and got.shape == x.shape
-        assert _bits(got) == _bits([getattr(j, entry) for j in single]), \
-            entry
+        assert _bits(got) == _bits(
+            np.concatenate([getattr(j, entry) for j in single])), entry
     # the residual assembly is elementwise too
     rows = list(zip(*governing_residual_at(batch, sol.triplet(),
                                            sol.phys())))
     for row, jet in zip(rows, single):
         assert _bits(row) == _bits(
-            governing_residual_at(jet, sol.triplet(), sol.phys()))
+            np.concatenate(governing_residual_at(jet, sol.triplet(),
+                                                 sol.phys())))
 
 
 @pytest.mark.parametrize("fid", sorted(PARAMS))
@@ -109,6 +110,35 @@ def test_residual_reports_equal_pointwise_engine(fid):
             == boundary_residual(pointwise, sol.boundary(), sol.phys(), t)
 
 
+def _single_point_paths():
+    """The three jet paths: the radial pass of a family, the stacked
+    Cartesian pass of a transformed field, and finite differences."""
+    sol = FAMILY_IDS["moving444"](**PARAMS["moving444"])
+    rotated = TransformedField(Rotation(f=math.sin, fdot=math.cos, eps=1.0),
+                               sol)
+    h = 2e-4 * sol.boundary().radius(1.0)
+    return {"radial": (analytic_jet, sol),
+            "cartesian": (analytic_jet, rotated),
+            "fd": (lambda *a: fd_jet(*a, h), sol)}
+
+
+@pytest.mark.parametrize("path", ["radial", "cartesian", "fd"])
+def test_a_single_point_is_a_one_element_slice(path):
+    """A float point goes in and comes out as a one-element array, with
+    the bits of its entry in the batch."""
+    jet, field = _single_point_paths()[path]
+    t, x, y = next(SampleSet(r_min_fraction=0.1).slices(
+        BoundaryCircle(delta=1.0)))
+    batch = jet(field, t, x, y)
+    for i in (0, 37, len(x) - 1):
+        one = jet(field, t, x[i].item(), y[i].item())
+        assert one.t == t
+        for entry in ("x", "y") + JET_ENTRIES:
+            got = getattr(one, entry)
+            assert got.shape == (1,), entry
+            assert _bits(got) == _bits(getattr(batch, entry)[i:i + 1]), entry
+
+
 def test_origin_points_are_masked_like_pointwise():
     sol = FAMILY_IDS["full413"](**PARAMS["full413"])
     x = np.array([0.3, 0.0, -0.2, 0.0, 0.5])
@@ -118,7 +148,7 @@ def test_origin_points_are_masked_like_pointwise():
         try:
             analytic_jet(sol, 1.0, xi, yi)
         except SingularityError as e:
-            assert e.mask is None
+            assert e.mask.tolist() == [True]
             singular.append(i)
     assert singular == [1, 3]
     with pytest.raises(SingularityError) as err:
@@ -135,8 +165,7 @@ EXACT_RADIAL = ("full413", "moving442", "moving444")
 
 def _annulus_and_ring(sol, t):
     """The default annulus at time t and the 64-point ring on the front."""
-    pts = list(SampleSet(times=(t,)).points(sol.boundary()))
-    yield np.array([p[1] for p in pts]), np.array([p[2] for p in pts])
+    yield next(SampleSet(times=(t,)).slices(sol.boundary()))[1:]
     rad = sol.boundary().radius(t)
     theta = 2.0 * np.pi * np.arange(64) / 64
     yield (np.array([rad * math.cos(a) for a in theta.tolist()]),
@@ -177,9 +206,9 @@ def test_a_family_jet_is_one_radial_pass_and_a_time_seed(monkeypatch):
 class _WithOrigin:
     """The default t = 1 annulus with the origin inserted as sample 5."""
 
-    def points(self, boundary):
-        pts = list(SampleSet().points(boundary))
-        return pts[:5] + [(1.0, 0.0, 0.0)] + pts[5:]
+    def slices(self, boundary):
+        t, x, y = next(SampleSet().slices(boundary))
+        yield t, np.insert(x, 5, 0.0), np.insert(y, 5, 0.0)
 
 
 @pytest.mark.parametrize("fid", sorted(PARAMS))
@@ -224,8 +253,9 @@ def test_governing_rejects_the_pointwise_singular_samples():
     # the t = 1 slice onto the singular origin
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
     samples = SampleSet(times=(2.0, 1.0))
-    pts = list(samples.points(sol.boundary()))
-    eps = pts[96 + 5 * 8][1]
+    (_, _, _), (t, x, _) = samples.slices(sol.boundary())
+    assert t == 1.0
+    eps = x[5 * 8]
     field = TransformedField(Galilei(g=lambda t: t, gdot=lambda t: 1.0,
                                     eps=eps), sol)
     args = (sol.triplet(), sol.phys(), samples, sol.boundary())
@@ -235,7 +265,7 @@ def test_governing_rejects_the_pointwise_singular_samples():
                                    *args)
     assert batched.rejected == (136,)
     assert batched == pointwise
-    assert batched.sample_count == len(pts) - 1
+    assert batched.sample_count == 2 * 96 - 1
 
 
 # -- the FD reference engine -------------------------------------------------
@@ -250,9 +280,7 @@ def _h(sol):
 
 
 def _slice(sol, samples=XENG_SAMPLES):
-    pts = list(samples.points(sol.boundary()))
-    return (pts[0][0], np.array([p[1] for p in pts]),
-            np.array([p[2] for p in pts]))
+    return next(samples.slices(sol.boundary()))
 
 
 def _fd_pointwise(h):
@@ -322,7 +350,7 @@ def test_fd_jet_values_are_the_field_values(fid):
     r = sol.boundary().radius(1.0)
     x = np.array([0.3, 0.6, 0.9]) * r
     y = np.full(3, -0.0)
-    for xs, ys in ((x, y), (x[1], -0.0)):
+    for xs, ys in ((x, y), (x[1:2], y[:1])):
         jet = fd_jet(sol, 1.0, xs, ys, _h(sol))
         for entry, want in zip(("alpha", "u1", "u2", "p"),
                                sol.values(1.0, xs, ys)):
@@ -341,7 +369,7 @@ def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed():
     assert counted.calls == 2
     one = analytic_jet(field, t, x[0], y[0])
     assert counted.calls == 4
-    assert all(type(getattr(one, e)) is float for e in JET_ENTRIES)
+    assert all(getattr(one, e).shape == (1,) for e in JET_ENTRIES)
 
 
 @pytest.mark.parametrize("name, field, sol", list(_fields()),
@@ -426,7 +454,8 @@ def test_fd_governing_rejects_the_pointwise_singular_samples():
     h = 0.125
     samples = SampleSet(r_min_fraction=0.25, n_r=3)
     boundary = BoundaryCircle(delta=1.0)
-    assert [p[1:] for p in samples.points(boundary)][8:17:8] \
+    (_, x, y), = samples.slices(boundary)
+    assert list(zip(x[8:17:8].tolist(), y[8:17:8].tolist())) \
         == [(0.5, 0.0), (1.0, 0.0)]
     args = (sol.triplet(), sol.phys(), samples, boundary)
     attempts = []

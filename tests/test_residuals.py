@@ -41,14 +41,34 @@ def test_sample_set_validation():
         SampleSet(n_r=0)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 def test_sample_set_deterministic_and_sized():
     ss = SampleSet(times=(1.0, 2.0), n_r=5, n_theta=4)
     b = BoundaryCircle(delta=0.7)
-    pts = list(ss.points(b))
-    assert len(pts) == 2 * 5 * 4
-    assert pts == list(ss.points(b))
-    # outermost ring sits exactly on the front
-    assert max(math.hypot(x, y) for _, x, y in pts) == pytest.approx(0.7)
+    slices = list(ss.slices(b))
+    assert [t for t, _, _ in slices] == [1.0, 2.0]
+    for (_, x, y), (_, x2, y2) in zip(slices, ss.slices(b)):
+        assert x.dtype == y.dtype == float and x.shape == y.shape == (20,)
+        assert _bits(x) == _bits(x2) and _bits(y) == _bits(y2)
+        # outermost ring sits exactly on the front
+        assert np.hypot(x, y).max() == pytest.approx(0.7)
+
+
+def test_sample_points_keep_their_python_float_bits():
+    """Each coordinate is r cos(theta), r sin(theta) in Python floats, with
+    r log-spaced from r_min_fraction * radius to the radius."""
+    ss = SampleSet(times=(0.5, 2.0), r_min_fraction=0.03, n_r=4, n_theta=6)
+    b = BoundaryCircle(delta=1.3, kappa=0.7)
+    for t, x, y in ss.slices(b):
+        rad = b.radius(t)
+        r_lo = 0.03 * rad
+        want = [(r * math.cos(a), r * math.sin(a))
+                for r in (r_lo * (rad / r_lo) ** (i / 3) for i in range(4))
+                for a in (2.0 * math.pi * j / 6 for j in range(6))]
+        assert _bits(list(zip(x.tolist(), y.tolist()))) == _bits(want)
 
 
 # -- exact zero on the rest state -------------------------------------------
@@ -137,6 +157,30 @@ def test_shifted_front_is_detected():
     rep = boundary_residual(_provider(sol), off, sol.phys(), 1.0)
     assert rep.norm("pressure").linf >= 1e-5
     assert rep.linf >= 1e-2
+
+
+def test_boundary_residual_samples_the_one_ring_slice():
+    """The front ring of ``boundary_residual`` is the n_r = 1 slice of the
+    sample set: the same r = radius(t) and angles, and each worst point is
+    one of its points."""
+    sol = Stationary413s(**FIG34)
+    seen = []
+
+    class Recording(AnalyticEngine):
+        def jet(self, field, t, x, y):
+            seen.append((t, x, y))
+            return super().jet(field, t, x, y)
+
+    b = BoundaryCircle(delta=1.1 * sol.delta)
+    rep = boundary_residual(JetProvider(sol, Recording()), b, sol.phys(),
+                            2.0, 24)
+    (t, x, y), = seen
+    (t1, x1, y1), = SampleSet((2.0,), n_r=1, n_theta=24).slices(b)
+    assert t == t1 == 2.0
+    assert _bits(x) == _bits(x1) and _bits(y) == _bits(y1)
+    ring = list(zip([2.0] * 24, x1.tolist(), y1.tolist()))
+    assert all(eq.linf_location in ring for eq in rep.equations)
+    assert rep.sample_count == 24
 
 
 def test_boundary_residual_rejects_bad_time():
@@ -266,8 +310,7 @@ def test_collect_l2_keeps_the_plain_sum_when_it_is_finite():
 
 def test_acc_sums_opposite_infinities_to_nan():
     """inf - inf has no sum: the point's residual is NaN, and the other
-    points of an array keep their exact sums."""
-    assert math.isnan(_acc([(1.0, math.inf, 1.0), (1.0, -math.inf, 1.0)]))
+    points keep their exact sums."""
     got = _acc([(1.0, np.array([math.inf, 1.0]), 1.0),
                 (-1.0, np.array([math.inf, 2.0]), 1.0)])
     assert math.isnan(got[0]) and got[1] == -1.0

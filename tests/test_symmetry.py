@@ -131,7 +131,7 @@ def test_scale_rejects_mismatched_exponents():
 
 
 def test_galilei_axis_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^axis must be 'x' or 'y', got 'z'$"):
         Galilei(g=lambda t: t, gdot=lambda t: 1.0, eps=0.1, axis="z")
 
 
