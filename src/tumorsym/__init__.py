@@ -13,8 +13,8 @@ from .jets import AnalyticEngine, FdEngine, Field, FieldJet, JetProvider, \
 from .reduction import (ReducedProfiles, integrate_ode_4_6, lift_profiles,
                         pressure_from_lambda, reduced_bc_residual,
                         reduced_ode_residual)
-from .residuals import (ResidualReport, SampleSet, boundary_residual,
-                        cross_engine_check, governing_residual)
+from .residuals import (ResidualReport, SampleSet, cross_engine_check,
+                        governing_and_front_residuals, governing_residual)
 from .solutions import (FAMILY_IDS, BoundaryCircle, Full413, Moving442,
                         Moving444, RestrictionError, SingularityError,
                         Stationary413s, Steady432, reduced_profiles_of)

@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULT_ORBIT, ConfigError, load_config
 from .jets import AnalyticEngine, JetProvider
 from .reduction import reduced_bc_residual, reduced_ode_residual
-from .residuals import boundary_residual, governing_residual
+from .residuals import governing_and_front_residuals
 from .solutions import FAMILY_IDS, reduced_profiles_of
 from .symmetry import ELEMENTS, InapplicableSymmetryError, orbit_residual
 
@@ -122,15 +122,17 @@ def _orbit_bound(base_linf, orbit_factor):
 _NO_ORBIT_BOUND = "orbit: no finite bound, the base residual is NaN"
 
 
-def _governing(cfg, sol):
+def _governing(cfg, sol, n_front):
     """The run's triplet, the family's with the config's overrides (a
-    sensitivity run), and the governing residual under it: the base of
-    the orbit check in ``verify`` and ``orbit`` alike."""
+    sensitivity run), the governing residual under it (the base of the
+    orbit check in ``verify`` and ``orbit`` alike) and the front reports
+    on ``n_front`` ring points per sample time, from one family jet per
+    time."""
     triplet = sol.triplet(**cfg.overrides)
     with _failing("evaluation failed"):
-        return triplet, governing_residual(
+        return triplet, *governing_and_front_residuals(
             JetProvider(sol, AnalyticEngine()), triplet, sol.phys(),
-            cfg.samples, sol.boundary())
+            cfg.samples, sol.boundary(), n_front)
 
 
 def _orbit_check(cfg, sol, triplet, base_linf):
@@ -159,9 +161,7 @@ def _orbit_check(cfg, sol, triplet, base_linf):
 
 def cmd_verify(args):
     cfg, sol = _load(args.config)
-    triplet, gov = _governing(cfg, sol)
-    phys, boundary = sol.phys(), sol.boundary()
-    provider = JetProvider(sol, AnalyticEngine())
+    triplet, gov, fronts = _governing(cfg, sol, cfg.samples.n_theta * 8)
     tol = cfg.tolerances
 
     failures = []
@@ -169,9 +169,7 @@ def cmd_verify(args):
         failures.append(f"governing Linf {gov.linf:.3e} > "
                         f"{tol['governing']:.3e}")
     bnd_reports = {}
-    for t in cfg.samples.times:
-        rep = boundary_residual(provider, boundary, phys, t,
-                                cfg.samples.n_theta * 8)
+    for t, rep in zip(cfg.samples.times, fronts):
         bnd_reports[t] = rep
         if not rep.linf <= tol["boundary"]:
             failures.append(f"boundary Linf {rep.linf:.3e} at t={t} > "
@@ -221,7 +219,7 @@ def cmd_verify(args):
 
 def cmd_orbit(args):
     cfg, sol = _load(args.config, need_orbit=True)
-    triplet, base = _governing(cfg, sol)
+    triplet, base, _ = _governing(cfg, sol, 0)
     orb, allowed, failure = _orbit_check(cfg, sol, triplet, base.linf)
     if orb is None:
         raise _Exit(f"inapplicable symmetry: {failure}", 1)

@@ -74,6 +74,25 @@ def _check_keys(section, keys, allowed):
 
 
 def load_config(path: str) -> RunConfig:
+    """The run config of the INI file at ``path``; a file that cannot be
+    read as INI is a :class:`ConfigError` like any other bad config."""
+    try:
+        return _parse_config(path)
+    except configparser.InterpolationError as e:
+        # raised when a value with a stray '%' is first read
+        raise ConfigError(f"bad [{e.section}] {e.option}: {_one_line(e)}"
+                          ) from None
+    except configparser.Error as e:
+        raise ConfigError(f"malformed INI: {_one_line(e)}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
+
+
+def _one_line(error):
+    return " ".join(line.strip() for line in str(error).splitlines())
+
+
+def _parse_config(path):
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

@@ -82,6 +82,15 @@ class FieldJet:
     p_xx: np.ndarray
     p_yy: np.ndarray
 
+    def cut(self, n):
+        """The jets of the first ``n`` points and of the rest; every entry
+        of a jet is elementwise, so each part has the bits of a jet taken
+        on its points alone."""
+        arrays = ("x", "y") + JET_ENTRIES
+        return tuple(
+            FieldJet(t=self.t, **{k: getattr(self, k)[s] for k in arrays})
+            for s in (slice(None, n), slice(n, None)))
+
 
 # the 21 field entries: everything but the point itself
 JET_ENTRIES = tuple(f.name for f in fields(FieldJet)

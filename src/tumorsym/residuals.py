@@ -4,9 +4,12 @@ The four governing residuals are assembled term by term exactly as the
 model system is written, from jet entries only.  This module is coded
 independently of the polar reduced system so that the two formulations
 cross-check each other.  Jets are requested once per sample time, for all
-points at that time together; the assembly is elementwise and each
-point's sum is still one exactly rounded fsum, so every residual has the
-bits of a point-by-point evaluation.
+points at that time together: ``governing_and_front_residuals`` takes one
+jet on the annulus points of a time followed by its front ring and cuts
+it in two, one part for the governing residuals and one for the front
+conditions.  Every step of a jet and of the assembly is elementwise and
+each point's sum is still one exactly rounded fsum, so every residual has
+the bits of a point-by-point evaluation.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .numerics.dd import two_prod
 from .solutions import BoundaryCircle
 
 __all__ = ["SampleSet", "EquationNorms", "ResidualReport",
-           "governing_residual", "boundary_residual", "cross_engine_check",
-           "governing_residual_at", "boundary_residual_at"]
+           "governing_residual", "governing_and_front_residuals",
+           "cross_engine_check", "governing_residual_at",
+           "boundary_residual_at"]
 
 GOVERNING_NAMES = ("mass", "divergence", "momentum_x", "momentum_y")
 BOUNDARY_NAMES = ("kinematic", "pressure", "traction_1", "traction_2")
@@ -198,42 +202,81 @@ def collect_report(names, rows, locations, engine, rejected):
                           tuple(rejected))
 
 
-def _jet_slice(jets: JetProvider, t, x, y):
-    """One jet over the points at time t, leaving out those where the
-    field is singular: returns (jet or None, mask of the kept points).
+def _jet_slice(jets: JetProvider, t, x, y, ring):
+    """One jet at time t over the annulus points x, y followed by the
+    front ring points ``ring`` (x, y), leaving out the annulus points
+    where the field is singular: returns (jet or None, mask of the kept
+    annulus points).
 
     An engine masks the points singular at the first evaluation that
     fails (one FD stencil offset, say); they are dropped and the jet is
-    asked again until it succeeds, so every point singular at any of its
-    evaluations is left out, and only those.
+    asked again until it succeeds, so every annulus point singular at any
+    of its evaluations is left out, and only those.  The ring never takes
+    part in that: a singular ring point raises.
     """
+    x_ring, y_ring = ring
     keep = np.ones(x.shape, dtype=bool)
-    while keep.any():
+    while keep.any() or x_ring.size:
         try:
-            return jets.jet(t, x[keep], y[keep]), keep
+            return jets.jet(t, np.concatenate((x[keep], x_ring)),
+                            np.concatenate((y[keep], y_ring))), keep
         except SingularityError as e:
-            if e.mask is None or not e.mask.any():
+            n = np.count_nonzero(keep)
+            if e.mask is None or not e.mask[:n].any() or e.mask[n:].any():
                 raise
-            keep[np.flatnonzero(keep)[e.mask]] = False
+            keep[np.flatnonzero(keep)[e.mask[:n]]] = False
     return None, keep
+
+
+def _front_ring(boundary: BoundaryCircle, t, n_front):
+    """The ``n_front`` points of the front at time t, the n_r = 1 slice of
+    the sample set (none for ``n_front = 0``)."""
+    if not n_front:
+        return np.empty(0), np.empty(0)
+    (_, x, y), = SampleSet((t,), n_r=1, n_theta=n_front).slices(boundary)
+    return x, y
+
+
+def governing_and_front_residuals(
+        jets: JetProvider, triplet: ConstitutiveTriplet, phys: PhysConstants,
+        samples: SampleSet, boundary: BoundaryCircle, n_front: int):
+    """The governing report on ``samples`` and, for each sample time in
+    the order of ``times``, the report of the front conditions on
+    ``n_front`` points of the front ring (no front reports for
+    ``n_front = 0``).
+
+    Each time takes one jet, on its annulus points followed by its ring
+    (vector forward mode), cut in two; only annulus points are ever
+    rejected as singular.  Every governing residual is assembled before
+    any front residual.
+    """
+    rows, locations, rejected, fronts = [], [], [], []
+    start = 0
+    for t, x, y in samples.slices(boundary):
+        ring = _front_ring(boundary, t, n_front)
+        jet, keep = _jet_slice(jets, t, x, y, ring)
+        rejected += (start + np.flatnonzero(~keep)).tolist()
+        start += x.size
+        if jet is None:
+            continue
+        annulus, front = jet.cut(np.count_nonzero(keep))
+        if keep.any():
+            rows += zip(*governing_residual_at(annulus, triplet, phys))
+            locations += zip(itertools.repeat(t), x[keep].tolist(),
+                             y[keep].tolist())
+        if n_front:
+            fronts.append((t, *ring, front))
+    governing = collect_report(GOVERNING_NAMES, rows, locations,
+                               jets.descriptor, rejected)
+    return governing, [_front_report(*f, boundary, phys, jets.descriptor)
+                       for f in fronts]
 
 
 def governing_residual(jets: JetProvider, triplet: ConstitutiveTriplet,
                        phys: PhysConstants, samples: SampleSet,
                        boundary: BoundaryCircle) -> ResidualReport:
-    rows, locations, rejected = [], [], []
-    start = 0
-    for t, x, y in samples.slices(boundary):
-        jet, keep = _jet_slice(jets, t, x, y)
-        rejected += (start + np.flatnonzero(~keep)).tolist()
-        start += x.size
-        if jet is None:
-            continue
-        rows += zip(*governing_residual_at(jet, triplet, phys))
-        locations += zip(itertools.repeat(t), x[keep].tolist(),
-                         y[keep].tolist())
-    return collect_report(GOVERNING_NAMES, rows, locations,
-                          jets.descriptor, rejected)
+    return governing_and_front_residuals(jets, triplet, phys, samples,
+                                         boundary, 0)[0]
 
 
 def boundary_residual_at(jet: FieldJet, boundary: BoundaryCircle,
@@ -250,17 +293,14 @@ def boundary_residual_at(jet: FieldJet, boundary: BoundaryCircle,
     return b_kin, b_p, b_t1, b_t2
 
 
-def boundary_residual(jets: JetProvider, boundary: BoundaryCircle,
-                      phys: PhysConstants, t: float,
-                      n_theta: int = 64) -> ResidualReport:
-    if t <= 0:
-        raise ValueError("t must be positive")
-    (_, x, y), = SampleSet((t,), n_r=1, n_theta=n_theta).slices(boundary)
-    rows = np.stack(boundary_residual_at(jets.jet(t, x, y), boundary, phys),
+def _front_report(t, x, y, jet: FieldJet, boundary: BoundaryCircle,
+                  phys: PhysConstants, engine) -> ResidualReport:
+    """The report of the front conditions from the jet of the ring x, y at
+    time t."""
+    rows = np.stack(boundary_residual_at(jet, boundary, phys),
                     axis=-1).tolist()
     locations = list(zip(itertools.repeat(t), x.tolist(), y.tolist()))
-    return collect_report(BOUNDARY_NAMES, rows, locations, jets.descriptor,
-                          [])
+    return collect_report(BOUNDARY_NAMES, rows, locations, engine, [])
 
 
 def cross_engine_check(analytic: JetProvider, fd: JetProvider,

@@ -14,7 +14,8 @@ import numpy as np
 
 from tumorsym.jets import Field
 from tumorsym.numerics.dual import Dual, seed1, seed2, value
-from tumorsym.residuals import nan_max
+from tumorsym.residuals import (SampleSet, governing_and_front_residuals,
+                                nan_max)
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation)
 
@@ -32,6 +33,14 @@ PARAMS = {
 }
 # the stationary family of Figures 3 and 4
 FIG34 = PARAMS["stationary413s"]
+
+
+def front_reports(jets, sol, boundary, times, n_front=64):
+    """The front reports at ``times`` as ``tumorsym verify`` takes them:
+    ``n_front`` ring points per time, in the one jet of that time."""
+    return governing_and_front_residuals(
+        jets, sol.triplet(), sol.phys(), SampleSet(times=tuple(times)),
+        boundary, n_front)[1]
 
 
 class ConstantState(Field):

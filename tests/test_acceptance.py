@@ -13,8 +13,9 @@ from tumorsym.core_model import (GeneralTriplet, PhysConstants,
 from tumorsym.cli import main
 from tumorsym.reduction import (integrate_ode_4_6, lift_profiles,
                                 reduced_bc_residual, reduced_ode_residual)
-from tumorsym.residuals import (SampleSet, boundary_residual,
-                                cross_engine_check, governing_residual)
+from tumorsym.residuals import (SampleSet, cross_engine_check,
+                                governing_and_front_residuals,
+                                governing_residual)
 from tumorsym.solutions import (FAMILY_IDS, BoundaryCircle,
                                 reduced_profiles_of)
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
@@ -69,12 +70,12 @@ def test_criterion_2_primary_residual_gates(capsys):
                         ("steady432", (1.0,))):
         sol = fams[name]
         provider = JetProvider(sol, AnalyticEngine())
-        gov = governing_residual(provider, sol.triplet(), sol.phys(),
-                                 SampleSet(times=times), sol.boundary())
+        gov, fronts = governing_and_front_residuals(
+            provider, sol.triplet(), sol.phys(), SampleSet(times=times),
+            sol.boundary(), 64)
         if gov.linf > 1e-9:
             failures.append(f"{name} governing {gov.linf:.3e} > 1e-9")
-        for t in times:
-            bc = boundary_residual(provider, sol.boundary(), sol.phys(), t)
+        for t, bc in zip(times, fronts):
             if bc.linf > 1e-10:
                 failures.append(f"{name} boundary {bc.linf:.3e} "
                                 f"at t={t} > 1e-10")

@@ -10,9 +10,10 @@ from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FdEngine, Field,
                            FieldJet, JetProvider, SingularityError,
                            analytic_jet, fd_jet)
 from tumorsym.numerics import fd_derivative
-from tumorsym.residuals import (SampleSet, boundary_residual,
-                                cross_engine_check, governing_residual,
-                                governing_residual_at)
+from tumorsym.residuals import (SampleSet, _front_report,
+                                cross_engine_check,
+                                governing_and_front_residuals,
+                                governing_residual, governing_residual_at)
 from tumorsym.reduction import lift_profiles
 from tumorsym.solutions import FAMILY_IDS, BoundaryCircle, reduced_profiles_of
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
@@ -105,9 +106,8 @@ def test_residual_reports_equal_pointwise_engine(fid):
     args = (sol.triplet(), sol.phys(), samples, sol.boundary())
     assert governing_residual(batched, *args) \
         == governing_residual(pointwise, *args)
-    for t in samples.times:
-        assert boundary_residual(batched, sol.boundary(), sol.phys(), t) \
-            == boundary_residual(pointwise, sol.boundary(), sol.phys(), t)
+    assert governing_and_front_residuals(batched, *args, 64) \
+        == governing_and_front_residuals(pointwise, *args, 64)
 
 
 def _single_point_paths():
@@ -266,6 +266,59 @@ def test_governing_rejects_the_pointwise_singular_samples():
     assert batched.rejected == (136,)
     assert batched == pointwise
     assert batched.sample_count == 2 * 96 - 1
+
+
+# -- one jet per sample time: the annulus and the front ring ----------------
+
+@pytest.mark.parametrize("fid", sorted(PARAMS))
+def test_the_shared_pass_has_the_bits_of_separate_jets(fid):
+    sol = FAMILY_IDS[fid](**PARAMS[fid])
+    samples = SampleSet(times=(0.5, 1.0, 2.0))
+    args = (sol.triplet(), sol.phys(), samples, sol.boundary())
+    gov, fronts = governing_and_front_residuals(JetProvider(sol), *args, 64)
+    assert gov == governing_residual(JetProvider(sol), *args)
+    assert len(fronts) == 3
+    for t, front in zip(samples.times, fronts):
+        (xa, ya), (xr, yr) = _annulus_and_ring(sol, t)
+        annulus, ring = analytic_jet(sol, t, np.concatenate((xa, xr)),
+                                     np.concatenate((ya, yr))).cut(xa.size)
+        for part, alone in ((annulus, analytic_jet(sol, t, xa, ya)),
+                            (ring, analytic_jet(sol, t, xr, yr))):
+            assert part.t == alone.t
+            for entry in ("x", "y") + JET_ENTRIES:
+                assert _bits(getattr(part, entry)) \
+                    == _bits(getattr(alone, entry)), entry
+        assert front == _front_report(t, xr, yr, analytic_jet(sol, t, xr, yr),
+                                      sol.boundary(), sol.phys(), "analytic")
+
+
+def test_only_annulus_points_are_rejected():
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    gov, (front,) = governing_and_front_residuals(
+        JetProvider(sol), sol.triplet(), sol.phys(), _WithOrigin(),
+        sol.boundary(), 64)
+    assert gov.rejected == (5,) and gov.sample_count == 96
+    assert front.rejected == () and front.sample_count == 64
+
+
+class _SingularLastPoint(AnalyticEngine):
+    """Masks the last point of every jet as singular."""
+
+    def jet(self, field, t, x, y):
+        mask = np.zeros(x.shape, dtype=bool)
+        mask[-1] = True
+        raise SingularityError("singular", mask)
+
+
+def test_a_singular_ring_point_raises():
+    sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
+    args = (sol.triplet(), sol.phys(), SampleSet(), sol.boundary())
+    with pytest.raises(SingularityError):
+        governing_and_front_residuals(
+            JetProvider(sol, _SingularLastPoint()), *args, 64)
+    # without a ring the same mask rejects annulus points one by one
+    with pytest.raises(ValueError, match="^no valid samples$"):
+        governing_residual(JetProvider(sol, _SingularLastPoint()), *args)
 
 
 # -- the FD reference engine -------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from tumorsym import cli
+from tumorsym import cli, jets
 from tumorsym.cli import main
 from tumorsym.jets import AnalyticEngine
 from tumorsym.solutions import FAMILY_IDS
@@ -128,6 +128,29 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, extra):
         assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("body, hint", [
+    (FIG34_BODY.replace("c4 = 2.0\n", "c4 = 2.0\nc3 = 5.0\n"),
+     "option 'c3' in section 'family' already exists"),
+    (FIG34_BODY + "\n[family]\nid = stationary413s\n",
+     "section 'family' already exists"),
+    ("c3 = 5.0\n" + FIG34_BODY, "no section headers"),
+    (FIG34_BODY.replace("c4 = 2.0\n", "c4 = 2.0\nc3\n"),
+     "parsing errors"),
+    (FIG34_BODY.replace("c3 = 5.0", "c3 = 5%"), "bad [family] c3:"),
+    ("\ufffe" + FIG34_BODY, "cannot read"),
+], ids=["duplicate-key", "duplicate-section", "no-section-header",
+        "no-equals", "stray-percent", "ff-fe-bytes"])
+def test_malformed_ini_is_a_config_error(tmp_path, capsys, body, hint):
+    path = tmp_path / "run.ini"
+    # "\ufffe" is the bytes ef bf be in UTF-8; the file must start ff fe
+    path.write_bytes(body.encode().replace("\ufffe".encode(), b"\xff\xfe"))
+    for command in ("validate", "verify", "orbit"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and hint in err
+        assert "Traceback" not in err
+
+
 def _family_body(family_id, **params):
     return f"[family]\nid = {family_id}\n" + "".join(
         f"{k} = {v!r}\n" for k, v in params.items())
@@ -234,6 +257,54 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert payload["governing"]["engine"] == "analytic"
     assert set(payload["governing"]["equations"]) == {
         "mass", "divergence", "momentum_x", "momentum_y"}
+
+
+def test_verify_takes_one_family_jet_per_sample_time(tmp_path, capsys,
+                                                    monkeypatch):
+    """The annulus and the front ring of a time share one jet."""
+    calls = []
+    family_jet = jets.analytic_jet
+
+    def counted(field, t, x, y):
+        if isinstance(field, FAMILY_IDS["stationary413s"]):
+            calls.append(t)
+        return family_jet(field, t, x, y)
+
+    monkeypatch.setattr(jets, "analytic_jet", counted)
+    cfg = _write(tmp_path, FIG34_BODY.replace("times = 1.0",
+                                              "times = 0.5, 1.0, 2.0"))
+    assert main(["verify", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert calls == [0.5, 1.0, 2.0]
+
+
+def test_verify_reports_a_repeated_time_once_and_gates_it_twice(tmp_path,
+                                                                capsys):
+    """``times = 1.0, 1.0`` samples the annulus twice; the front report
+    of t = 1 is printed and written once, and its gate fails once per
+    listed time."""
+    outputs = {}
+    for times in ("1.0", "1.0, 1.0"):
+        out = tmp_path / times.replace(", ", "_")
+        cfg = _write(tmp_path, FIG34_BODY.replace("times = 1.0",
+                                                  f"times = {times}")
+                     + "\n[tolerances]\nboundary = 1e-30\n")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        outputs[times] = (json.loads((out / "verify.json").read_text()),
+                          captured.out)
+    (once, out_once), (twice, out_twice) = outputs.values()
+    assert twice["boundary"] == once["boundary"]
+    assert list(twice["boundary"]) == ["1.0"]
+    assert out_twice.count("boundary t=1.0 ") == 1
+    assert out_twice.splitlines()[4:] == out_once.splitlines()[4:]
+    assert twice["governing"]["sample_count"] \
+        == 2 * once["governing"]["sample_count"]
+    boundary_fails = [f for f in twice["failures"]
+                      if f.startswith("boundary")]
+    assert len(boundary_fails) == 2 and boundary_fails[0] == boundary_fails[1]
+    assert boundary_fails[:1] == [f for f in once["failures"]
+                                  if f.startswith("boundary")]
 
 
 def test_verify_detects_overridden_link(tmp_path, capsys):
@@ -345,15 +416,17 @@ def test_verify_steady_family(tmp_path, capsys):
 
 
 class _OneNanEngine:
-    """The analytic engine with u1_x NaN at the second point of each call,
-    so one row per residual report is NaN and it is not the first."""
+    """The analytic engine with u1_x NaN at the second and the last point
+    of each call: one call per time holds the annulus and then the front
+    ring, so one row per residual report is NaN and it is not the
+    first."""
 
     descriptor = "analytic"
 
     def jet(self, field, t, x, y):
         jet = AnalyticEngine().jet(field, t, x, y)
         u1_x = np.array(jet.u1_x, dtype=float)
-        u1_x[1] = math.nan
+        u1_x[[1, -1]] = math.nan
         return dataclasses.replace(jet, u1_x=u1_x)
 
 

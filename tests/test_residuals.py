@@ -12,13 +12,12 @@ from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams, PowerLawTriplet)
 from tumorsym.jets import (AnalyticEngine, FdEngine, Field, JetProvider,
                           radial_argument)
-from tumorsym.residuals import (SampleSet, _acc, boundary_residual,
-                                collect_report, cross_engine_check,
-                                governing_residual)
+from tumorsym.residuals import (SampleSet, _acc, collect_report,
+                                cross_engine_check, governing_residual)
 from tumorsym.solutions import (BoundaryCircle, Full413, Stationary413s,
                                 Steady432)
 
-from support import FIG34, ConstantState
+from support import FIG34, ConstantState, front_reports
 
 
 def _provider(sol):
@@ -100,8 +99,8 @@ def test_stationary_governing_gate():
 
 def test_stationary_boundary_gate():
     sol = Stationary413s(**FIG34)
-    for t in (0.5, 1.0, 2.0):
-        rep = boundary_residual(_provider(sol), sol.boundary(), sol.phys(), t)
+    for rep in front_reports(_provider(sol), sol, sol.boundary(),
+                             (0.5, 1.0, 2.0)):
         assert rep.linf <= 1e-10
 
 
@@ -119,7 +118,7 @@ def test_steady_gates():
     rep = governing_residual(_provider(sol), sol.triplet(), sol.phys(),
                              SampleSet(), sol.boundary())
     assert rep.linf <= 1e-9
-    bc = boundary_residual(_provider(sol), sol.boundary(), sol.phys(), 1.0)
+    bc, = front_reports(_provider(sol), sol, sol.boundary(), (1.0,))
     assert bc.linf <= 1e-10
 
 
@@ -154,15 +153,15 @@ def test_broken_proliferation_link_is_detected():
 def test_shifted_front_is_detected():
     sol = Stationary413s(**FIG34)
     off = BoundaryCircle(delta=1.1 * sol.delta)
-    rep = boundary_residual(_provider(sol), off, sol.phys(), 1.0)
+    rep, = front_reports(_provider(sol), sol, off, (1.0,))
     assert rep.norm("pressure").linf >= 1e-5
     assert rep.linf >= 1e-2
 
 
-def test_boundary_residual_samples_the_one_ring_slice():
-    """The front ring of ``boundary_residual`` is the n_r = 1 slice of the
-    sample set: the same r = radius(t) and angles, and each worst point is
-    one of its points."""
+def test_front_report_samples_the_one_ring_slice():
+    """The front ring is the n_r = 1 slice of the sample set, taken in
+    the jet of its time after the annulus: the same r = radius(t) and
+    angles, and each worst point is one of its points."""
     sol = Stationary413s(**FIG34)
     seen = []
 
@@ -172,9 +171,10 @@ def test_boundary_residual_samples_the_one_ring_slice():
             return super().jet(field, t, x, y)
 
     b = BoundaryCircle(delta=1.1 * sol.delta)
-    rep = boundary_residual(JetProvider(sol, Recording()), b, sol.phys(),
-                            2.0, 24)
+    rep, = front_reports(JetProvider(sol, Recording()), sol, b, (2.0,), 24)
     (t, x, y), = seen
+    assert x.size == y.size == 96 + 24
+    x, y = x[-24:], y[-24:]
     (t1, x1, y1), = SampleSet((2.0,), n_r=1, n_theta=24).slices(b)
     assert t == t1 == 2.0
     assert _bits(x) == _bits(x1) and _bits(y) == _bits(y1)
@@ -183,10 +183,10 @@ def test_boundary_residual_samples_the_one_ring_slice():
     assert rep.sample_count == 24
 
 
-def test_boundary_residual_rejects_bad_time():
+def test_front_ring_rejects_bad_time():
     sol = Stationary413s(**FIG34)
     with pytest.raises(ValueError):
-        boundary_residual(_provider(sol), sol.boundary(), sol.phys(), 0.0)
+        front_reports(_provider(sol), sol, sol.boundary(), (0.0,))
 
 
 class _OriginEverywhere(Field):
