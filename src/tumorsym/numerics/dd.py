@@ -250,7 +250,3 @@ class DD:
     def cos(self):
         h = elementwise(math.cos, self.hi)
         return DD.of(h) - self.lo * elementwise(math.sin, self.hi)
-
-    def atan(self):
-        h = elementwise(math.atan, self.hi)
-        return DD.of(h) + self.lo / (1.0 + self.hi * self.hi)

@@ -7,7 +7,7 @@ model formulas are written once in plain arithmetic and evaluated either on
 floats or on seeded duals.  Components may be numpy arrays or DDs of arrays
 (vector forward mode): one evaluation then differentiates at many points.
 
-The elementary functions (exp, expm1, log, sin, cos, sqrt, atan) share one
+The elementary functions (exp, expm1, log, sin, cos, sqrt) share one
 dispatch over float, Dual, DD and ndarray arguments (:func:`_elementary`);
 each names only its libm kernel, its DD method and its derivative.  Every
 jet reads its seeded results through one reader, :func:`taylor`, next to
@@ -143,39 +143,6 @@ log = _elementary(math.log, DD.log, lambda d, x, y: d / x)
 sin = _elementary(math.sin, DD.sin, lambda d, x, s: d * cos(x))
 cos = _elementary(math.cos, DD.cos, lambda d, x, c: -d * sin(x))
 sqrt = _elementary(math.sqrt, DD.sqrt, lambda d, x, s: d / (2.0 * s))
-atan = _elementary(math.atan, DD.atan, lambda d, x, a: d / (1.0 + x * x))
-
-
-def _select(mask, a, b):
-    """``a`` where ``mask`` holds, else ``b``: a bool picks one whole; a
-    mask of bools picks element by element, through duals and DDs."""
-    if not isinstance(mask, np.ndarray):
-        return a if mask else b
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        a, b = (z if isinstance(z, Dual) else Dual(z, 0.0) for z in (a, b))
-        return Dual(_select(mask, a.val, b.val), _select(mask, a.dot, b.dot))
-    if isinstance(a, DD) or isinstance(b, DD):
-        a, b = DD.of(a), DD.of(b)
-        return DD(np.where(mask, a.hi, b.hi), np.where(mask, a.lo, b.lo))
-    return np.where(mask, a, b)
-
-
-def atan2(y, x):
-    """Branch-corrected two-argument arctangent, safe for dual arguments
-    and for arrays of points.
-
-    The branch is chosen from the float values, point by point; the
-    correction is a constant, so derivatives are unaffected.
-    """
-    xv, yv = value(x), value(y)
-    if np.any((xv == 0.0) & (yv == 0.0)):
-        raise ZeroDivisionError("atan2(0, 0)")
-    steep = abs(xv) < abs(yv)  # atan of x/y, not y/x
-    base = atan(_select(steep, x, y) / _select(steep, y, x))
-    quarter = _select(yv > 0.0, math.pi / 2.0, -math.pi / 2.0)
-    half = _select(yv >= 0.0, math.pi, -math.pi)
-    return _select(steep, -base + quarter,
-                   _select(xv > 0.0, base, base + half))
 
 
 def lift(z, fval, fder):

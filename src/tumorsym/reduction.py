@@ -2,7 +2,9 @@
 
 The radial profile systems here are coded in polar form exactly as the
 reduced equations read; the Cartesian residual module never shares these
-expressions, so agreement between the two is a real cross-check.
+expressions, so agreement between the two is a real cross-check.  The
+lift back to (t, x, y) reads only the profiles and needs no polar angle:
+its velocity is the unit radial vector turned by the flow angle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .jets import Field, radial_argument
 from .numerics import (IntegrationError, QuadratureSpec, ode_integrate,
                        quad_adaptive)
 from .numerics.dd import DD
-from .numerics.dual import atan2, cos, seed2, sin, sqrt, taylor, value
+from .numerics.dual import cos, seed2, sin, sqrt, taylor, value
 from .residuals import (ResidualReport, collect_report, constitutive_terms,
                         nan_max)
 
@@ -58,7 +60,9 @@ class ReducedProfiles:
 
 class LiftedField(Field):
     """Profiles lifted to a (t, x, y) field: the inverse of the scale
-    ansatz (no time factors for steady profiles), then the polar map."""
+    ansatz (no time factors for steady profiles), then the polar map.
+    The polar map needs no angle: the velocity is the unit radial vector
+    (w1, w2) / r turned by the flow angle Phi and scaled by the speed R."""
 
     def __init__(self, profiles: ReducedProfiles):
         self.profiles = profiles
@@ -70,9 +74,9 @@ class LiftedField(Field):
         g = prof.gamma  # 0 for steady profiles: t ** g is exactly 1
         w1, w2 = x * t ** g, y * t ** g
         r = sqrt(radial_argument(t, w1, w2))  # rejects the origin first
-        phi = atan2(w2, w1)
         lam, R, p, Phi = prof.fields(r)
-        u1, u2 = R * cos(Phi + phi), R * sin(Phi + phi)
+        c, s = R * cos(Phi) / r, R * sin(Phi) / r
+        u1, u2 = c * w1 - s * w2, s * w1 + c * w2
         if prof.steady:
             return lam, u1, u2, p
         n = prof.triplet.params.n

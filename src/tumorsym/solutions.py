@@ -237,7 +237,7 @@ class Stationary413s(PowerLawFamily):
             * _pressure_integral(n * q, w, self.delta)
             + c3 * n * E / (n - 1.0) * _pressure_integral(q, w, self.delta)
             + c4 + 0.5 * c3 * log(w))
-        alpha = 0.5 * c3 * n * E * t ** (1.0 / (1.0 - n)) * exp(-w * q)
+        alpha = self.c1 * t ** (1.0 / (1.0 - n)) * exp(-w * q)
         return alpha, vel, p
 
 
@@ -341,6 +341,9 @@ class Steady432(SolutionFamily):
     The mobility is d0/alpha and the pressure-difference function is the
     one compatible with S = k1 a^m - k2 a^n; (c4, k1, k2) are derived so
     the boundary conditions hold on the circle r = delta (eq. 4.36).
+    The pressure terms carry 2 k1 c1^m / m and 2 k2 c1^n / n (``_A1``,
+    ``_A2``), because the divergence equation needs c1^m and c1^n for
+    any c1; whether eq. 4.36 writes the same exponents is unchecked.
     """
 
     family_id = "steady432"
@@ -369,16 +372,13 @@ class Steady432(SolutionFamily):
     def radial(self, t, w):
         m, n = self.m_exp, self.n_exp
         c1, c3, c4, d0 = self.c1, self.c3, self.c4, self.d0
-        k1, k2 = self.k1, self.k2
         q = 1.0 / (4.0 * d0)
         vel = d0 / (c1 * w) * (
             c3 * expm1(w * q) - self._A1 * expm1((1.0 - m) * w * q)
             + self._A2 * expm1((1.0 - n) * w * q) + self._B)
         p = c4 + 0.5 * c3 * log(w) \
-            + 2.0 * k1 * c1 ** (m - 1.0) / m \
-            * _pressure_integral(m * q, w, self.delta) \
-            - 2.0 * k2 * c1 ** (n - 1.0) / n \
-            * _pressure_integral(n * q, w, self.delta)
+            + self._A1 * _pressure_integral(m * q, w, self.delta) \
+            - self._A2 * _pressure_integral(n * q, w, self.delta)
         alpha = c1 * exp(-w * q)
         return alpha, vel, p
 

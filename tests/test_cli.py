@@ -415,6 +415,13 @@ def test_verify_steady_family(tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("c1", ["0.5", "1.5"])
+def test_verify_steady_family_at_a_non_unit_c1(tmp_path, capsys, c1):
+    cfg = _write(tmp_path, STEADY_BODY.replace("c1 = 1.0", f"c1 = {c1}"))
+    assert main(["verify", "--config", cfg]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 class _OneNanEngine:
     """The analytic engine with u1_x NaN at the second and the last point
     of each call: one call per time holds the annulus and then the front

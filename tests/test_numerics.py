@@ -12,8 +12,8 @@ from tumorsym.numerics import (IntegrationError, OdeSpec, QuadratureError,
                                exp_over_z_integral, exp_over_z_quadrature,
                                fd_derivative, ode_integrate, quad_adaptive)
 from tumorsym.numerics.dd import DD, two_prod, two_sum
-from tumorsym.numerics.dual import (Dual, atan, atan2, cos, exp, expm1, lift,
-                                    log, seed2, sin, sqrt, value)
+from tumorsym.numerics.dual import (Dual, cos, exp, expm1, lift, log, sin,
+                                    sqrt, value)
 from tumorsym.numerics.quadrature import _GK15
 
 from support import ddr, derivative, richardson_order, second_derivative
@@ -171,38 +171,6 @@ def test_ddr_composes():
     assert derivative(g, 2.0) == pytest.approx(12.0)
 
 
-def test_atan2_quadrants():
-    for x, y in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0),
-                 (0.5, 2.0), (-2.0, 0.5)):
-        assert value(atan2(y, x)) == pytest.approx(math.atan2(y, x))
-
-
-def test_atan2_on_arrays_has_the_bits_of_the_scalar_calls():
-    # every branch: |x| >= |y| with x > 0 and x < 0, |x| < |y| with y of
-    # either sign, and the axes
-    pts = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (0.5, 2.0),
-           (-2.0, 0.5), (0.3, -4.0), (-0.7, 0.0), (0.0, -0.2), (3.0, 0.0)]
-    xs, ys = (np.array(c) for c in zip(*pts))
-
-    def parts(z):
-        return [value(z.val.val), value(z.val.dot), value(z.dot.val),
-                value(z.dot.dot)]
-
-    def seeded(x, y):  # second order along (1, 2)
-        return (Dual(Dual(DD.of(x), 1.0), Dual(1.0, 0.0)),
-                Dual(Dual(DD.of(y), 2.0), Dual(2.0, 0.0)))
-
-    sx, sy = seeded(xs, ys)
-    batch = np.array(parts(atan2(sy, sx)))
-    for i, (x, y) in enumerate(pts):
-        sx, sy = seeded(x, y)
-        single = parts(atan2(sy, sx))
-        assert batch[:, i].view(np.int64).tolist() \
-            == np.array(single).view(np.int64).tolist(), (x, y)
-    with pytest.raises(ZeroDivisionError):
-        atan2(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-
-
 @given(st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=40, deadline=None)
 def test_dual_chain_rule_property(x):
@@ -233,7 +201,6 @@ _ELEMENTARY = [
     (sin, math.sin, DD.sin, lambda d, x, fx: d * cos(x)),
     (cos, math.cos, DD.cos, lambda d, x, fx: -d * sin(x)),
     (sqrt, math.sqrt, DD.sqrt, lambda d, x, fx: d / (2.0 * fx)),
-    (atan, math.atan, DD.atan, lambda d, x, fx: d / (1.0 + x * x)),
 ]
 _POINTS = (0.3, 1.7, 12.5, 1e-9)
 

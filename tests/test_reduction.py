@@ -5,9 +5,11 @@ against its closed forms, and the pressure quadrature."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from tumorsym.core_model import PhysConstants, PowerLawParams, PowerLawTriplet
+from tumorsym.jets import JET_ENTRIES, analytic_jet
 from tumorsym.numerics import IntegrationError
 from tumorsym.numerics.dual import (cos as dcos, exp as dexp,
                                     sin as dsin, value)
@@ -15,8 +17,9 @@ from tumorsym.reduction import (BcResiduals, ReducedProfiles,
                                 integrate_ode_4_6, lift_profiles,
                                 pressure_from_lambda, reduced_bc_residual,
                                 reduced_ode_residual)
-from tumorsym.solutions import (Full413, Stationary413s, Steady432,
-                                reduced_profiles_of)
+from tumorsym.residuals import SampleSet
+from tumorsym.solutions import (FAMILY_IDS, Full413, Stationary413s,
+                                Steady432, reduced_profiles_of)
 
 from support import (FIG34, PARAMS, ddr, first_integral_R,
                      overdetermined_residual)
@@ -235,6 +238,24 @@ def test_lift_round_trip(mk):
             want = sol.values(t, x, y)
             for a, b in zip(got, want):
                 assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("family_id", sorted(PARAMS))
+def test_lifted_jet_matches_the_family_jet(family_id):
+    """Every jet entry of the lift agrees with the family's to rounding of
+    the largest entry of its derivative order at that point (the jets of a
+    radial field differ in size by orders between orders)."""
+    sol = FAMILY_IDS[family_id](**PARAMS[family_id])
+    lifted = lift_profiles(reduced_profiles_of(sol))
+    by_order = {k: [e for e in JET_ENTRIES if len(e.partition("_")[2]) == k]
+                for k in (0, 1, 2)}
+    for t, x, y in SampleSet(times=(0.5, 1.0, 2.0)).slices(sol.boundary()):
+        got, want = analytic_jet(lifted, t, x, y), analytic_jet(sol, t, x, y)
+        for names in by_order.values():
+            scale = np.max([np.abs(getattr(want, e)) for e in names], axis=0)
+            for e in names:
+                gap = np.abs(getattr(got, e) - getattr(want, e))
+                assert np.all(gap <= 1e-14 * scale), (t, e)
 
 
 def test_lift_requires_positive_time():

@@ -150,6 +150,15 @@ def test_broken_proliferation_link_is_detected():
     assert rep.norm("divergence").linf <= 1e-9
 
 
+def test_a_scaled_stationary_c1_is_detected():
+    # radial reads the derived c1, so a wrong c1 cannot hide from verify
+    sol = Stationary413s(**FIG34)
+    sol.c1 *= 1.0 + 1e-6
+    rep = governing_residual(_provider(sol), sol.triplet(), sol.phys(),
+                             SampleSet(), sol.boundary())
+    assert rep.linf > 1e-8  # the default governing gate
+
+
 def test_shifted_front_is_detected():
     sol = Stationary413s(**FIG34)
     off = BoundaryCircle(delta=1.1 * sol.delta)
