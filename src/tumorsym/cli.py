@@ -69,12 +69,44 @@ def _strict(obj):
     return obj
 
 
+def _output_dir(path):
+    """``path`` (None for no output), after checking, before any work and
+    without making anything, that it is a writable directory or can be
+    made one: the nearest part of it that exists must be a directory we
+    may write in.  Otherwise the run ends with exit 2 and a message that
+    names the path."""
+    if not path:
+        return path
+    probe = os.path.normpath(path)
+    while not os.path.lexists(probe):  # ends at "/" or ".", which exist
+        probe = os.path.dirname(probe) or os.curdir
+    if not os.path.isdir(probe):
+        problem = f"{probe} is not a directory"
+    elif not os.access(probe, os.W_OK | os.X_OK):
+        problem = f"{probe} is not writable"
+    else:
+        return path
+    raise _Exit(f"output error: cannot write to {path}: {problem}", 2)
+
+
+@contextlib.contextmanager
+def _writing(out_dir):
+    """Makes ``out_dir`` for the writes inside; an OSError there (a case
+    that :func:`_output_dir` cannot foresee, such as a read-only special
+    file system) ends the run with exit 2 and a message, as it does."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield
+    except OSError as e:
+        raise _Exit(f"output error: cannot write to {out_dir}: "
+                    f"{e.strerror or e}", 2) from None
+
+
 def _write_json(out_dir, name, payload):
     if not out_dir:
         return
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="\n") as fh:
+    with _writing(out_dir), open(os.path.join(out_dir, name), "w",
+                                 newline="\n") as fh:
         json.dump(_strict(payload), fh, sort_keys=True, indent=2,
                   allow_nan=False)
         fh.write("\n")
@@ -94,6 +126,7 @@ def _report_payload(report):
 
 def cmd_validate(args):
     cfg, sol = _load(args.config)
+    out_dir = _output_dir(cfg.out_dir or args.out)
     with _failing("restriction violated"):
         derived = {name: getattr(sol, name) for name in sol.derived}
     for name, val in derived.items():
@@ -105,7 +138,7 @@ def cmd_validate(args):
         print(f"  given   {key} = {cfg.family_params[key]!r}")
     for key, val in derived.items():
         print(f"  derived {key} = {val!r}")
-    _write_json(cfg.out_dir or args.out, "validate.json",
+    _write_json(out_dir, "validate.json",
                 {"family": cfg.family_id, "given": cfg.family_params,
                  "derived": derived})
     return 0
@@ -161,6 +194,7 @@ def _orbit_check(cfg, sol, triplet, base_linf):
 
 def cmd_verify(args):
     cfg, sol = _load(args.config)
+    out_dir = _output_dir(cfg.out_dir or args.out)
     triplet, gov, fronts = _governing(cfg, sol, cfg.samples.n_theta * 8)
     tol = cfg.tolerances
 
@@ -205,7 +239,7 @@ def cmd_verify(args):
         "orbit": None if orb is None else _report_payload(orb),
         "failures": failures,
     }
-    _write_json(cfg.out_dir or args.out, "verify.json", payload)
+    _write_json(out_dir, "verify.json", payload)
     for line in gov.lines():
         print(f"governing {line}")
     for t, rep in bnd_reports.items():
@@ -219,6 +253,7 @@ def cmd_verify(args):
 
 def cmd_orbit(args):
     cfg, sol = _load(args.config, need_orbit=True)
+    out_dir = _output_dir(cfg.out_dir or args.out)
     triplet, base, _ = _governing(cfg, sol, 0)
     orb, allowed, failure = _orbit_check(cfg, sol, triplet, base.linf)
     if orb is None:
@@ -226,7 +261,7 @@ def cmd_orbit(args):
     shown = "none" if allowed is None else f"{allowed:.6e}"
     print(f"base Linf={base.linf:.6e} orbit Linf={orb.linf:.6e} "
           f"allowed={shown}")
-    _write_json(cfg.out_dir or args.out, "orbit.json",
+    _write_json(out_dir, "orbit.json",
                 {"base": _report_payload(base),
                  "orbit": _report_payload(orb),
                  "allowed": allowed})
@@ -296,27 +331,27 @@ def cmd_figure(args):
         raise _Exit(f"grid must be at least 2, got {args.grid}", 2)
     family_id, params, panels = _FIGURES[args.figure]
     sol = FAMILY_IDS[family_id](**params)
-    out_dir = args.out or "figures"
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(args.out or "figures")
     written, grids = [], {}
-    for name, component, t in panels:
-        if t not in grids:  # panels at one time share one values() call
-            grids[t] = _figure_grid(sol, t, args.grid)
-        reprs, inside, fields = grids[t]
-        values = [] if fields is None else fields[component].tolist()
-        path = os.path.join(out_dir, f"fig{args.figure}_{name}.csv")
-        with open(path, "w", newline="\n") as fh:
-            _write_figure_csv(fh, reprs, inside, values)
-        written.append(path)
-    _write_json(out_dir, f"fig{args.figure}_meta.json",
-                {"figure": args.figure, "family": family_id,
-                 "params": params, "grid": args.grid,
-                 "r_min_fraction": _R_MIN_FRACTION,
-                 "panels": [{"name": n, "component": c, "t": t}
-                            for n, c, t in panels]})
-    script = os.path.join(out_dir, f"fig{args.figure}_plot.txt")
-    with open(script, "w", newline="\n") as fh:
-        fh.write(_PLOT_SCRIPT)
+    with _writing(out_dir):
+        for name, component, t in panels:
+            if t not in grids:  # panels at one time share one values() call
+                grids[t] = _figure_grid(sol, t, args.grid)
+            reprs, inside, fields = grids[t]
+            values = [] if fields is None else fields[component].tolist()
+            path = os.path.join(out_dir, f"fig{args.figure}_{name}.csv")
+            with open(path, "w", newline="\n") as fh:
+                _write_figure_csv(fh, reprs, inside, values)
+            written.append(path)
+        _write_json(out_dir, f"fig{args.figure}_meta.json",
+                    {"figure": args.figure, "family": family_id,
+                     "params": params, "grid": args.grid,
+                     "r_min_fraction": _R_MIN_FRACTION,
+                     "panels": [{"name": n, "component": c, "t": t}
+                                for n, c, t in panels]})
+        script = os.path.join(out_dir, f"fig{args.figure}_plot.txt")
+        with open(script, "w", newline="\n") as fh:
+            fh.write(_PLOT_SCRIPT)
     for path in written:
         print(path)
     return 0

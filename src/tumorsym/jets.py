@@ -23,7 +23,11 @@ independent reference of ``cross_engine_check``.  Every path hands its
 partials to one assembly of the jet.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
-carry fractional powers of t that make time differencing unreliable.
+carry fractional powers of t that make time differencing unreliable.  Its
+seed evaluates alpha alone, ``Field.alpha``: a family's closed form
+``radial_alpha``, a group element's pull of the source's alpha, or
+``values()[0]`` for any other field; the velocity, the pressure and its
+Ei integrals are never carried under the time seed.
 """
 
 from __future__ import annotations
@@ -98,10 +102,15 @@ JET_ENTRIES = tuple(f.name for f in fields(FieldJet)
 
 
 class Field:
-    """Base class for jet-capable fields; subclasses implement ``values``."""
+    """Base class for jet-capable fields; subclasses implement ``values``,
+    and may implement ``alpha`` to give alpha without the other fields."""
 
     def values(self, t, x, y):
         raise NotImplementedError
+
+    def alpha(self, t, x, y):
+        """alpha alone at (t, x, y): what a time seed evaluates."""
+        return self.values(t, x, y)[0]
 
 
 def radial_argument(t, x, y):
@@ -190,13 +199,13 @@ def _radial_jet(field, t, x, y):
     w = radial_argument(t, x, y)
     (A, A1, _), (V, V1, V2), (P, P1, P2) = map(
         taylor, field.radial(t, seed2(w)))
-    a_t = value(taylor(field.radial(seed1(t), w)[0])[1])
     tx, ty = x + x, y + y  # dw/dx, dw/dy
     v_x, v_y = tx * V1, ty * V1
     v_xx = 2.0 * V1 + tx * tx * V2
     v_xy = tx * ty * V2
     v_yy = 2.0 * V1 + ty * ty * V2
-    return _field_jet(value(t), value(x), value(y), a_t, (
+    return _field_jet(value(t), value(x), value(y),
+                      _alpha_t(field, t, x, y), (
         (A, tx * A1, ty * A1),
         (x * V, x * v_x + V, x * v_y, x * v_xx + 2.0 * v_x, x * v_yy,
          x * v_xy + v_y),
@@ -214,8 +223,8 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
 
     One ``values()`` call takes the 5 x 5 grid x + i h, y + j h (i, j in
     -2..2), which holds every point the stencils read, for all points and
-    all four fields, and the time seed one more: 2 calls, whatever the
-    number of points.  A field singular at some grid point raises
+    all four fields, and the time seed one ``alpha()`` call: 2 calls,
+    whatever the number of points.  A field singular at some grid point raises
     :class:`SingularityError` with the mask of the points singular at any
     offset.  alpha_t still comes from the analytic path (see module note).
     """
@@ -244,8 +253,9 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
 
 
 def _alpha_t(field, t, x, y):
-    """The time derivative of alpha from one ``values()`` call seeded in t."""
-    return value(taylor(field.values(seed1(t), x, y)[0])[1])
+    """The time derivative of alpha from one ``alpha()`` call seeded in t:
+    the one time seed of the radial, Cartesian and FD paths."""
+    return value(taylor(field.alpha(seed1(t), x, y))[1])
 
 
 def _field_jet(t, x, y, alpha_t, rows) -> FieldJet:

@@ -7,9 +7,11 @@ cross-check each other.  Jets are requested once per sample time, for all
 points at that time together: ``governing_and_front_residuals`` takes one
 jet on the annulus points of a time followed by its front ring and cuts
 it in two, one part for the governing residuals and one for the front
-conditions.  Every step of a jet and of the assembly is elementwise and
-each point's sum is still one exactly rounded fsum, so every residual has
-the bits of a point-by-point evaluation.
+conditions.  The assembly gathers the 32 terms of the four equations into
+arrays and splits all their products in one error-free pass.  Every step
+of a jet and of the assembly is elementwise and each point's sum is still
+one exactly rounded fsum, so every residual has the bits of a
+point-by-point evaluation.
 """
 
 from __future__ import annotations
@@ -116,20 +118,32 @@ def nan_max(values):
 
 
 @np.errstate(all="ignore")
-def _acc(terms):
-    """Exactly accumulated sum of c*a*b terms, one list entry per point.
+def _acc(equations, n):
+    """Exactly accumulated sums of c*a*b terms at ``n`` points: one list
+    per equation, each a list of (c, a, b) terms, and one sum per point.
 
     Individual momentum terms grow like r^-3 near the inner sampling rim
     while the residual stays near zero, so every product is split into its
-    error-free parts before the single fsum.  Overflow makes a NaN or inf
-    point that fails its gate, without a warning.
+    error-free parts before the single fsum of each point.  The c, a and b
+    of all terms of all equations are gathered into (terms, n) arrays, so
+    one two_prod pass splits every a*b and one every (a*b)*c; each point's
+    fsum reads (p*c, its error, e*c) term after term, as a term-by-term
+    split would give them.  Overflow makes a NaN or inf point that fails
+    its gate, without a warning.
     """
-    parts = []
-    for c, a, b in terms:
-        p, e = two_prod(a, b)
-        q, f = two_prod(p, c)
-        parts += (q, f, e * c)
-    return [_fsum(row) for row in np.stack(parts, axis=-1).tolist()]
+    c, a, b = (np.empty((sum(map(len, equations)), n)) for _ in range(3))
+    for i, term in enumerate(itertools.chain(*equations)):
+        c[i], a[i], b[i] = term
+    p, e = two_prod(a, b)
+    q, f = two_prod(p, c)
+    parts = np.stack((q, f, e * c), axis=1)  # (terms, 3, n)
+    sums, start = [], 0
+    for terms in equations:
+        rows = parts[start:start + len(terms)].reshape(
+            3 * len(terms), n).T.tolist()
+        sums.append([_fsum(row) for row in rows])
+        start += len(terms)
+    return sums
 
 
 def _fsum(terms):
@@ -156,32 +170,28 @@ def governing_residual_at(jet: FieldJet, triplet: ConstitutiveTriplet,
     each."""
     lam = phys.lam
     S, D, dD, d_alpha_sigma = constitutive_terms(triplet, jet.alpha)
-    r_mass = _acc([
+    return _acc([[
         (1.0, jet.alpha_t, 1.0),
         (1.0, jet.alpha_x, jet.u1), (1.0, jet.alpha, jet.u1_x),
         (1.0, jet.alpha_y, jet.u2), (1.0, jet.alpha, jet.u2_y),
-        (-1.0, S, 1.0)])
-    r_div = _acc([
+        (-1.0, S, 1.0)], [
         (1.0, jet.u1_x, 1.0), (1.0, jet.u2_y, 1.0),
         (-dD, jet.alpha_x, jet.p_x), (-dD, jet.alpha_y, jet.p_y),
-        (-D, jet.p_xx, 1.0), (-D, jet.p_yy, 1.0)])
-    r_mx = _acc([
+        (-D, jet.p_xx, 1.0), (-D, jet.p_yy, 1.0)], [
         (2.0 + lam, jet.alpha_x, jet.u1_x),
         (2.0 + lam, jet.alpha, jet.u1_xx),
         (lam, jet.alpha_x, jet.u2_y), (lam, jet.alpha, jet.u2_xy),
         (1.0, jet.alpha_y, jet.u1_y), (1.0, jet.alpha_y, jet.u2_x),
         (1.0, jet.alpha, jet.u1_yy), (1.0, jet.alpha, jet.u2_xy),
         (-1.0, jet.p_x, 1.0),
-        (-d_alpha_sigma, jet.alpha_x, 1.0)])
-    r_my = _acc([
+        (-d_alpha_sigma, jet.alpha_x, 1.0)], [
         (1.0, jet.alpha_x, jet.u1_y), (1.0, jet.alpha_x, jet.u2_x),
         (1.0, jet.alpha, jet.u1_xy), (1.0, jet.alpha, jet.u2_xx),
         (2.0 + lam, jet.alpha_y, jet.u2_y),
         (2.0 + lam, jet.alpha, jet.u2_yy),
         (lam, jet.alpha_y, jet.u1_x), (lam, jet.alpha, jet.u1_xy),
         (-1.0, jet.p_y, 1.0),
-        (-d_alpha_sigma, jet.alpha_y, 1.0)])
-    return r_mass, r_div, r_mx, r_my
+        (-d_alpha_sigma, jet.alpha_y, 1.0)]], jet.x.size)
 
 
 def collect_report(names, rows, locations, engine, rejected):

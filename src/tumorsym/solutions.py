@@ -99,7 +99,9 @@ class SolutionFamily(Field):
     keyword arguments of :meth:`triplet` are the derived constants a run
     may override (:meth:`overridable`), ``derived`` lists, in report
     order, the derived attributes that ``validate`` prints, and ``radial``
-    states the closed form once: u = (x, y) * vel.
+    states the closed form once: u = (x, y) * vel, with alpha from
+    ``radial_alpha``, the one home of alpha that a time seed evaluates
+    alone (only the mass equation has a time derivative).
     """
 
     family_id: str
@@ -131,6 +133,11 @@ class SolutionFamily(Field):
         family's ``radial(t, w) -> (alpha, vel, p)`` at w = x^2 + y^2."""
         alpha, vel, p = self.radial(t, radial_argument(t, x, y))
         return alpha, x * vel, y * vel, p
+
+    def alpha(self, t, x, y):
+        """alpha alone at (t, x, y), from the family's ``radial_alpha(t,
+        w)``, the closed form that ``radial`` itself returns."""
+        return self.radial_alpha(t, radial_argument(t, x, y))
 
 
 class PowerLawFamily(SolutionFamily):
@@ -196,8 +203,11 @@ class Full413(PowerLawFamily):
             self._coef_n * _pressure_integral(n * q, w, self.delta)
             + self._coef_1 * _pressure_integral(q, w, self.delta)
             + c4 + 0.5 * c3 * log(w))
-        alpha = c1 * t ** (1.0 / (1.0 - n)) * exp(-w * q)
-        return alpha, vel, p
+        return self.radial_alpha(t, w), vel, p
+
+    def radial_alpha(self, t, w):
+        q = 1.0 / (4.0 * self.d0)
+        return self.c1 * t ** (1.0 / (1.0 - self.n)) * exp(-w * q)
 
 
 class Stationary413s(PowerLawFamily):
@@ -237,8 +247,9 @@ class Stationary413s(PowerLawFamily):
             * _pressure_integral(n * q, w, self.delta)
             + c3 * n * E / (n - 1.0) * _pressure_integral(q, w, self.delta)
             + c4 + 0.5 * c3 * log(w))
-        alpha = self.c1 * t ** (1.0 / (1.0 - n)) * exp(-w * q)
-        return alpha, vel, p
+        return self.radial_alpha(t, w), vel, p
+
+    radial_alpha = Full413.radial_alpha  # the same alpha, with c1 derived
 
 
 class Moving442(PowerLawFamily):
@@ -286,8 +297,10 @@ class Moving442(PowerLawFamily):
         p = s0 * (1.0 + m) ** 2 * c1 ** (n - 1.0 - m) \
             / (4.0 * d0 * n * (1.0 + m + n)) * w ** (n / (1.0 + m)) \
             - 0.5 * c2 * tpow / w + c3 * t ** (n / (1.0 - n))
-        alpha = c1 * w ** (1.0 / (1.0 + m))
-        return alpha, vel, p
+        return self.radial_alpha(t, w), vel, p
+
+    def radial_alpha(self, t, w):
+        return self.c1 * w ** (1.0 / (1.0 + self.m))
 
 
 class Moving444(PowerLawFamily):
@@ -331,8 +344,10 @@ class Moving444(PowerLawFamily):
         p = -1.0 / (4.0 * d0 * w) * (
             2.0 * d0 * c2 + s0 * c1 ** (2.0 * n) * (1.0 + logterm)) \
             + c3 * t ** (n / (1.0 - n))
-        alpha = c1 * w ** (-1.0 / n)
-        return alpha, vel, p
+        return self.radial_alpha(t, w), vel, p
+
+    def radial_alpha(self, t, w):
+        return self.c1 * w ** (-1.0 / self.n)
 
 
 class Steady432(SolutionFamily):
@@ -379,8 +394,11 @@ class Steady432(SolutionFamily):
         p = c4 + 0.5 * c3 * log(w) \
             + self._A1 * _pressure_integral(m * q, w, self.delta) \
             - self._A2 * _pressure_integral(n * q, w, self.delta)
-        alpha = c1 * exp(-w * q)
-        return alpha, vel, p
+        return self.radial_alpha(t, w), vel, p
+
+    def radial_alpha(self, t, w):
+        q = 1.0 / (4.0 * self.d0)
+        return self.c1 * exp(-w * q)
 
     def triplet(self):
         """S = k1 a^m - k2 a^n, D = d0/a, and the Sigma compatible with

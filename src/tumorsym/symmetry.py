@@ -3,6 +3,9 @@
 Each group element acts by pullback: the transformed field evaluates the
 source field at the inverse-mapped point and transforms the components.
 The result is again a field, so jets and residuals apply to it unchanged.
+Each element states that point map once, ``point``, which both of its
+pulls read: ``pull_values`` for the four fields, and ``pull_alpha`` for
+alpha alone, the only field a time seed needs.
 """
 
 from __future__ import annotations
@@ -42,20 +45,40 @@ def _plain(z):
     return z.to_float() if isinstance(z, DD) else z
 
 
+class _PointMap:
+    """What every element shares: its ``point(t, x, y)``, the source point
+    of (t, x, y) (the identity unless an element moves points), read by
+    both of its pulls, so the alpha pull evaluates the source's alpha
+    alone at the same source point as ``pull_values``."""
+
+    def point(self, t, x, y):
+        return t, x, y
+
+    def pull_alpha(self, field: Field, t, x, y):
+        return field.alpha(*self.point(t, x, y))
+
+
 @dataclass(frozen=True)
-class Rotation:
+class Rotation(_PointMap):
     """Generalized rotation by angle f(t)*eps with velocity corrections."""
 
     f: Callable
     fdot: Callable
     eps: float
 
-    def pull_values(self, field: Field, t, x, y):
+    def _turn(self, t, x, y):
+        """cos and sin of the angle f(t)*eps, and the source point of
+        (x, y), turned by it."""
         a = _tcall(self.f, self.fdot, t) * self.eps
-        fd_eps = _tcall(self.fdot, None, t) * self.eps
         ca, sa = cos(a), sin(a)
-        xs = x * ca - y * sa
-        ys = x * sa + y * ca
+        return ca, sa, x * ca - y * sa, x * sa + y * ca
+
+    def point(self, t, x, y):
+        return (t, *self._turn(t, x, y)[2:])
+
+    def pull_values(self, field: Field, t, x, y):
+        ca, sa, xs, ys = self._turn(t, x, y)
+        fd_eps = _tcall(self.fdot, None, t) * self.eps
         alpha, u1s, u2s, p = field.values(t, xs, ys)
         u1 = (u1s + fd_eps * ys) * ca + (u2s - fd_eps * xs) * sa
         u2 = -(u1s + fd_eps * ys) * sa + (u2s - fd_eps * xs) * ca
@@ -63,7 +86,7 @@ class Rotation:
 
 
 @dataclass(frozen=True)
-class Galilei:
+class Galilei(_PointMap):
     """Boost x -> x + eps*g(t) (or y) with the gdot velocity shift."""
 
     g: Callable
@@ -76,18 +99,20 @@ class Galilei:
             raise ValueError(f"axis must be {' or '.join(map(repr, AXES))}, "
                              f"got {self.axis!r}")
 
-    def pull_values(self, field: Field, t, x, y):
+    def point(self, t, x, y):
         shift = _tcall(self.g, self.gdot, t) * self.eps
+        return (t, x - shift, y) if self.axis == "x" else (t, x, y - shift)
+
+    def pull_values(self, field: Field, t, x, y):
+        alpha, u1, u2, p = field.values(*self.point(t, x, y))
         dshift = _tcall(self.gdot, None, t) * self.eps
         if self.axis == "x":
-            alpha, u1, u2, p = field.values(t, x - shift, y)
             return alpha, u1 + dshift, u2, p
-        alpha, u1, u2, p = field.values(t, x, y - shift)
         return alpha, u1, u2 + dshift, p
 
 
 @dataclass(frozen=True)
-class PressureShift:
+class PressureShift(_PointMap):
     """Add eps*F(t) to the pressure; F supplied with its derivative."""
 
     F: Callable
@@ -100,29 +125,38 @@ class PressureShift:
 
 
 @dataclass(frozen=True)
-class TimeTranslation:
+class TimeTranslation(_PointMap):
     eps: float
 
+    def point(self, t, x, y):
+        return t - self.eps, x, y
+
     def pull_values(self, field: Field, t, x, y):
-        return field.values(t - self.eps, x, y)
+        return field.values(*self.point(t, x, y))
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(_PointMap):
     """One-parameter scale action for the power-law model exponents."""
 
     eps: float
     m: float
     n: float
 
+    def point(self, t, x, y):
+        e = self.eps
+        sx = math.exp(-(1.0 + self.m) * e)
+        return math.exp(-2.0 * (1.0 - self.n) * e) * t, sx * x, sx * y
+
     def pull_values(self, field: Field, t, x, y):
         e = self.eps
-        ts = math.exp(-2.0 * (1.0 - self.n) * e) * t
-        sx = math.exp(-(1.0 + self.m) * e)
-        alpha, u1, u2, p = field.values(ts, sx * x, sx * y)
+        alpha, u1, u2, p = field.values(*self.point(t, x, y))
         cu = math.exp((self.m + 2.0 * self.n - 1.0) * e)
         return (math.exp(2.0 * e) * alpha, cu * u1, cu * u2,
                 math.exp(2.0 * self.n * e) * p)
+
+    def pull_alpha(self, field: Field, t, x, y):
+        return math.exp(2.0 * self.eps) * super().pull_alpha(field, t, x, y)
 
 
 GroupElement = Rotation | Galilei | PressureShift | TimeTranslation | Scale
@@ -167,6 +201,9 @@ class TransformedField(Field):
 
     def values(self, t, x, y):
         return self.elem.pull_values(self.source, t, x, y)
+
+    def alpha(self, t, x, y):
+        return self.elem.pull_alpha(self.source, t, x, y)
 
 
 def orbit_residual(elem: GroupElement, sol: SolutionFamily,

@@ -1,8 +1,8 @@
-"""Helpers that only the tests use: the acceptance parameter sets, exact
-rest states, a values-only view of a field (the Cartesian jet reference),
-dual-number derivatives, observed convergence orders, and reference
-residuals of the paper's reduction conditions and of the front's
-invariance criterion.
+"""Helpers that only the tests use: the acceptance parameter sets and one
+non-unit set per family, exact rest states, a values-only view of a field
+(the Cartesian jet reference), dual-number derivatives, observed
+convergence orders, and reference residuals of the paper's reduction
+conditions and of the front's invariance criterion.
 
 The tests import them as ``from support import ...``; pytest puts this
 directory on ``sys.path`` because ``tests/`` is not a package.
@@ -30,6 +30,16 @@ PARAMS = {
     "moving444": dict(delta=1.0, lam=1.0, c1=0.1, n=-2.0),
     "steady432": dict(c1=1.0, c3=1.0, delta=1.0, m_exp=1.0, n_exp=2.0,
                       lam=4.0, d0=2.0),
+}
+# one more set per family, with c1 != 1 and delta != 1 where the family
+# has them, so that powers of c1 and delta are seen; full413 fails its
+# front and reduced BC here as at PARAMS (its known front fault)
+NON_UNIT_PARAMS = {
+    "full413": dict(PARAMS["full413"], c1=0.7, delta=1.3),
+    "stationary413s": dict(c3=3.0, c4=1.5, n=3.0, lam=2.0, d0=1.5),
+    "moving442": dict(PARAMS["moving442"], c1=0.2, delta=1.3),
+    "moving444": dict(PARAMS["moving444"], c1=0.15, delta=1.2),
+    "steady432": dict(PARAMS["steady432"], c1=0.5, delta=1.3),
 }
 # the stationary family of Figures 3 and 4
 FIG34 = PARAMS["stationary413s"]

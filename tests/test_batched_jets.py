@@ -10,6 +10,8 @@ from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FdEngine, Field,
                            FieldJet, JetProvider, SingularityError,
                            analytic_jet, fd_jet)
 from tumorsym.numerics import fd_derivative
+from tumorsym.numerics.dd import DD
+from tumorsym.numerics.dual import Dual, seed1
 from tumorsym.residuals import (SampleSet, _front_report,
                                 cross_engine_check,
                                 governing_and_front_residuals,
@@ -20,7 +22,7 @@ from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation, TransformedField,
                                orbit_residual)
 
-from support import PARAMS, CartesianView
+from support import NON_UNIT_PARAMS, PARAMS, CartesianView
 
 
 def _bits(values):
@@ -191,16 +193,24 @@ def test_radial_jet_matches_the_cartesian_passes(fid, t):
                     entry
 
 
-def test_a_family_jet_is_one_radial_pass_and_a_time_seed(monkeypatch):
-    sol = FAMILY_IDS["moving444"](**PARAMS["moving444"])
+def _count_calls(monkeypatch, field, names):
+    """The list that records, in order, each call of the methods ``names``
+    of ``field``."""
     calls = []
-    for name in ("radial", "values"):
-        method = getattr(sol, name)
-        monkeypatch.setattr(sol, name, lambda *a, name=name, method=method:
+    for name in names:
+        method = getattr(field, name)
+        monkeypatch.setattr(field, name, lambda *a, name=name, method=method:
                             calls.append(name) or method(*a))
+    return calls
+
+
+def test_a_family_jet_is_one_radial_pass_and_a_time_seed(monkeypatch):
+    """The time seed evaluates alpha alone, not ``radial`` or ``values``."""
+    sol = FAMILY_IDS["moving444"](**PARAMS["moving444"])
+    calls = _count_calls(monkeypatch, sol, ("radial", "values", "alpha"))
     t, x, y = _slice(sol)
     analytic_jet(sol, t, x, y)
-    assert calls == ["radial", "radial"]
+    assert calls == ["radial", "alpha"]
 
 
 class _WithOrigin:
@@ -412,16 +422,18 @@ def test_fd_jet_values_are_the_field_values(fid):
         assert np.all(np.signbit(jet.u2) != np.signbit(jet.u1)), fid
 
 
-def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed():
+def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed(monkeypatch):
+    """One source ``values`` for the stacked pass and one source ``alpha``
+    for the time seed, per jet."""
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
-    counted = _Counted(sol)
+    calls = _count_calls(monkeypatch, sol, ("values", "alpha"))
     field = TransformedField(Rotation(f=math.sin, fdot=math.cos, eps=1.0),
-                             counted)
+                             sol)
     t, x, y = _slice(sol)
     analytic_jet(field, t, x, y)
-    assert counted.calls == 2
+    assert calls == ["values", "alpha"]
     one = analytic_jet(field, t, x[0], y[0])
-    assert counted.calls == 4
+    assert calls == ["values", "alpha"] * 2
     assert all(getattr(one, e).shape == (1,) for e in JET_ENTRIES)
 
 
@@ -525,3 +537,71 @@ def test_fd_governing_rejects_the_pointwise_singular_samples():
     assert batched.engine == "fd"
     assert batched.rejected == (8, 16)
     assert batched == pointwise
+
+
+# -- alpha alone: the time seed's evaluation -------------------------------
+
+def _components(z):
+    """The float components of a nested dual of DDs or floats, in order:
+    each dual's value then its derivative, each DD's hi then lo."""
+    if isinstance(z, Dual):
+        return _components(z.val) + _components(z.dot)
+    if isinstance(z, DD):
+        return [z.hi, z.lo]
+    return [z]
+
+
+def _assert_alpha_has_the_bits_of_values(field, sol):
+    """At t = 0.5, 1 and 2, ``alpha`` has the bits of ``values()[0]`` on a
+    float slice, at seed1(t) with float points (the FD time seed) and at
+    seed1(t) with DD points (the analytic time seed), every component."""
+    for t in (0.5, 1.0, 2.0):
+        (_, x, y), = SampleSet((t,), n_r=3, n_theta=4).slices(
+            sol.boundary())
+        for args in ((t, x, y), (seed1(t), x, y),
+                     (seed1(DD.of(t)), DD.of(x), DD.of(y))):
+            got = _components(field.alpha(*args))
+            want = _components(field.values(*args)[0])
+            assert len(got) == len(want), (t, args[0])
+            for g, w in zip(got, want):
+                assert _bits(np.broadcast_to(g, x.shape)) \
+                    == _bits(np.broadcast_to(w, x.shape)), (t, args[0])
+
+
+_PARAM_SETS = {"acceptance": PARAMS, "non-unit": NON_UNIT_PARAMS}
+
+
+@pytest.mark.parametrize("params", sorted(_PARAM_SETS))
+@pytest.mark.parametrize("fid", sorted(PARAMS))
+def test_family_alpha_has_the_bits_of_its_values(fid, params):
+    sol = FAMILY_IDS[fid](**_PARAM_SETS[params][fid])
+    _assert_alpha_has_the_bits_of_values(sol, sol)
+
+
+_ELEMENTS = {
+    "rotation-const": lambda sol: Rotation(f=lambda t: 1.0,
+                                           fdot=lambda t: 0.0, eps=0.5),
+    "rotation-sin": lambda sol: Rotation(f=math.sin, fdot=math.cos,
+                                         eps=1.0),
+    "galilei-x": lambda sol: Galilei(g=lambda t: t, gdot=lambda t: 1.0,
+                                     eps=0.3),
+    "galilei-y": lambda sol: Galilei(g=math.sin, gdot=math.cos, eps=-0.2,
+                                     axis="y"),
+    "pressure-shift": lambda sol: PressureShift(
+        F=lambda t: t * t, Fdot=lambda t: 2.0 * t, eps=0.7),
+    "time-translation": lambda sol: TimeTranslation(eps=0.25),
+    "scale": lambda sol: Scale(eps=0.3, m=sol.m, n=sol.n),
+}
+
+
+@pytest.mark.parametrize("fid, element", [
+    (fid, name) for name in _ELEMENTS for fid in sorted(PARAMS)
+    if name != "scale" or fid in ("moving442", "moving444")])
+def test_element_alpha_pull_has_the_bits_of_its_values(fid, element):
+    """The alpha pull evaluates the source's alpha alone at the source
+    point of ``pull_values``, with the same factor (e^(2 eps) for
+    scale)."""
+    for params in _PARAM_SETS.values():
+        sol = FAMILY_IDS[fid](**params[fid])
+        field = TransformedField(_ELEMENTS[element](sol), sol)
+        _assert_alpha_has_the_bits_of_values(field, sol)

@@ -17,7 +17,7 @@ from tumorsym.cli import main
 from tumorsym.jets import AnalyticEngine
 from tumorsym.solutions import FAMILY_IDS
 
-from support import PARAMS
+from support import NON_UNIT_PARAMS, PARAMS
 
 FIG34_BODY = """\
 [family]
@@ -420,6 +420,103 @@ def test_verify_steady_family_at_a_non_unit_c1(tmp_path, capsys, c1):
     cfg = _write(tmp_path, STEADY_BODY.replace("c1 = 1.0", f"c1 = {c1}"))
     assert main(["verify", "--config", cfg]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("times", ["1.0", "0.5, 1.0, 2.0"])
+@pytest.mark.parametrize("fid", sorted(NON_UNIT_PARAMS))
+def test_verify_at_the_non_unit_parameters(tmp_path, capsys, fid, times):
+    """With c1 != 1 and delta != 1, where powers of them are seen, four
+    families pass; full413 fails only its front and its reduced BC, as at
+    the acceptance parameters (its known front fault)."""
+    cfg = _write(tmp_path, _family_body(fid, **NON_UNIT_PARAMS[fid])
+                 + f"\n[samples]\ntimes = {times}\n")
+    code = main(["verify", "--config", cfg])
+    err = capsys.readouterr().err.splitlines()
+    if fid != "full413":
+        assert (code, err) == (0, [])
+        return
+    assert code == 1
+    assert [line.split()[:2] for line in err] == \
+        [["FAIL", "boundary"]] * len(times.split(",")) \
+        + [["FAIL", "reduced"]]
+    assert err[-1].startswith("FAIL reduced BC ")
+
+
+# every command that writes, with an [orbit] section that orbit needs
+_WRITERS = {
+    "validate": lambda cfg: ["validate", "--config", cfg],
+    "verify": lambda cfg: ["verify", "--config", cfg],
+    "orbit": lambda cfg: ["orbit", "--config", cfg],
+    "figure": lambda cfg: ["figure", "3", "--grid", "3"],
+}
+
+
+def _no_checks(monkeypatch):
+    """Make any check or figure grid end the test: an output error must
+    come before them."""
+    def refuse(*args, **kwargs):
+        pytest.fail("a check ran before the output path was checked")
+    monkeypatch.setattr(cli, "governing_and_front_residuals", refuse)
+    monkeypatch.setattr(cli, "_figure_grid", refuse)
+
+
+@pytest.mark.parametrize("command, where", [
+    (command, where) for command in sorted(_WRITERS)
+    for where in ("the-file", "under-the-file", "output-dir")
+    if (command, where) != ("figure", "output-dir")])  # it reads no config
+def test_an_output_path_that_is_a_file_exits_2_before_the_checks(
+        tmp_path, capsys, monkeypatch, command, where):
+    """``--out`` (or ``[output] dir``) naming a file, or a path under a
+    file, ends the run with exit 2 and one line naming the path, before
+    any check runs and without a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = str(taken if where == "the-file" else taken / "sub")
+    if where == "output-dir":
+        argv = _WRITERS[command](_write(
+            tmp_path, FIG34_BODY + f"\n[output]\ndir = {out}\n"
+            "\n[orbit]\nelement = rotation\n"))
+    else:
+        argv = _WRITERS[command](_write(
+            tmp_path, FIG34_BODY + "\n[orbit]\nelement = rotation\n"))
+        argv += ["--out", out]
+    _no_checks(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"output error: cannot write to {out}: "
+                            f"{taken} is not a directory\n")
+    assert taken.read_text() == "keep\n"
+
+
+def test_an_unwritable_output_parent_exits_2_before_the_checks(
+        tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, FIG34_BODY)
+    out = str(tmp_path / "new" / "dir")
+    _no_checks(monkeypatch)
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    assert main(["verify", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: cannot write to {out}: {tmp_path} is not "
+        "writable\n")
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_directory_that_cannot_be_made_exits_2(tmp_path, capsys,
+                                                  monkeypatch):
+    """A failure the path check cannot foresee (a read-only special file
+    system, say) still ends in exit 2 and a message, not a traceback."""
+    def makedirs(*args, **kwargs):
+        raise PermissionError(1, "Operation not permitted")
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    cfg = _write(tmp_path, FIG34_BODY)
+    out = str(tmp_path / "out")
+    for argv in (["verify", "--config", cfg, "--out", out],
+                 ["figure", "3", "--grid", "3", "--out", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"output error: cannot write to {out}: Operation not "
+            "permitted\n")
 
 
 class _OneNanEngine:

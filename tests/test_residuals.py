@@ -12,12 +12,18 @@ from tumorsym.core_model import (GeneralTriplet, PhysConstants,
                                  PowerLawParams, PowerLawTriplet)
 from tumorsym.jets import (AnalyticEngine, FdEngine, Field, JetProvider,
                           radial_argument)
-from tumorsym.residuals import (SampleSet, _acc, collect_report,
-                                cross_engine_check, governing_residual)
+from tumorsym import residuals
+from tumorsym.jets import analytic_jet
+from tumorsym.numerics.dd import two_prod
+from tumorsym.residuals import (SampleSet, _acc, _fsum, collect_report,
+                                cross_engine_check, governing_residual,
+                                governing_residual_at)
+from tumorsym.solutions import FAMILY_IDS
 from tumorsym.solutions import (BoundaryCircle, Full413, Stationary413s,
                                 Steady432)
 
-from support import FIG34, ConstantState, front_reports
+from support import (FIG34, NON_UNIT_PARAMS, PARAMS, ConstantState,
+                     front_reports)
 
 
 def _provider(sol):
@@ -320,6 +326,56 @@ def test_collect_l2_keeps_the_plain_sum_when_it_is_finite():
 def test_acc_sums_opposite_infinities_to_nan():
     """inf - inf has no sum: the point's residual is NaN, and the other
     points keep their exact sums."""
-    got = _acc([(1.0, np.array([math.inf, 1.0]), 1.0),
-                (-1.0, np.array([math.inf, 2.0]), 1.0)])
+    got, = _acc([[(1.0, np.array([math.inf, 1.0]), 1.0),
+                  (-1.0, np.array([math.inf, 2.0]), 1.0)]], 2)
     assert math.isnan(got[0]) and got[1] == -1.0
+
+
+@np.errstate(all="ignore")
+def _term_by_term(terms):
+    """The reference of one equation's sums: two_prod per term, then one
+    fsum of (p*c, its error, e*c) term after term at each point."""
+    parts = []
+    for c, a, b in terms:
+        p, e = two_prod(a, b)
+        q, f = two_prod(p, c)
+        parts += (q, f, e * c)
+    return [_fsum(row) for row in np.stack(parts, axis=-1).tolist()]
+
+
+def _assembly_cases():
+    """(id, family, parameters, samples, whether a residual is NaN)."""
+    for label, params in (("acceptance", PARAMS),
+                          ("non-unit", NON_UNIT_PARAMS)):
+        for fid in sorted(params):
+            yield (f"{fid}-{label}", fid, params[fid],
+                   SampleSet(times=(0.5, 1.0, 2.0)), False)
+    # the fields of the CLI's extreme-value test: NaN and overflow
+    small = SampleSet(times=(1.0,), n_r=2, n_theta=2)
+    yield ("power-overflows", "full413",
+           dict(PARAMS["full413"], n=-3.0, d0=7.5e-4), small, True)
+    yield ("expm1-below-minus-37", "steady432",
+           dict(PARAMS["steady432"], d0=0.002), small, False)
+
+
+@pytest.mark.parametrize("fid, params, samples, nan",
+                         [c[1:] for c in _assembly_cases()],
+                         ids=[c[0] for c in _assembly_cases()])
+def test_one_pass_assembly_equals_the_term_by_term_split(
+        monkeypatch, fid, params, samples, nan):
+    """The gathered error-free products give, bit for bit, the sums of a
+    split made term by term, NaN included."""
+    sol = FAMILY_IDS[fid](**params)
+    seen = []
+    real = residuals._acc
+    monkeypatch.setattr(residuals, "_acc", lambda equations, n: seen.append(
+        equations) or real(equations, n))
+    for t, x, y in samples.slices(sol.boundary()):
+        got = governing_residual_at(analytic_jet(sol, t, x, y),
+                                    sol.triplet(), sol.phys())
+        equations = seen.pop()
+        assert [len(terms) for terms in equations] == [6, 6, 10, 10]
+        want = [_term_by_term(terms) for terms in equations]
+        assert np.array(got).view(np.int64).tolist() \
+            == np.array(want).view(np.int64).tolist()
+        assert np.isnan(got).any() == nan
