@@ -40,7 +40,7 @@ from .numerics import fd_derivative
 from .numerics.dd import DD
 from .numerics.dual import Dual, seed1, seed2, taylor, value
 
-__all__ = ["FieldJet", "Field", "JetEngine", "AnalyticEngine", "FdEngine",
+__all__ = ["FieldJet", "Field", "AnalyticEngine", "FdEngine",
            "JetProvider", "SingularityError", "JET_ENTRIES"]
 
 
@@ -300,13 +300,11 @@ class FdEngine:
         return fd_jet(field, t, x, y, self.h)
 
 
-JetEngine = AnalyticEngine | FdEngine
-
-
 class JetProvider:
     """Binds a field to a jet engine; the unit the residual operators consume."""
 
-    def __init__(self, field: Field, engine: JetEngine = AnalyticEngine()):
+    def __init__(self, field: Field,
+                 engine: AnalyticEngine | FdEngine = AnalyticEngine()):
         self.field = field
         self.engine = engine
 

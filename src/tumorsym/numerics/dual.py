@@ -77,8 +77,7 @@ class Dual:
         return Dual(v, -v * inv * self.dot)
 
     def __pow__(self, p):
-        if isinstance(p, Dual):
-            return exp(p * log(self))
+        # a constant exponent: no model raises to a dual power
         if p == 0:
             return Dual(1.0, 0.0 * self.dot)
         if p == 1:

@@ -45,7 +45,8 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Depth budget exhausted; carries the best estimate so far."""
+    """Depth budget exhausted, or a panel's error estimate is NaN; carries
+    the best estimate so far."""
 
     def __init__(self, message, estimate, error):
         super().__init__(message)
@@ -73,7 +74,9 @@ def quad_adaptive(f, a, b, spec: QuadratureSpec = QuadratureSpec()):
     """Integrate ``f`` over [a, b] (orientation respected).
 
     Returns ``(value, error_estimate)``; raises :class:`QuadratureError` with
-    the best estimate attached when the depth budget runs out.
+    the best estimate attached when the depth budget runs out or a panel's
+    error estimate is NaN (a NaN or infinite integrand), which no bisection
+    can bring under the tolerance.
     """
     if a == b:
         return 0.0, 0.0
@@ -95,7 +98,7 @@ def quad_adaptive(f, a, b, spec: QuadratureSpec = QuadratureSpec()):
             total += val
             total_err += err
             return
-        if depth >= spec.max_depth:
+        if depth >= spec.max_depth or err != err:  # NaN never converges
             total += val
             total_err += err
             failed.append((lo, hi, err))

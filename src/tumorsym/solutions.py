@@ -159,7 +159,31 @@ class PowerLawFamily(SolutionFamily):
             sigma0=self.sigma0, m=self.m, n=self.n))
 
 
-class Full413(PowerLawFamily):
+class _M1Form(PowerLawFamily):
+    """The m = -1 closed form of eq. 4.13, stated once: each subclass's
+    constructor derives the coefficients that ``radial`` reads (``_v0``,
+    ``_a``, ``_K``, ``_B``, ``_coef_n``, ``_coef_1``) in its own way."""
+
+    m = -1.0
+
+    def radial(self, t, w):
+        n = self.n
+        q = 1.0 / (4.0 * self.d0)
+        bracket = self._a * expm1(w * q) \
+            - self._K * expm1((1.0 - n) * w * q) + self._B
+        vel = self._v0 / (t * w) * bracket
+        p = t ** (n / (1.0 - n)) * (
+            self._coef_n * _pressure_integral(n * q, w, self.delta)
+            + self._coef_1 * _pressure_integral(q, w, self.delta)
+            + self.c4 + 0.5 * self.c3 * log(w))
+        return self.radial_alpha(t, w), vel, p
+
+    def radial_alpha(self, t, w):
+        q = 1.0 / (4.0 * self.d0)
+        return self.c1 * t ** (1.0 / (1.0 - self.n)) * exp(-w * q)
+
+
+class Full413(_M1Form):
     """Time-decaying radial solution with m = -1 and free c3, c4.
 
     Solves the governing system under the s0 link; the velocity is bounded
@@ -180,9 +204,9 @@ class Full413(PowerLawFamily):
         self.c1, self.c3, self.c4 = c1, c3, c4
         self.n, self.d0, self.lam = n, d0, lam
         self.sigma0, self.delta = sigma0, delta
-        self.m = -1.0
         self._coef_n = 2.0 * sigma0 * c1 ** n / ((n - 1.0) * (2.0 + lam))
         self._coef_1 = 2.0 * c1 / (n - 1.0)
+        self._v0, self._a = d0, c3 / c1
         # bracket constants, grouped so the w -> 0 limit carries no
         # cancellation; the affine part vanishes exactly at the regular c3
         self._K = 2.0 * sigma0 * c1 ** (n - 1.0) / ((n - 1.0) * (2.0 + lam))
@@ -192,29 +216,14 @@ class Full413(PowerLawFamily):
     def c3_regular(self):
         return self._coef_n + self._coef_1
 
-    def radial(self, t, w):
-        n, d0 = self.n, self.d0
-        c1, c3, c4 = self.c1, self.c3, self.c4
-        q = 1.0 / (4.0 * d0)
-        bracket = (c3 / c1) * expm1(w * q) \
-            - self._K * expm1((1.0 - n) * w * q) + self._B
-        vel = d0 / (t * w) * bracket
-        p = t ** (n / (1.0 - n)) * (
-            self._coef_n * _pressure_integral(n * q, w, self.delta)
-            + self._coef_1 * _pressure_integral(q, w, self.delta)
-            + c4 + 0.5 * c3 * log(w))
-        return self.radial_alpha(t, w), vel, p
 
-    def radial_alpha(self, t, w):
-        q = 1.0 / (4.0 * self.d0)
-        return self.c1 * t ** (1.0 / (1.0 - self.n)) * exp(-w * q)
+class Stationary413s(_M1Form):
+    """Boundary-value solution with a static circular front: the closed
+    form of :class:`Full413` at the constants of eq. 4.40.
 
-
-class Stationary413s(PowerLawFamily):
-    """Boundary-value solution with a static circular front.
-
-    All constants except (c3, c4, n, lambda, d0) are derived (eq. 4.40);
-    the front radius is exp(-c4/c3) and does not move.
+    All constants except (c3, c4, n, lambda, d0) are derived, through
+    E = exp(delta^2/(4 d0)); the front radius is exp(-c4/c3) and does not
+    move.
     """
 
     family_id = "stationary413s"
@@ -228,28 +237,15 @@ class Stationary413s(PowerLawFamily):
         _require(n * c3 > 0.0,
                  "n*c3 must be positive for a positive cell concentration")
         self.c3, self.c4, self.n, self.lam, self.d0 = c3, c4, n, lam, d0
-        self.m = -1.0
         self.delta = math.exp(-c4 / c3)
         self.E = E = math.exp(math.exp(-2.0 * c4 / c3) / (4.0 * d0))
         self.c1 = n * c3 * E / 2.0
         self.sigma0 = -(2.0 + lam) * c3 / 2.0 * (2.0 / (n * c3)) ** n
         self._B = 1.0 + E ** n / (n - 1.0) - n * E / (n - 1.0)
-
-    def radial(self, t, w):
-        n, d0 = self.n, self.d0
-        c3, c4, E = self.c3, self.c4, self.E
-        q = 1.0 / (4.0 * d0)
-        bracket = expm1(w * q) \
-            + E ** n / (n - 1.0) * expm1((1.0 - n) * w * q) + self._B
-        vel = 2.0 * d0 / (n * E) / (t * w) * bracket
-        p = t ** (n / (1.0 - n)) * (
-            c3 * E ** n / (1.0 - n)
-            * _pressure_integral(n * q, w, self.delta)
-            + c3 * n * E / (n - 1.0) * _pressure_integral(q, w, self.delta)
-            + c4 + 0.5 * c3 * log(w))
-        return self.radial_alpha(t, w), vel, p
-
-    radial_alpha = Full413.radial_alpha  # the same alpha, with c1 derived
+        self._v0, self._a = 2.0 * d0 / (n * E), 1.0
+        self._K = -(E ** n / (n - 1.0))
+        self._coef_n = c3 * E ** n / (1.0 - n)
+        self._coef_1 = c3 * n * E / (n - 1.0)
 
 
 class Moving442(PowerLawFamily):

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: the acceptance parameter sets and one
-non-unit set per family, exact rest states, a values-only view of a field
-(the Cartesian jet reference), dual-number derivatives, observed
-convergence orders, and reference residuals of the paper's reduction
-conditions and of the front's invariance criterion.
+non-unit set per family, the default annulus and front ring of a time,
+exact rest states, a values-only view of a field (the Cartesian jet
+reference), dual-number derivatives, observed convergence orders, and
+reference residuals of the paper's reduction conditions and of the
+front's invariance criterion.
 
 The tests import them as ``from support import ...``; pytest puts this
 directory on ``sys.path`` because ``tests/`` is not a package.
@@ -51,6 +52,15 @@ def front_reports(jets, sol, boundary, times, n_front=64):
     return governing_and_front_residuals(
         jets, sol.triplet(), sol.phys(), SampleSet(times=tuple(times)),
         boundary, n_front)[1]
+
+
+def annulus_and_ring(sol, t):
+    """The default annulus at time t and the 64-point ring on the front."""
+    yield next(SampleSet(times=(t,)).slices(sol.boundary()))[1:]
+    rad = sol.boundary().radius(t)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    yield (np.array([rad * math.cos(a) for a in theta.tolist()]),
+           np.array([rad * math.sin(a) for a in theta.tolist()]))
 
 
 class ConstantState(Field):

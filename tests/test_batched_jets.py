@@ -22,7 +22,8 @@ from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation, TransformedField,
                                orbit_residual)
 
-from support import NON_UNIT_PARAMS, PARAMS, CartesianView
+from support import NON_UNIT_PARAMS, PARAMS, CartesianView, \
+    annulus_and_ring
 
 
 def _bits(values):
@@ -165,20 +166,11 @@ def test_origin_points_are_masked_like_pointwise():
 EXACT_RADIAL = ("full413", "moving442", "moving444")
 
 
-def _annulus_and_ring(sol, t):
-    """The default annulus at time t and the 64-point ring on the front."""
-    yield next(SampleSet(times=(t,)).slices(sol.boundary()))[1:]
-    rad = sol.boundary().radius(t)
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    yield (np.array([rad * math.cos(a) for a in theta.tolist()]),
-           np.array([rad * math.sin(a) for a in theta.tolist()]))
-
-
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("fid", sorted(PARAMS))
 def test_radial_jet_matches_the_cartesian_passes(fid, t):
     sol = FAMILY_IDS[fid](**PARAMS[fid])
-    for x, y in _annulus_and_ring(sol, t):
+    for x, y in annulus_and_ring(sol, t):
         radial = analytic_jet(sol, t, x, y)
         cartesian = analytic_jet(CartesianView(sol), t, x, y)
         assert radial.t == cartesian.t == t
@@ -289,7 +281,7 @@ def test_the_shared_pass_has_the_bits_of_separate_jets(fid):
     assert gov == governing_residual(JetProvider(sol), *args)
     assert len(fronts) == 3
     for t, front in zip(samples.times, fronts):
-        (xa, ya), (xr, yr) = _annulus_and_ring(sol, t)
+        (xa, ya), (xr, yr) = annulus_and_ring(sol, t)
         annulus, ring = analytic_jet(sol, t, np.concatenate((xa, xr)),
                                      np.concatenate((ya, yr))).cut(xa.size)
         for part, alone in ((annulus, analytic_jet(sol, t, xa, ya)),

@@ -63,6 +63,31 @@ def test_quad_reports_its_best_estimate_when_the_depth_budget_runs_out():
     assert abs(info.value.estimate - 2.0 / 3.0) < 0.1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quad_fails_at_once_on_a_nan_or_infinite_integrand(bad):
+    # the panel's error estimate is NaN and never passes the tolerance
+    # test: the panel fails where it is, instead of bisecting to
+    # 2^max_depth panels
+    calls = 0
+
+    def integrand(z):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("quad_adaptive kept bisecting a NaN panel")
+        return bad
+
+    with pytest.raises(QuadratureError) as info:
+        quad_adaptive(integrand, 0.0, 1.0)
+    assert not math.isfinite(info.value.estimate)
+    assert math.isnan(info.value.error)
+
+
+def test_exp_over_z_quadrature_fails_at_once_on_a_nan_coefficient():
+    with pytest.raises(QuadratureError):
+        exp_over_z_quadrature(math.nan, 0.5, 1.0)
+
+
 # -- the exp-over-z integral ------------------------------------------------
 
 def test_exp_over_z_zero_a_is_log():

@@ -4,17 +4,19 @@ singularity guards."""
 
 import math
 
+import numpy as np
 import pytest
 
 from tumorsym.core_model import s0_link
-from tumorsym.jets import analytic_jet
+from tumorsym.jets import JET_ENTRIES, analytic_jet
 from tumorsym.numerics import exp_over_z_quadrature
 from tumorsym.solutions import (BoundaryCircle, Full413, Moving442,
                                 Moving444, RestrictionError,
                                 SingularityError, Stationary413s, Steady432,
                                 reduced_profiles_of)
 
-from support import FIG34, ConstantState
+from support import (FIG34, NON_UNIT_PARAMS, PARAMS, ConstantState,
+                     annulus_and_ring)
 
 # Frozen oracle constants, computed independently with mpmath at 50 digits
 # from the defining relations delta = exp(-c4/c3), E = exp(delta^2/(4 d0)),
@@ -98,6 +100,39 @@ def test_s0_is_the_link_of_the_family(sol):
     its triplet carries that s0."""
     assert sol.s0 == s0_link(sol.n, sol.sigma0, sol.lam)
     assert sol.triplet().params.s0 == sol.s0
+
+
+# -- the m = -1 closed form -------------------------------------------------
+
+def test_stationary413s_reads_the_closed_form_of_full413():
+    """One home for eq. 4.13: the stationary family states no closed form
+    of its own, and it is full413's sibling, not its subclass."""
+    assert Stationary413s.radial is Full413.radial
+    assert Stationary413s.radial_alpha is Full413.radial_alpha
+    assert not {"radial", "radial_alpha"} & set(vars(Stationary413s))
+    assert not issubclass(Stationary413s, Full413)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("params", [
+    PARAMS["stationary413s"], NON_UNIT_PARAMS["stationary413s"], FIG5,
+], ids=["params", "non_unit", "fig5"])
+def test_stationary413s_is_full413_at_the_constants_of_eq_4_40(params, t):
+    """A full413 built from a stationary413s's constants has its jet on
+    the annulus and the front ring, within 1e-12 of the largest entry of
+    each derivative order at each point: the two constructors group the
+    constants of the one closed form differently."""
+    sta = Stationary413s(**params)
+    full = Full413(**{k: getattr(sta, k) for k in Full413.params()})
+    for x, y in annulus_and_ring(sta, t):
+        got, want = analytic_jet(full, t, x, y), analytic_jet(sta, t, x, y)
+        for order in (0, 1, 2):
+            names = [k for k in JET_ENTRIES
+                     if len(k.partition("_")[2]) == order]
+            scale = np.max([np.abs(getattr(want, k)) for k in names], axis=0)
+            for k in names:
+                err = np.abs(getattr(got, k) - getattr(want, k))
+                assert np.all(err <= 1e-12 * scale), k
 
 
 # -- restrictions -----------------------------------------------------------
