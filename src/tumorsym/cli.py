@@ -69,33 +69,46 @@ def _strict(obj):
     return obj
 
 
-def _output_dir(path):
-    """``path`` (None for no output), after checking, before any work and
-    without making anything, that it is a writable directory or can be
-    made one: the nearest part of it that exists must be a directory we
-    may write in.  Otherwise the run ends with exit 2 and a message that
-    names the path."""
+def _output_dir(path, cleanup):
+    """``path`` (None for no output), made a directory before any work.
+    The nearest part of it that exists must be a directory we may write
+    in, and making the rest must succeed; otherwise the run ends with exit
+    2 and a message that names the path.  The directories made here are
+    removed again, if still empty, when the run ends (``cleanup``): a run
+    that writes nothing leaves nothing."""
     if not path:
         return path
+    made = []
     probe = os.path.normpath(path)
     while not os.path.lexists(probe):  # ends at "/" or ".", which exist
+        made.append(probe)
         probe = os.path.dirname(probe) or os.curdir
     if not os.path.isdir(probe):
         problem = f"{probe} is not a directory"
     elif not os.access(probe, os.W_OK | os.X_OK):
         problem = f"{probe} is not writable"
     else:
+        with _writing(path):
+            os.makedirs(path, exist_ok=True)
+        cleanup.callback(_remove_if_empty, made)
         return path
     raise _Exit(f"output error: cannot write to {path}: {problem}", 2)
 
 
+def _remove_if_empty(made):
+    """Remove the directories of ``made``, deepest first, while empty."""
+    for d in made:
+        try:
+            os.rmdir(d)
+        except OSError:
+            return
+
+
 @contextlib.contextmanager
 def _writing(out_dir):
-    """Makes ``out_dir`` for the writes inside; an OSError there (a case
-    that :func:`_output_dir` cannot foresee, such as a read-only special
-    file system) ends the run with exit 2 and a message, as it does."""
+    """An OSError inside, when ``out_dir`` is made or written, ends the run
+    with exit 2 and a message."""
     try:
-        os.makedirs(out_dir, exist_ok=True)
         yield
     except OSError as e:
         raise _Exit(f"output error: cannot write to {out_dir}: "
@@ -124,9 +137,9 @@ def _report_payload(report):
     }
 
 
-def cmd_validate(args):
+def cmd_validate(args, cleanup):
     cfg, sol = _load(args.config)
-    out_dir = _output_dir(cfg.out_dir or args.out)
+    out_dir = _output_dir(cfg.out_dir or args.out, cleanup)
     with _failing("restriction violated"):
         derived = {name: getattr(sol, name) for name in sol.derived}
     for name, val in derived.items():
@@ -192,9 +205,9 @@ def _orbit_check(cfg, sol, triplet, base_linf):
     return orb, allowed, None
 
 
-def cmd_verify(args):
+def cmd_verify(args, cleanup):
     cfg, sol = _load(args.config)
-    out_dir = _output_dir(cfg.out_dir or args.out)
+    out_dir = _output_dir(cfg.out_dir or args.out, cleanup)
     triplet, gov, fronts = _governing(cfg, sol, cfg.samples.n_theta * 8)
     tol = cfg.tolerances
 
@@ -251,9 +264,9 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_orbit(args):
+def cmd_orbit(args, cleanup):
     cfg, sol = _load(args.config, need_orbit=True)
-    out_dir = _output_dir(cfg.out_dir or args.out)
+    out_dir = _output_dir(cfg.out_dir or args.out, cleanup)
     triplet, base, _ = _governing(cfg, sol, 0)
     orb, allowed, failure = _orbit_check(cfg, sol, triplet, base.linf)
     if orb is None:
@@ -324,14 +337,14 @@ _PLOT_SCRIPT = """\
 """
 
 
-def cmd_figure(args):
+def cmd_figure(args, cleanup):
     if args.figure not in _FIGURES:
         raise _Exit(f"unknown figure id {args.figure}; choose 1-5", 2)
     if args.grid < 2:
         raise _Exit(f"grid must be at least 2, got {args.grid}", 2)
     family_id, params, panels = _FIGURES[args.figure]
     sol = FAMILY_IDS[family_id](**params)
-    out_dir = _output_dir(args.out or "figures")
+    out_dir = _output_dir(args.out or "figures", cleanup)
     written, grids = [], {}
     with _writing(out_dir):
         for name, component, t in panels:
@@ -381,7 +394,8 @@ def main(argv=None) -> int:
     handler = {"validate": cmd_validate, "verify": cmd_verify,
                "orbit": cmd_orbit, "figure": cmd_figure}[args.command]
     try:
-        return handler(args)
+        with contextlib.ExitStack() as cleanup:
+            return handler(args, cleanup)
     except _Exit as e:
         print(e, file=sys.stderr)
         return e.code

@@ -2,21 +2,24 @@
 with every partial derivative the governing and boundary residuals consume.
 
 A *field* is any object with a ``values(t, x, y) -> (alpha, u1, u2, p)``
-method written in generic arithmetic, so it accepts dual-number seeds.  A
+method written in generic arithmetic, so it accepts seeded numbers.  A
 jet has one shape: it is taken on a time slice, the float arrays x and y
 of points at one time t, and every entry comes back as an array of that
 shape; a single point is a one-element slice.  The analytic engine builds
-jets from nested dual evaluations on the whole slice (vector forward
-mode).  A radial field, one with a
-closed form ``radial(t, w) -> (alpha, vel, p)`` in w = x^2 + y^2 (every
-solution family), takes one second-order pass in w, and the chain rule in
-double-double gives the Cartesian entries (univariate Taylor propagation,
-Griewank and Walther, *Evaluating Derivatives*, 2008); any other field
-(a transformed or lifted one) takes one second-order pass on three stacked
-copies of the points, seeded in x, in y and in the mixed pair.  Every pass
-reads its value and derivatives with the one reader of seeded results,
-``numerics.dual.taylor``.  The finite-difference engine rebuilds the
-spatial entries from values only: one array call takes the 5 x 5 grid
+jets from one evaluation on degree-2 Taylor numbers
+(``numerics.dual.Taylor``) over the whole slice (vector forward mode).  A
+radial field, one with a closed form ``radial(t, w) -> (alpha, vel, p)``
+in w = x^2 + y^2 (every solution family), takes one second-order pass in
+w, and the chain rule in double-double gives the Cartesian entries
+(univariate Taylor propagation, Griewank and Walther, *Evaluating
+Derivatives*, 2008, ch. 13); any other field (a transformed or lifted
+one) takes one second-order pass on three stacked copies of the points,
+seeded along (1, 0), (0, 1) and (1, 1), whose second coefficients give
+the mixed entry by interpolation (Griewank, Utke and Walther, *Math.
+Comp.* 69, 2000).  Every pass reads its coefficients with the one reader
+of seeded results, ``numerics.dual.taylor``.  The finite-difference
+engine rebuilds the spatial entries from values only: one array call
+takes the 5 x 5 grid
 x + i h, y + j h (i, j in -2..2) around every point of a slice, which
 holds every point the fourth-order stencils read; it serves only as the
 independent reference of ``cross_engine_check``.  Every path hands its
@@ -38,7 +41,7 @@ import numpy as np
 
 from .numerics import fd_derivative
 from .numerics.dd import DD
-from .numerics.dual import Dual, seed1, seed2, taylor, value
+from .numerics.dual import Taylor, seed1, taylor, value
 
 __all__ = ["FieldJet", "Field", "AnalyticEngine", "FdEngine",
            "JetProvider", "SingularityError", "JET_ENTRIES"]
@@ -130,17 +133,22 @@ def radial_argument(t, x, y):
 
 @np.errstate(all="ignore")
 def analytic_jet(field: Field, t, x, y) -> FieldJet:
-    """Jet via nested forward-mode AD.
+    """Jet via forward-mode AD on degree-2 Taylor numbers.
 
     ``x`` and ``y`` are equal-length float arrays of points at the one
     time ``t`` (a single point is taken as a one-element array); every
     arithmetic step is elementwise, so each entry has the bits of the
     one-element jet at that point alone.  A field singular at some of the
     points raises :class:`SingularityError` with their mask.
-    The dual components carry double-double scalars, so each returned
-    entry is correct to about one ulp even where the field formulas lose
-    a dozen digits to cancellation near the inner rim.  Overflow leaves
-    inf or NaN entries for the gates to judge, without a warning.
+    The Taylor coefficients carry double-double scalars, so the
+    arithmetic of a pass adds rounding only at about 1e-32 relative to
+    its terms.  The elementary functions of ``numerics.dd`` (exp, expm1,
+    log, powers) are accurate to about 1e-16 relative, not to
+    double-double, so an entry that the field formulas compute with
+    cancellation near the inner rim inherits that error, amplified: for
+    full413 at w = 1e-4, V'' is off by 1.9e-7 relative (the jet oracle
+    of the tests bounds each family's error).  Overflow leaves inf or NaN
+    entries for the gates to judge, without a warning.
 
     A field with a closed form ``radial(t, w)`` takes one second-order
     pass in w and one time seed (:func:`_radial_jet`); any other field
@@ -166,44 +174,51 @@ def _stacked_values(field, t, x, y, copies):
 
 def _blocks(v, copies):
     """A stacked result cut into its copies; a constant stays a scalar."""
+    if isinstance(v, DD):
+        return [DD(hi, lo) for hi, lo in zip(_blocks(v.hi, copies),
+                                              _blocks(v.lo, copies))]
     return v.reshape(copies, -1) if np.ndim(v) else (v,) * copies
 
 
 def _cartesian_jet(field, t, x, y):
     """The jet of a field without ``radial`` from one second-order
     ``values()`` call on three copies of the points (vector forward mode):
-    the seeds, 0/1 arrays in the dual components, make copy 0 seed2(x),
-    copy 1 seed2(y) and copy 2 the mixed pair, so the three copies give
-    f_xx, f_yy and f_xy; plus the time seed."""
+    the seeds, 0/1 arrays in the first-order coefficients, point copy 0
+    along (1, 0), copy 1 along (0, 1) and copy 2 along (1, 1), so their
+    second coefficients c2 give f_xx / 2, f_yy / 2 and f_xy = c2(1, 1) -
+    c2(1, 0) - c2(0, 1), subtracted in double-double before rounding;
+    plus the time seed."""
 
     def seed(*copies):
         return np.repeat(np.array(copies, dtype=float), x.hi.size)
 
-    sx = Dual(Dual(DD.of(np.tile(x.hi, 3)), seed(1, 0, 1)),
-              Dual(seed(1, 0, 0), 0.0))
-    sy = Dual(Dual(DD.of(np.tile(y.hi, 3)), seed(0, 1, 0)),
-              Dual(seed(0, 1, 1), 0.0))
-    rows = [[_blocks(value(c), 3) for c in taylor(z)]
-            for z in _stacked_values(field, t, sx, sy, 3)]
+    sx = Taylor(DD.of(np.tile(x.hi, 3)), seed(1, 0, 1), 0.0)
+    sy = Taylor(DD.of(np.tile(y.hi, 3)), seed(0, 1, 1), 0.0)
+    rows = []
+    for z in _stacked_values(field, t, sx, sy, 3):
+        f, d, h = (_blocks(c, 3) for c in taylor(z))
+        # doubling after rounding has the bits of doubling the DD
+        rows.append((f[0], d[0], d[1], 2.0 * value(h[0]),
+                     2.0 * value(h[1]), h[2] - (h[0] + h[1])))
     return _field_jet(value(t), value(x), value(y),
-                      _alpha_t(field, t, x, y),
-                      [(f[0], d[0], d[1], dd[0], dd[1], dd[2])
-                       for f, d, dd in rows])
+                      _alpha_t(field, t, x, y), rows)
 
 
 def _radial_jet(field, t, x, y):
     """The jet of a radial field (alpha, x V, y V, P) of w = x^2 + y^2 from
     one second-order pass of ``field.radial`` in w: the chain rule in
     double-double gives every Cartesian entry, e.g. u1_xx = 6x V' +
-    4x^3 V'' and p_xx = 2P' + 4x^2 P''."""
+    4x^3 V'' and p_xx = 2P' + 4x^2 P'', from the coefficients V' and
+    V''/2 of the pass."""
     w = radial_argument(t, x, y)
     (A, A1, _), (V, V1, V2), (P, P1, P2) = map(
-        taylor, field.radial(t, seed2(w)))
-    tx, ty = x + x, y + y  # dw/dx, dw/dy
+        taylor, field.radial(t, Taylor(w, 1.0, 0.0)))
+    tx, ty = x + x, y + y  # dw/dx, dw/dy; V2 and P2 are V''/2 and P''/2
+    txx, tyy = tx * tx, ty * ty
     v_x, v_y = tx * V1, ty * V1
-    v_xx = 2.0 * V1 + tx * tx * V2
-    v_xy = tx * ty * V2
-    v_yy = 2.0 * V1 + ty * ty * V2
+    v_xx = 2.0 * (V1 + txx * V2)
+    v_xy = (tx + tx) * ty * V2
+    v_yy = 2.0 * (V1 + tyy * V2)
     return _field_jet(value(t), value(x), value(y),
                       _alpha_t(field, t, x, y), (
         (A, tx * A1, ty * A1),
@@ -211,8 +226,8 @@ def _radial_jet(field, t, x, y):
          x * v_xy + v_y),
         (y * V, y * v_x, y * v_y + V, y * v_xx, y * v_yy + 2.0 * v_y,
          y * v_xy + v_x),
-        (P, tx * P1, ty * P1, 2.0 * P1 + tx * tx * P2,
-         2.0 * P1 + ty * ty * P2)))
+        (P, tx * P1, ty * P1, 2.0 * (P1 + txx * P2),
+         2.0 * (P1 + tyy * P2))))
 
 
 @np.errstate(all="ignore")

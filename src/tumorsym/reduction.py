@@ -20,7 +20,7 @@ from .jets import Field, radial_argument
 from .numerics import (IntegrationError, QuadratureSpec, ode_integrate,
                        quad_adaptive)
 from .numerics.dd import DD
-from .numerics.dual import cos, seed2, sin, sqrt, taylor, value
+from .numerics.dual import Taylor, cos, sin, sqrt, taylor, value
 from .residuals import (ResidualReport, collect_report, constitutive_terms,
                         nan_max)
 
@@ -39,8 +39,9 @@ class ReducedProfiles:
     ``steady``, else scale).
 
     ``fields(r)`` returns the concentration, speed, pressure and flow
-    angle (lam, R, P, Phi) at radius r.  It accepts dual arguments, so one
-    call at a second-order seed gives every first and second derivative.
+    angle (lam, R, P, Phi) at radius r.  It accepts seeded arguments, so
+    one call at a degree-2 Taylor seed gives every first and second
+    derivative.
     """
 
     fields: Callable
@@ -102,7 +103,7 @@ def reduced_ode_residual(profiles: ReducedProfiles,
     Both reductions give one system whose coefficients come from the
     family's own triplet; the scale reduction adds the ansatz terms
     gamma r^2 lam' - r lam/(n-1) to the mass equation.  The profiles are
-    evaluated once, at a second-order seed on the double-double array of
+    evaluated once, at a degree-2 Taylor seed on the double-double array of
     all positive radii; the triplet is evaluated radius by radius (libm
     powers).  Radii that are not positive are listed in ``rejected``.
     """
@@ -113,7 +114,8 @@ def reduced_ode_residual(profiles: ReducedProfiles,
     r = radii[kept]
     (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
         [value(c) for c in taylor(f)]
-        for f in profiles.fields(seed2(DD.of(r)))]
+        for f in profiles.fields(Taylor(DD.of(r), 1.0, 0.0))]
+    R2, P2, F2 = 2.0 * R2, 2.0 * P2, 2.0 * F2  # f'' from f''/2
     S, D, dD, d_alpha_sigma = constitutive_terms(
         profiles.triplet, np.broadcast_to(L, r.shape))
     cos_f, sin_f = cos(F), sin(F)
@@ -171,7 +173,8 @@ def reduced_bc_residual(profiles: ReducedProfiles,
                         delta: float) -> BcResiduals:
     lamv = profiles.phys.lam
     _, (R, R1, _), (P, _, _), (F, F1, _) = [
-        [value(c) for c in taylor(f)] for f in profiles.fields(seed2(delta))]
+        [value(c) for c in taylor(f)]
+        for f in profiles.fields(Taylor(delta, 1.0, 0.0))]
     kin = profiles.gamma * delta + R * cos(F)
     t1 = (2.0 + lamv) * delta * R1 + R * ((1.0 + lamv) * cos(2.0 * F) - 1.0)
     t2 = R * ((2.0 + lamv) * delta * F1 - (1.0 + lamv) * sin(2.0 * F))

@@ -71,7 +71,7 @@ def _pow(t, e):
 
 
 def _pressure_integral(a_coef, w, delta):
-    """I(w) = int_sqrt(w)^delta exp(-a z^2)/z dz, dual-aware in w (w may
+    """I(w) = int_sqrt(w)^delta exp(-a z^2)/z dz, for seeded w too (w may
     hold an array of points).
 
     The Leibniz derivative with respect to w is -exp(-a w)/(2 w).

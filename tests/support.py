@@ -1,9 +1,9 @@
 """Helpers that only the tests use: the acceptance parameter sets and one
 non-unit set per family, the default annulus and front ring of a time,
 exact rest states, a values-only view of a field (the Cartesian jet
-reference), dual-number derivatives, observed convergence orders, and
-reference residuals of the paper's reduction conditions and of the
-front's invariance criterion.
+reference), an mpmath oracle of a family's jet, dual-number derivatives,
+observed convergence orders, and reference residuals of the paper's
+reduction conditions and of the front's invariance criterion.
 
 The tests import them as ``from support import ...``; pytest puts this
 directory on ``sys.path`` because ``tests/`` is not a package.
@@ -11,10 +11,12 @@ directory on ``sys.path`` because ``tests/`` is not a package.
 
 import math
 
+import mpmath as mp
 import numpy as np
 
-from tumorsym.jets import Field
-from tumorsym.numerics.dual import Dual, seed1, seed2, value
+from tumorsym import solutions
+from tumorsym.jets import JET_ENTRIES, Field
+from tumorsym.numerics.dual import Dual, Taylor, seed1, value
 from tumorsym.residuals import (SampleSet, governing_and_front_residuals,
                                 nan_max)
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
@@ -87,6 +89,93 @@ class CartesianView(Field):
         return self.field.values(t, x, y)
 
 
+# -- the jet oracle -----------------------------------------------------------
+
+# the jet entries by derivative order; alpha_t counts as a first derivative
+ORDERS = {0: ("alpha", "u1", "u2", "p"),
+          1: ("alpha_t", "alpha_x", "alpha_y", "u1_x", "u1_y", "u2_x",
+              "u2_y", "p_x", "p_y")}
+ORDERS[2] = tuple(e for e in JET_ENTRIES if e not in ORDERS[0] + ORDERS[1])
+
+# the elementary functions and the pressure integral of ``solutions`` in
+# mpmath: I(w) = int_sqrt(w)^delta exp(-a z^2)/z dz = (Ei(-a delta^2) -
+# Ei(-a w)) / 2
+_MP_KERNELS = dict(
+    exp=mp.exp, expm1=mp.expm1, log=mp.log, sqrt=mp.sqrt,
+    _pressure_integral=lambda a, w, delta: (
+        mp.ei(-a * mp.mpf(delta) ** 2) - mp.ei(-a * w)) / 2)
+
+
+def jet_oracle(sol, t, x, y, dps=40):
+    """The 21 jet entries of the family ``sol`` at time t and the float
+    points (x, y), as mpf lists: the family's own ``radial`` and
+    ``radial_alpha`` evaluated on mpf with the kernels of ``solutions``
+    replaced by mpmath's, their w- and t-derivatives by ``mp.diff`` at
+    ``dps`` digits, and the Cartesian entries by the chain rule in mpf
+    (w = x^2 + y^2, exact for float points)."""
+    saved = {k: getattr(solutions, k) for k in _MP_KERNELS}
+    out = {e: [] for e in JET_ENTRIES}
+    try:
+        for k, f in _MP_KERNELS.items():
+            setattr(solutions, k, f)
+        with mp.workdps(dps):
+            T = mp.mpf(t)
+            for xi, yi in zip(np.ravel(x).tolist(), np.ravel(y).tolist()):
+                _oracle_point(sol, T, mp.mpf(xi), mp.mpf(yi), out)
+    finally:
+        for k, f in saved.items():
+            setattr(solutions, k, f)
+    return out
+
+
+def _oracle_point(sol, t, x, y, out):
+    w = x * x + y * y
+    memo = {}
+
+    def radial(s):
+        # one radial call serves alpha, vel and p at s; mp.diff raises the
+        # working precision, so that is part of the key
+        key = s, mp.mp.prec
+        if key not in memo:
+            memo[key] = sol.radial(t, s)
+        return memo[key]
+
+    A, A1, _ = mp.diffs(lambda s: radial(s)[0], w, 2)
+    V, V1, V2 = mp.diffs(lambda s: radial(s)[1], w, 2)
+    P, P1, P2 = mp.diffs(lambda s: radial(s)[2], w, 2)
+    tx, ty = 2 * x, 2 * y
+    v_x, v_y = tx * V1, ty * V1
+    v_xx, v_xy, v_yy = 2 * V1 + tx * tx * V2, tx * ty * V2, \
+        2 * V1 + ty * ty * V2
+    entries = dict(
+        alpha=A, u1=x * V, u2=y * V, p=P,
+        alpha_t=mp.diff(lambda s: sol.radial_alpha(s, w), t),
+        alpha_x=tx * A1, alpha_y=ty * A1,
+        u1_x=x * v_x + V, u1_y=x * v_y, u2_x=y * v_x, u2_y=y * v_y + V,
+        u1_xx=x * v_xx + 2 * v_x, u1_xy=x * v_xy + v_y, u1_yy=x * v_yy,
+        u2_xx=y * v_xx, u2_xy=y * v_xy + v_x, u2_yy=y * v_yy + 2 * v_y,
+        p_x=tx * P1, p_y=ty * P1, p_xx=2 * P1 + tx * tx * P2,
+        p_yy=2 * P1 + ty * ty * P2)
+    for e, v in entries.items():
+        out[e].append(v)
+
+
+def oracle_errors(jet, oracle):
+    """The worst error of each derivative order of ``jet`` against
+    ``oracle``: at each point, |entry - oracle| over the largest |oracle|
+    of the entries of that order there."""
+    worst = {}
+    for k, names in ORDERS.items():
+        err = 0.0
+        for i in range(len(jet.x)):
+            scale = max(abs(oracle[e][i]) for e in names)
+            for e in names:
+                err = max(err, float(abs(getattr(jet, e)[i] - oracle[e][i])
+                                     / scale))
+        worst[k] = err
+    return worst
+
+
 # -- dual-number derivatives ------------------------------------------------
 
 def derivative(f, x):
@@ -95,11 +184,8 @@ def derivative(f, x):
 
 
 def second_derivative(f, x):
-    z = f(seed2(x))
-    if not isinstance(z, Dual):
-        return 0.0
-    d = z.dot
-    return value(d.dot) if isinstance(d, Dual) else 0.0
+    z = f(Taylor(x, 1.0, 0.0))
+    return 2.0 * value(z.c2) if isinstance(z, Taylor) else 0.0
 
 
 def ddr(f):

@@ -382,8 +382,8 @@ def test_orbit_over_its_bound_prints_the_fail_line_of_verify(tmp_path,
                  + "\n[orbit]\nelement = galilei\neps = -4.5\n")
     assert main(["orbit", "--config", cfg]) == 1
     orbit = capsys.readouterr()
-    assert "orbit Linf=4.342160e-13 allowed=1.000000e-13" in orbit.out
-    assert orbit.err == "FAIL orbit Linf 4.342e-13 > 1.000e-13\n"
+    assert "orbit Linf=6.518866e-13 allowed=1.000000e-13" in orbit.out
+    assert orbit.err == "FAIL orbit Linf 6.519e-13 > 1.000e-13\n"
     assert main(["verify", "--config", cfg]) == 1
     assert orbit.err in capsys.readouterr().err.splitlines(keepends=True)
 
@@ -517,6 +517,44 @@ def test_a_directory_that_cannot_be_made_exits_2(tmp_path, capsys,
         assert capsys.readouterr().err == (
             f"output error: cannot write to {out}: Operation not "
             "permitted\n")
+
+
+def test_an_output_directory_is_made_before_any_jet(tmp_path, capsys,
+                                                    monkeypatch):
+    """The output directory is made up front: where that fails (as under
+    a pseudo file system that the path check trusts), the run ends with
+    exit 2 and a message before any jet is taken."""
+    jets_taken = []
+    taken = jets.analytic_jet
+    monkeypatch.setattr(jets, "analytic_jet", lambda *a: jets_taken.append(
+        a) or taken(*a))
+
+    def makedirs(*args, **kwargs):
+        raise PermissionError(1, "Operation not permitted")
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    cfg = _write(tmp_path, FIG34_BODY + "\n[orbit]\nelement = rotation\n")
+    out = str(tmp_path / "new" / "out")
+    for command in ("verify", "orbit"):
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"output error: cannot write to {out}: Operation not "
+            "permitted\n")
+    assert jets_taken == []
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_run_without_output_removes_only_the_directories_it_made(
+        tmp_path, capsys):
+    """``evaluation failed`` writes no report: the directories the run
+    made for it go again, and a directory that was there stays."""
+    cfg = _write(tmp_path, _family_body("moving444", **PARAMS["moving444"])
+                 + "\n[samples]\ntimes = 0.01\nr_min_fraction = 5e-324\n")
+    there = tmp_path / "there"
+    there.mkdir()
+    out = there / "new" / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("evaluation failed: ")
+    assert there.is_dir() and list(there.iterdir()) == []
 
 
 class _OneNanEngine:

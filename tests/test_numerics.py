@@ -12,8 +12,8 @@ from tumorsym.numerics import (IntegrationError, OdeSpec, QuadratureError,
                                exp_over_z_integral, exp_over_z_quadrature,
                                fd_derivative, ode_integrate, quad_adaptive)
 from tumorsym.numerics.dd import DD, two_prod, two_sum
-from tumorsym.numerics.dual import (Dual, cos, exp, expm1, lift, log, sin,
-                                    sqrt, value)
+from tumorsym.numerics.dual import (Dual, Taylor, cos, exp, expm1, lift,
+                                    log, sin, sqrt, value)
 from tumorsym.numerics.quadrature import _GK15
 
 from support import ddr, derivative, richardson_order, second_derivative
@@ -190,6 +190,47 @@ def test_dual_lift_leibniz():
         2.0 / math.sqrt(math.pi) * math.exp(-0.16), rel=1e-14)
 
 
+def test_lift_takes_the_second_derivative_from_fder():
+    f = lambda z: lift(z, lambda v: math.erf(v),
+                       lambda v: 2.0 / math.sqrt(math.pi) * exp(-v * v))
+    assert second_derivative(f, 0.4) == pytest.approx(
+        -1.6 / math.sqrt(math.pi) * math.exp(-0.16), rel=1e-14)
+
+
+# functions of one argument built from every Taylor rule: the arithmetic
+# with constants and with Taylor operands, constant powers, and the six
+# elementary functions
+_TAYLOR_CASES = {
+    "exp": exp, "expm1": expm1, "log": log, "sin": sin, "cos": cos,
+    "sqrt": sqrt,
+    "pow": lambda z: z ** 1.7, "negative-pow": lambda z: z ** -2.5,
+    "cube": lambda z: z ** 3.0, "square": lambda z: z ** 2,
+    "rdiv": lambda z: 1.3 / z, "div": lambda z: (z + 2.0) / (z * z + 1.0),
+    "poly": lambda z: 4.0 - (z * z * z - 2.0 * z) + z * 0.5 - 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAYLOR_CASES))
+def test_taylor_coefficients_match_mpmath(name):
+    """g(a) for an argument with both coefficients set, a(s) = x + 0.3 s
+    + 0.2 s^2, has the coefficients c1 = (g o a)'(0) and c2 = (g o a)''(0)
+    / 2 of mpmath's series, on DD and on float coefficients."""
+    mpmath = pytest.importorskip("mpmath")
+    g = _TAYLOR_CASES[name]
+    mp_g = {"exp": mpmath.exp, "expm1": mpmath.expm1, "log": mpmath.log,
+            "sin": mpmath.sin, "cos": mpmath.cos,
+            "sqrt": mpmath.sqrt}.get(name, g)
+    for x in (0.3, 1.7, 4.25):
+        with mpmath.workdps(40):
+            want = mpmath.taylor(
+                lambda s: mp_g(x + 0.3 * s + 0.2 * s * s), 0, 2)
+        for z in (g(Taylor(DD.of(x), 0.3, 0.2)), g(Taylor(x, 0.3, 0.2))):
+            got = [value(c) for c in (z.c0, z.c1, z.c2)]
+            scale = max(abs(w) for w in want)
+            for k in range(3):
+                assert abs(got[k] - want[k]) <= 4e-16 * scale, (x, k)
+
+
 def test_ddr_composes():
     g = ddr(lambda r: r * r * r)
     assert value(g(2.0)) == pytest.approx(12.0)
@@ -272,6 +313,19 @@ def test_log_and_sqrt_of_a_negative_float_raise(f):
 def test_a_float_base_to_a_dual_power_is_a_type_error():
     with pytest.raises(TypeError):
         2.0 ** Dual(1.0, 1.0)
+
+
+@pytest.mark.parametrize("base", [
+    DD.of(2.0), Dual(DD.of(2.0), 1.0), Taylor(DD.of(2.0), 1.0, 0.0)],
+    ids=["dd", "dual", "taylor"])
+@pytest.mark.parametrize("power", [
+    Dual(1.5, 1.0), Taylor(1.5, 1.0, 0.0)], ids=["dual", "taylor"])
+def test_a_seeded_power_is_a_type_error(base, power):
+    """No model raises to a seeded power: a DD base (alone or under a seed)
+    declines it as a float base does, so the power is a TypeError, not an
+    AttributeError from deep inside DD."""
+    with pytest.raises(TypeError):
+        base ** power
 
 
 # -- double-double ----------------------------------------------------------
