@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULT_ORBIT, ConfigError, load_config
 from .jets import AnalyticEngine, JetProvider
 from .reduction import reduced_bc_residual, reduced_ode_residual
-from .residuals import governing_and_front_residuals
+from .residuals import governing_and_front_residuals, run_plans, settled
 from .solutions import FAMILY_IDS, reduced_profiles_of
 from .symmetry import ELEMENTS, InapplicableSymmetryError, orbit_residual
 
@@ -168,36 +168,49 @@ def _orbit_bound(base_linf, orbit_factor):
 _NO_ORBIT_BOUND = "orbit: no finite bound, the base residual is NaN"
 
 
-def _governing(cfg, sol, n_front):
-    """The run's triplet, the family's with the config's overrides (a
-    sensitivity run), the governing residual under it (the base of the
-    orbit check in ``verify`` and ``orbit`` alike) and the front reports
-    on ``n_front`` ring points per sample time, from one family jet per
-    time."""
-    triplet = sol.triplet(**cfg.overrides)
-    with _failing("evaluation failed"):
-        return triplet, *governing_and_front_residuals(
-            JetProvider(sol, AnalyticEngine()), triplet, sol.phys(),
-            cfg.samples, sol.boundary(), n_front)
-
-
-def _orbit_check(cfg, sol, triplet, base_linf):
-    """The orbit block of ``verify`` and ``orbit``: (report, allowed,
-    failure).  ``allowed`` is None when the base residual gives no finite
-    bound, and ``failure`` says why the check fails, or is None.  An
-    element that does not apply to the triplet, or that maps the samples
-    outside the field's domain, gives no report, and the failure is then
-    an :class:`InapplicableSymmetryError`."""
+def _orbit_plan(cfg, sol, triplet):
+    """The plan of the orbit block of ``verify`` and ``orbit``: the
+    element that ``[orbit]`` names, or the default one, checked on the
+    run's samples.  An element that does not apply to the triplet ends it
+    with an :class:`InapplicableSymmetryError`."""
     spec = cfg.orbit or DEFAULT_ORBIT
-    try:
-        elem = ELEMENTS[spec["element"]](triplet=triplet, **spec)
-        orb = orbit_residual(elem, sol, triplet, sol.phys(), cfg.samples)
-    except InapplicableSymmetryError as e:
-        return None, None, e
-    except (ValueError, ArithmeticError) as e:
+    elem = ELEMENTS[spec["element"]](triplet=triplet, **spec)
+    return (yield from orbit_residual.plan(elem, sol, triplet, sol.phys(),
+                                           cfg.samples))
+
+
+def _checks(cfg, sol, n_front, *plans):
+    """The governing residual under the run's triplet, the family's with
+    the config's overrides (a sensitivity run; the base of the orbit check
+    in ``verify`` and ``orbit`` alike), the front reports on ``n_front``
+    ring points per sample time, the outcome of the orbit plan and those
+    of ``plans``: every check runs in one ``run_plans``, so each source
+    time takes one family jet."""
+    triplet = sol.triplet(**cfg.overrides)
+    base, orbit, *rest = run_plans(
+        governing_and_front_residuals.plan(
+            JetProvider(sol, AnalyticEngine()), triplet, sol.phys(),
+            cfg.samples, sol.boundary(), n_front),
+        _orbit_plan(cfg, sol, triplet), *plans)
+    with _failing("evaluation failed"):
+        gov, fronts = settled(base)
+    return gov, fronts, orbit, *rest
+
+
+def _orbit_check(orb, base_linf, orbit_factor):
+    """The orbit block of ``verify`` and ``orbit`` from the orbit plan's
+    outcome ``orb``: (report, allowed, failure).  ``allowed`` is None when
+    the base residual gives no finite bound, and ``failure`` says why the
+    check fails, or is None.  An element that does not apply to the
+    triplet, or that maps the samples outside the field's domain, gives
+    no report, and the failure is then an
+    :class:`InapplicableSymmetryError`."""
+    if isinstance(orb, InapplicableSymmetryError):
+        return None, None, orb
+    if isinstance(orb, Exception):
         return None, None, InapplicableSymmetryError(
-            f"the element maps the samples outside the field's domain: {e}")
-    allowed = _orbit_bound(base_linf, cfg.tolerances["orbit_factor"])
+            f"the element maps the samples outside the field's domain: {orb}")
+    allowed = _orbit_bound(base_linf, orbit_factor)
     if allowed is None:
         return orb, None, _NO_ORBIT_BOUND
     if not orb.linf <= allowed:
@@ -208,7 +221,12 @@ def _orbit_check(cfg, sol, triplet, base_linf):
 def cmd_verify(args, cleanup):
     cfg, sol = _load(args.config)
     out_dir = _output_dir(cfg.out_dir or args.out, cleanup)
-    triplet, gov, fronts = _governing(cfg, sol, cfg.samples.n_theta * 8)
+    profiles = reduced_profiles_of(sol)
+    delta = sol.delta
+    radii = [1e-2 * delta * (100.0) ** (i / 63.0) for i in range(64)]
+    gov, fronts, orbit, red = _checks(cfg, sol, cfg.samples.n_theta * 8,
+                                      reduced_ode_residual.plan(profiles,
+                                                                radii))
     tol = cfg.tolerances
 
     failures = []
@@ -222,10 +240,7 @@ def cmd_verify(args, cleanup):
             failures.append(f"boundary Linf {rep.linf:.3e} at t={t} > "
                             f"{tol['boundary']:.3e}")
 
-    profiles = reduced_profiles_of(sol)
-    delta = sol.delta
-    radii = [1e-2 * delta * (100.0) ** (i / 63.0) for i in range(64)]
-    red = reduced_ode_residual(profiles, radii)
+    red = settled(red)
     if not red.linf <= tol["reduced"]:
         failures.append(f"reduced Linf {red.linf:.3e} > "
                         f"{tol['reduced']:.3e}")
@@ -234,7 +249,7 @@ def cmd_verify(args, cleanup):
         failures.append(f"reduced BC {bc.general_max:.3e} > "
                         f"{tol['boundary']:.3e}")
 
-    orb, _, failure = _orbit_check(cfg, sol, triplet, gov.linf)
+    orb, _, failure = _orbit_check(orbit, gov.linf, tol["orbit_factor"])
     if orb is None:
         failures.append(f"orbit: {failure}")
     elif failure:
@@ -267,8 +282,9 @@ def cmd_verify(args, cleanup):
 def cmd_orbit(args, cleanup):
     cfg, sol = _load(args.config, need_orbit=True)
     out_dir = _output_dir(cfg.out_dir or args.out, cleanup)
-    triplet, base, _ = _governing(cfg, sol, 0)
-    orb, allowed, failure = _orbit_check(cfg, sol, triplet, base.linf)
+    base, _, orbit = _checks(cfg, sol, 0)
+    orb, allowed, failure = _orbit_check(orbit, base.linf,
+                                         cfg.tolerances["orbit_factor"])
     if orb is None:
         raise _Exit(f"inapplicable symmetry: {failure}", 1)
     shown = "none" if allowed is None else f"{allowed:.6e}"

@@ -6,20 +6,36 @@ method written in generic arithmetic, so it accepts seeded numbers.  A
 jet has one shape: it is taken on a time slice, the float arrays x and y
 of points at one time t, and every entry comes back as an array of that
 shape; a single point is a one-element slice.  The analytic engine builds
-jets from one evaluation on degree-2 Taylor numbers
-(``numerics.dual.Taylor``) over the whole slice (vector forward mode).  A
-radial field, one with a closed form ``radial(t, w) -> (alpha, vel, p)``
-in w = x^2 + y^2 (every solution family), takes one second-order pass in
-w, and the chain rule in double-double gives the Cartesian entries
-(univariate Taylor propagation, Griewank and Walther, *Evaluating
-Derivatives*, 2008, ch. 13); any other field (a transformed or lifted
-one) takes one second-order pass on three stacked copies of the points,
-seeded along (1, 0), (0, 1) and (1, 1), whose second coefficients give
-the mixed entry by interpolation (Griewank, Utke and Walther, *Math.
-Comp.* 69, 2000).  Every pass reads its coefficients with the one reader
-of seeded results, ``numerics.dual.taylor``.  The finite-difference
-engine rebuilds the spatial entries from values only: one array call
-takes the 5 x 5 grid
+jets from evaluations on degree-2 Taylor numbers
+(``numerics.dual.Taylor``) over whole arrays of points (vector forward
+mode), three kinds of field three ways:
+
+- A radial field, one with a closed form ``radial(t, w) -> (alpha, vel,
+  p)`` in w = x^2 + y^2 (every solution family), takes one second-order
+  pass in w, and the chain rule in double-double gives the Cartesian
+  entries (univariate Taylor propagation, Griewank and Walther,
+  *Evaluating Derivatives*, 2008, ch. 13).
+- A group element's pull of a radial field (``symmetry.TransformedField``)
+  takes that pass at its source points, kept in double-double, and
+  pushes the unrounded rows through the element's second prolongation
+  (Olver, *Applications of Lie Groups to Differential Equations*, 1993,
+  ch. 2): with A the Jacobian of the element's point map, first
+  derivatives push by A, second derivatives by A^T H A, and alpha_t =
+  tau' alpha_t + grad alpha . d/dt point, before the element's pull maps
+  the values.
+- Any other field (a lifted one, or a field seen through ``values``
+  alone) takes one second-order pass on three stacked copies of the
+  points, seeded along (1, 0), (0, 1) and (1, 1), whose second
+  coefficients give the mixed entry by interpolation (Griewank, Utke and
+  Walther, *Math. Comp.* 69, 2000).
+
+The jets a run needs are asked for together (:func:`analytic_jets`):
+every slice of a radial field or of a pull of it is a set of that field's
+points at one source time, so a run makes one pass and one time seed per
+radial field and distinct source time, over all its points.  Every pass
+reads its coefficients with the one reader of seeded results,
+``numerics.dual.taylor``.  The finite-difference engine rebuilds the
+spatial entries from values only: one array call takes the 5 x 5 grid
 x + i h, y + j h (i, j in -2..2) around every point of a slice, which
 holds every point the fourth-order stencils read; it serves only as the
 independent reference of ``cross_engine_check``.  Every path hands its
@@ -35,7 +51,7 @@ Ei integrals are never carried under the time seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,7 +60,8 @@ from .numerics.dd import DD
 from .numerics.dual import Taylor, seed1, taylor, value
 
 __all__ = ["FieldJet", "Field", "AnalyticEngine", "FdEngine",
-           "JetProvider", "SingularityError", "JET_ENTRIES"]
+           "JetProvider", "SingularityError", "JET_ENTRIES", "analytic_jets",
+           "provider_jets"]
 
 
 class SingularityError(ValueError):
@@ -62,7 +79,8 @@ class SingularityError(ValueError):
 @dataclass(frozen=True)
 class FieldJet:
     """The jet on one time slice: ``x``, ``y`` and the 21 entries are
-    float arrays of one shape, one element per point; ``t`` is a float."""
+    float arrays of one shape, one element per point; ``t`` is a float.
+    The jet of a radial pass also keeps its unrounded ``rows``."""
 
     t: float
     x: np.ndarray
@@ -88,20 +106,25 @@ class FieldJet:
     p_y: np.ndarray
     p_xx: np.ndarray
     p_yy: np.ndarray
+    # a radial pass's unrounded double-double partials (alpha_t, rows),
+    # which the push of a group element's pull continues from
+    rows: tuple = field(default=None, repr=False, compare=False)
 
     def cut(self, n):
-        """The jets of the first ``n`` points and of the rest; every entry
-        of a jet is elementwise, so each part has the bits of a jet taken
-        on its points alone."""
-        arrays = ("x", "y") + JET_ENTRIES
-        return tuple(
-            FieldJet(t=self.t, **{k: getattr(self, k)[s] for k in arrays})
-            for s in (slice(None, n), slice(n, None)))
+        """The jets of the first ``n`` points and of the rest (:meth:`at`)."""
+        return self.at(slice(None, n)), self.at(slice(n, None))
+
+    def at(self, points):
+        """The jet of the ``points`` (a slice) alone, without ``rows``;
+        every entry of a jet is elementwise, so it has the bits of a jet
+        taken on those points alone."""
+        return FieldJet(t=self.t, **{k: getattr(self, k)[points]
+                                     for k in ("x", "y") + JET_ENTRIES})
 
 
 # the 21 field entries: everything but the point itself
 JET_ENTRIES = tuple(f.name for f in fields(FieldJet)
-                    if f.name not in ("t", "x", "y"))
+                    if f.name not in ("t", "x", "y", "rows"))
 
 
 class Field:
@@ -151,12 +174,125 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     entries for the gates to judge, without a warning.
 
     A field with a closed form ``radial(t, w)`` takes one second-order
-    pass in w and one time seed (:func:`_radial_jet`); any other field
-    one ``values()`` call on three seeded copies of the points and the
-    time seed (:func:`_cartesian_jet`).
+    pass in w and one time seed (:func:`_radial_rows`); its points may
+    also be double-double arrays, the unrounded source points of a pull,
+    and the jet keeps its unrounded partials in ``rows``.  A group
+    element's pull of such a field (one with ``prolong``) takes that pass
+    at its source points and pushes it through the element's second
+    prolongation: first derivatives by the Jacobian A of the point map,
+    second derivatives by A^T H A, alpha_t = tau' alpha_t + grad alpha .
+    d/dt point.  Any other field (a lifted one, or one seen through
+    ``values`` alone) takes one ``values()`` call on three seeded copies
+    of the points and the time seed (:func:`_cartesian_jet`).  Slices
+    asked together (:func:`analytic_jets`) share one pass per radial
+    field and source time.
     """
-    jet = _radial_jet if hasattr(field, "radial") else _cartesian_jet
-    return jet(field, DD.of(t), *map(DD.of, np.atleast_1d(x, y)))
+    if hasattr(field, "radial"):
+        x, y = (v if isinstance(v, DD) else DD.of(np.atleast_1d(v))
+                for v in (x, y))
+        t = DD.of(t)
+        alpha_t, rows = _radial_rows(field, t, x, y,
+                                     radial_argument(t, x, y))
+        return _field_jet(value(t), value(x), value(y), alpha_t, rows,
+                          keep=True)
+    if _pushed(field):
+        jet, = analytic_jets([(field, t, x, y)])
+        if isinstance(jet, Exception):
+            raise jet
+        return jet
+    return _cartesian_jet(field, DD.of(t), *map(DD.of, np.atleast_1d(x, y)))
+
+
+def _pushed(field):
+    """Whether ``field`` is a group element's pull of a radial field."""
+    return hasattr(field, "prolong") and hasattr(field.source, "radial")
+
+
+@np.errstate(all="ignore")
+def analytic_jets(requests):
+    """The analytic jets of many slices, each a (field, t, x, y) as
+    :func:`analytic_jet` takes it, in request order.  A slice that fails
+    (singular points, t <= 0, overflow) gives the ValueError or
+    ArithmeticError it raised in place of its jet, and does not stop the
+    others.
+
+    A slice of a radial field is that field's points at its own time, and
+    a slice of a pull of one is that field's source points at the source
+    time (``prolong``).  All slices of one radial field and source time
+    share one :func:`analytic_jet` call on their joined points, one pass
+    and one time seed (univariate Taylor propagation over the points a run
+    needs); each slice's part is cut out of it, and a pull's part is
+    pushed.  Every step is elementwise, so each slice has the bits of its
+    own pass.  Any other field takes its own stacked pass.
+    """
+    out = [None] * len(requests)
+    groups = {}
+    for i, (field, t, x, y) in enumerate(requests):
+        x, y = map(DD.of, np.atleast_1d(x, y))
+        try:
+            if hasattr(field, "radial"):
+                source, (s, sx, sy), push = field, (t, x, y), None
+            elif _pushed(field):
+                source = field.source
+                (s, sx, sy), push = field.prolong(t, x, y)
+            else:
+                out[i] = _cartesian_jet(field, DD.of(t), x, y)
+                continue
+            radial_argument(s, sx, sy)  # the slice's own domain checks
+        except (ValueError, ArithmeticError) as e:
+            out[i] = e
+            continue
+        key = DD.of(s)
+        members, points = groups.setdefault(
+            (id(source), key.hi, key.lo), (source, s, [], []))[2:]
+        members.append((i, t, x, y, push))
+        points.append((sx, sy))
+    for source, s, members, points in groups.values():
+        for (i, t, x, y, push), (jet, part) in zip(
+                members, _shared_jets(source, s, points)):
+            if isinstance(jet, Exception):
+                out[i] = jet
+            elif push is None:
+                out[i] = jet.at(part)
+            else:
+                out[i] = _field_jet(t, value(x), value(y),
+                                    *push(*_take(jet.rows, part)))
+    return out
+
+
+def _shared_jets(source, t, points):
+    """For each (x, y) of ``points``, a jet of ``source`` at time t and the
+    slice of it that holds those points: one :func:`analytic_jet` call on
+    all of them, or, if that call raises, each its own, so an error (in
+    place of the jet) stays with its slice."""
+    whole = slice(None)
+    try:
+        if len(points) == 1:
+            return [(analytic_jet(source, t, *points[0]), whole)]
+        joined = analytic_jet(source, t, *map(_join, zip(*points)))
+    except (ValueError, ArithmeticError) as e:
+        if len(points) == 1:
+            return [(e, whole)]
+        return [_shared_jets(source, t, [p])[0] for p in points]
+    ends = np.cumsum([x.hi.size for x, _ in points]).tolist()
+    return [(joined, slice(end - x.hi.size, end))
+            for (x, _), end in zip(points, ends)]
+
+
+def _join(parts):
+    """One DD array of the DD arrays ``parts``, end to end."""
+    return DD(*(np.concatenate([np.broadcast_to(getattr(p, k), p.hi.shape)
+                                for p in parts]) for k in ("hi", "lo")))
+
+
+def _take(v, s):
+    """The points ``s`` of rows: a tuple of them, a DD, an array, or a
+    constant, which every point shares."""
+    if isinstance(v, tuple):
+        return tuple(_take(e, s) for e in v)
+    if isinstance(v, DD):
+        return DD(_take(v.hi, s), _take(v.lo, s))
+    return v[s] if np.ndim(v) else v
 
 
 def _stacked_values(field, t, x, y, copies):
@@ -181,13 +317,13 @@ def _blocks(v, copies):
 
 
 def _cartesian_jet(field, t, x, y):
-    """The jet of a field without ``radial`` from one second-order
-    ``values()`` call on three copies of the points (vector forward mode):
-    the seeds, 0/1 arrays in the first-order coefficients, point copy 0
-    along (1, 0), copy 1 along (0, 1) and copy 2 along (1, 1), so their
-    second coefficients c2 give f_xx / 2, f_yy / 2 and f_xy = c2(1, 1) -
-    c2(1, 0) - c2(0, 1), subtracted in double-double before rounding;
-    plus the time seed."""
+    """The jet of a field that is neither radial nor a pull of a radial
+    field from one second-order ``values()`` call on three copies of the
+    points (vector forward mode): the seeds, 0/1 arrays in the first-order
+    coefficients, point copy 0 along (1, 0), copy 1 along (0, 1) and copy
+    2 along (1, 1), so their second coefficients c2 give f_xx / 2, f_yy / 2
+    and f_xy = c2(1, 1) - c2(1, 0) - c2(0, 1), subtracted in double-double
+    before rounding; plus the time seed."""
 
     def seed(*copies):
         return np.repeat(np.array(copies, dtype=float), x.hi.size)
@@ -204,30 +340,31 @@ def _cartesian_jet(field, t, x, y):
                       _alpha_t(field, t, x, y), rows)
 
 
-def _radial_jet(field, t, x, y):
-    """The jet of a radial field (alpha, x V, y V, P) of w = x^2 + y^2 from
-    one second-order pass of ``field.radial`` in w: the chain rule in
+def _radial_rows(field, t, x, y, w):
+    """The rows of a radial field (alpha, x V, y V, P) of w = x^2 + y^2 at
+    the double-double points x, y (w formed from them) from one
+    second-order pass of ``field.radial`` in w, and its time seed, as
+    (alpha_t, rows) for :func:`_field_jet`, unrounded: the chain rule in
     double-double gives every Cartesian entry, e.g. u1_xx = 6x V' +
     4x^3 V'' and p_xx = 2P' + 4x^2 P'', from the coefficients V' and
-    V''/2 of the pass."""
-    w = radial_argument(t, x, y)
+    V''/2 of the pass.  The pressure row ends with p_xy, which only a
+    push reads."""
     (A, A1, _), (V, V1, V2), (P, P1, P2) = map(
         taylor, field.radial(t, Taylor(w, 1.0, 0.0)))
     tx, ty = x + x, y + y  # dw/dx, dw/dy; V2 and P2 are V''/2 and P''/2
-    txx, tyy = tx * tx, ty * ty
+    txx, tyy, txy = tx * tx, ty * ty, (tx + tx) * ty
     v_x, v_y = tx * V1, ty * V1
     v_xx = 2.0 * (V1 + txx * V2)
-    v_xy = (tx + tx) * ty * V2
+    v_xy = txy * V2
     v_yy = 2.0 * (V1 + tyy * V2)
-    return _field_jet(value(t), value(x), value(y),
-                      _alpha_t(field, t, x, y), (
+    return _alpha_t(field, t, x, y), (
         (A, tx * A1, ty * A1),
         (x * V, x * v_x + V, x * v_y, x * v_xx + 2.0 * v_x, x * v_yy,
          x * v_xy + v_y),
         (y * V, y * v_x, y * v_y + V, y * v_xx, y * v_yy + 2.0 * v_y,
          y * v_xy + v_x),
         (P, tx * P1, ty * P1, 2.0 * (P1 + txx * P2),
-         2.0 * (P1 + tyy * P2))))
+         2.0 * (P1 + tyy * P2), txy * P2))
 
 
 @np.errstate(all="ignore")
@@ -268,17 +405,18 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
 
 
 def _alpha_t(field, t, x, y):
-    """The time derivative of alpha from one ``alpha()`` call seeded in t:
-    the one time seed of the radial, Cartesian and FD paths."""
-    return value(taylor(field.alpha(seed1(t), x, y))[1])
+    """The time derivative of alpha from one ``alpha()`` call seeded in t,
+    unrounded: the one time seed of the radial, Cartesian and FD paths."""
+    return taylor(field.alpha(seed1(t), x, y))[1]
 
 
-def _field_jet(t, x, y, alpha_t, rows) -> FieldJet:
+def _field_jet(t, x, y, alpha_t, rows, keep=False) -> FieldJet:
     """The one assembly of a jet from its partials: ``rows`` holds, for
     alpha, u1, u2 and p, the tuple (f, f_x, f_y, f_xx, f_yy, f_xy), of
     which alpha reads the first three and p the first five.  Every entry
     is read with ``value``, and an entry that does not depend on the point
-    (a constant) takes the shape of ``x``."""
+    (a constant) takes the shape of ``x``.  ``keep`` keeps the unrounded
+    partials in the jet's ``rows``."""
     (a, a_x, a_y, *_), (u1, u1_x, u1_y, u1_xx, u1_yy, u1_xy), \
         (u2, u2_x, u2_y, u2_xx, u2_yy, u2_xy), \
         (p, p_x, p_y, p_xx, p_yy, *_) = rows
@@ -292,7 +430,7 @@ def _field_jet(t, x, y, alpha_t, rows) -> FieldJet:
         v = value(v)
         return v if np.ndim(v) else np.full(x.shape, v)
 
-    return FieldJet(t=t, x=x, y=y,
+    return FieldJet(t=t, x=x, y=y, rows=(alpha_t, rows) if keep else None,
                     **{k: entry(v) for k, v in entries.items()})
 
 
@@ -329,3 +467,22 @@ class JetProvider:
 
     def jet(self, t, x, y) -> FieldJet:
         return self.engine.jet(self.field, t, x, y)
+
+
+def provider_jets(requests):
+    """The outcomes of jet requests, each a JetProvider and a slice (t, x,
+    y): a FieldJet, or the ValueError or ArithmeticError the slice raised.
+    The requests to the analytic engine itself go to
+    :func:`analytic_jets` together; any other engine (finite differences,
+    or one that states its own ``jet``) is asked slice by slice."""
+    together = [i for i, (jets, *_) in enumerate(requests)
+                if type(jets.engine) is AnalyticEngine]
+    out = dict(zip(together, analytic_jets(
+        [(requests[i][0].field, *requests[i][1:]) for i in together])))
+    for i, (jets, t, x, y) in enumerate(requests):
+        if i not in out:
+            try:
+                out[i] = jets.jet(t, x, y)
+            except (ValueError, ArithmeticError) as e:
+                out[i] = e
+    return [out[i] for i in range(len(requests))]

@@ -16,13 +16,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core_model import ConstitutiveTriplet, PhysConstants, PowerLawParams
-from .jets import Field, radial_argument
+from .jets import Field, JetProvider, radial_argument
 from .numerics import (IntegrationError, QuadratureSpec, ode_integrate,
                        quad_adaptive)
 from .numerics.dd import DD
 from .numerics.dual import Taylor, cos, sin, sqrt, taylor, value
-from .residuals import (ResidualReport, collect_report, constitutive_terms,
-                        nan_max)
+from .residuals import (Check, ResidualReport, collect_report,
+                        constitutive_terms, nan_max, settled)
 
 __all__ = ["ReducedProfiles", "lift_profiles", "reduced_ode_residual",
            "reduced_bc_residual", "BcResiduals", "integrate_ode_4_6",
@@ -41,7 +41,8 @@ class ReducedProfiles:
     ``fields(r)`` returns the concentration, speed, pressure and flow
     angle (lam, R, P, Phi) at radius r.  It accepts seeded arguments, so
     one call at a degree-2 Taylor seed gives every first and second
-    derivative.
+    derivative.  The profiles of a family carry it as ``fields.family``:
+    they are its t = 1 slice along the x-axis.
     """
 
     fields: Callable
@@ -95,27 +96,50 @@ def lift_profiles(profiles: ReducedProfiles) -> LiftedField:
     return LiftedField(profiles)
 
 
-@np.errstate(all="ignore")
+@Check
 def reduced_ode_residual(profiles: ReducedProfiles,
                          samples_r) -> ResidualReport:
     """Residuals of the four reduced radial ODEs at the given radii.
 
     Both reductions give one system whose coefficients come from the
     family's own triplet; the scale reduction adds the ansatz terms
-    gamma r^2 lam' - r lam/(n-1) to the mass equation.  The profiles are
-    evaluated once, at a degree-2 Taylor seed on the double-double array of
-    all positive radii; the triplet is evaluated radius by radius (libm
-    powers).  Radii that are not positive are listed in ``rejected``.
+    gamma r^2 lam' - r lam/(n-1) to the mass equation.  The profile jet of
+    a family's profiles is read off the family's analytic jet at t = 1 on
+    the axis points (r, 0): lam = alpha, lam' = alpha_x, R = u1, R' = u1_x,
+    R'' = u1_xx, P' = p_x, P'' = p_xx and Phi = 0.  Profiles with no family
+    behind them are evaluated once, at a degree-2 Taylor seed on the
+    double-double array of all positive radii.  The triplet is evaluated
+    radius by radius (libm powers).  Radii that are not positive are
+    listed in ``rejected``.  A family's axis points join its pass at
+    t = 1 when the check runs with others (``residuals.run_plans``).
     """
-    lamv, gamma = profiles.phys.lam, profiles.gamma
     radii = np.asarray(samples_r, dtype=float)
     kept = radii > 0.0
     rejected = np.flatnonzero(~kept).tolist()
     r = radii[kept]
-    (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
-        [value(c) for c in taylor(f)]
-        for f in profiles.fields(Taylor(DD.of(r), 1.0, 0.0))]
-    R2, P2, F2 = 2.0 * R2, 2.0 * P2, 2.0 * F2  # f'' from f''/2
+    family = getattr(profiles.fields, "family", None)
+    if family is None:
+        with np.errstate(all="ignore"):
+            (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
+                [value(c) for c in taylor(f)]
+                for f in profiles.fields(Taylor(DD.of(r), 1.0, 0.0))]
+        R2, P2, F2 = 2.0 * R2, 2.0 * P2, 2.0 * F2  # f'' from f''/2
+    else:
+        jet, = yield [(JetProvider(family), 1.0, r, np.zeros_like(r))]
+        jet = settled(jet)
+        L, L1, R, R1, R2, P1, P2 = (jet.alpha, jet.alpha_x, jet.u1, jet.u1_x,
+                                    jet.u1_xx, jet.p_x, jet.p_xx)
+        F = F1 = F2 = 0.0
+    return _reduced_report(profiles, r, rejected,
+                           L, L1, R, R1, R2, P1, P2, F, F1, F2)
+
+
+@np.errstate(all="ignore")
+def _reduced_report(profiles, r, rejected, L, L1, R, R1, R2, P1, P2,
+                    F, F1, F2):
+    """The report of the reduced system at the radii r from the profile
+    jet: lam, R, P and Phi with their r-derivatives."""
+    lamv, gamma = profiles.phys.lam, profiles.gamma
     S, D, dD, d_alpha_sigma = constitutive_terms(
         profiles.triplet, np.broadcast_to(L, r.shape))
     cos_f, sin_f = cos(F), sin(F)

@@ -7,8 +7,11 @@ cross-check each other.  Jets are requested once per sample time, for all
 points at that time together: ``governing_and_front_residuals`` takes one
 jet on the annulus points of a time followed by its front ring and cuts
 it in two, one part for the governing residuals and one for the front
-conditions.  The assembly gathers the 32 terms of the four equations into
-arrays and splits all their products in one error-free pass.  Every step
+conditions.  Each check is a plan (:class:`Check`) that yields the slices
+it needs, so :func:`run_plans` can gather the slices of several checks
+(the orbit and reduced checks too) into one round of jets.  The assembly
+gathers the 32 terms of the four equations into arrays and splits all
+their products in one error-free pass.  Every step
 of a jet and of the assembly is elementwise and each point's sum is still
 one exactly rounded fsum, so every residual has the bits of a
 point-by-point evaluation.
@@ -16,6 +19,7 @@ point-by-point evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,14 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import ConstitutiveTriplet, PhysConstants
-from .jets import JET_ENTRIES, FieldJet, JetProvider, SingularityError
+from .jets import (JET_ENTRIES, FieldJet, JetProvider, SingularityError,
+                   provider_jets)
 from .numerics.dd import two_prod
 from .solutions import BoundaryCircle
 
 __all__ = ["SampleSet", "EquationNorms", "ResidualReport",
            "governing_residual", "governing_and_front_residuals",
            "cross_engine_check", "governing_residual_at",
-           "boundary_residual_at"]
+           "boundary_residual_at", "Check", "run_plans", "settled"]
 
 GOVERNING_NAMES = ("mass", "divergence", "momentum_x", "momentum_y")
 BOUNDARY_NAMES = ("kinematic", "pressure", "traction_1", "traction_2")
@@ -54,6 +59,9 @@ class SampleSet:
     def __post_init__(self):
         if not all(0.0 < t < math.inf for t in self.times):
             raise ValueError("all sample times must be positive and finite")
+        if len(set(self.times)) < len(self.times):
+            raise ValueError("sample times must be distinct, got "
+                             + ", ".join(map(repr, self.times)))
         if not 0.0 < self.r_min_fraction < 1.0:
             raise ValueError("r_min_fraction must lie in (0, 1)")
         if self.n_r < 1 or self.n_theta < 1:
@@ -212,30 +220,57 @@ def collect_report(names, rows, locations, engine, rejected):
                           tuple(rejected))
 
 
-def _jet_slice(jets: JetProvider, t, x, y, ring):
-    """One jet at time t over the annulus points x, y followed by the
-    front ring points ``ring`` (x, y), leaving out the annulus points
-    where the field is singular: returns (jet or None, mask of the kept
-    annulus points).
+def run_plans(*plans):
+    """Run checks together: for each plan, its result, or the ValueError
+    or ArithmeticError that ended it, which does not stop the others.
 
-    An engine masks the points singular at the first evaluation that
-    fails (one FD stencil offset, say); they are dropped and the jet is
-    asked again until it succeeds, so every annulus point singular at any
-    of its evaluations is left out, and only those.  The ring never takes
-    part in that: a singular ring point raises.
+    A plan is a generator.  It yields a list of jet requests, each a
+    JetProvider and a slice (t, x, y), takes back their outcomes (a
+    FieldJet, or the error that slice raised), and returns its result.
+    Each round hands the requests of every plan to ``jets.provider_jets``
+    together, so the analytic engine makes one pass per source time for
+    all of them.
     """
-    x_ring, y_ring = ring
-    keep = np.ones(x.shape, dtype=bool)
-    while keep.any() or x_ring.size:
+    outcomes, asked = [None] * len(plans), {}
+
+    def step(i, sent):
         try:
-            return jets.jet(t, np.concatenate((x[keep], x_ring)),
-                            np.concatenate((y[keep], y_ring))), keep
-        except SingularityError as e:
-            n = np.count_nonzero(keep)
-            if e.mask is None or not e.mask[:n].any() or e.mask[n:].any():
-                raise
-            keep[np.flatnonzero(keep)[e.mask[:n]]] = False
-    return None, keep
+            asked[i] = plans[i].send(sent)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except (ValueError, ArithmeticError) as e:
+            outcomes[i] = e
+
+    for i in range(len(plans)):
+        step(i, None)
+    while asked:
+        rounds = list(asked.items())
+        asked.clear()
+        got = iter(provider_jets([r for _, reqs in rounds for r in reqs]))
+        for i, reqs in rounds:
+            step(i, [next(got) for _ in reqs])
+    return outcomes
+
+
+def settled(outcome):
+    """The result of a plan from its outcome; the error that ended it is
+    raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class Check:
+    """A check stated once, as its plan (a generator function, see
+    :func:`run_plans`): calling the check runs the plan alone and returns
+    its result, and ``plan`` makes the plan, to run with other checks."""
+
+    def __init__(self, plan):
+        functools.update_wrapper(self, plan)
+        self.plan = plan
+
+    def __call__(self, *args, **kwargs):
+        return settled(*run_plans(self.plan(*args, **kwargs)))
 
 
 def _front_ring(boundary: BoundaryCircle, t, n_front):
@@ -247,6 +282,7 @@ def _front_ring(boundary: BoundaryCircle, t, n_front):
     return x, y
 
 
+@Check
 def governing_and_front_residuals(
         jets: JetProvider, triplet: ConstitutiveTriplet, phys: PhysConstants,
         samples: SampleSet, boundary: BoundaryCircle, n_front: int):
@@ -256,15 +292,44 @@ def governing_and_front_residuals(
     ``n_front = 0``).
 
     Each time takes one jet, on its annulus points followed by its ring
-    (vector forward mode), cut in two; only annulus points are ever
-    rejected as singular.  Every governing residual is assembled before
-    any front residual.
+    (vector forward mode), cut in two; every time's jet is asked in one
+    round.  An engine masks the points singular at the first evaluation
+    that fails (one FD stencil offset, say); they are dropped and that
+    time's jet is asked again in the next round until it succeeds, so
+    every annulus point singular at any of its evaluations is left out,
+    and only those.  The ring never takes part in that: a singular ring
+    point raises.  Every governing residual is assembled before any front
+    residual.
     """
+    slices = [(t, x, y, _front_ring(boundary, t, n_front))
+              for t, x, y in samples.slices(boundary)]
+    keeps = [np.ones(x.shape, dtype=bool) for _, x, _, _ in slices]
+    jets_at = [None] * len(slices)
+    asked = list(range(len(slices)))
+    while asked:
+        requests = []
+        for k in asked:
+            t, x, y, (x_ring, y_ring) = slices[k]
+            requests.append((jets, t, np.concatenate((x[keeps[k]], x_ring)),
+                             np.concatenate((y[keeps[k]], y_ring))))
+        retry = []
+        for k, jet in zip(asked, (yield requests)):
+            if not isinstance(jet, Exception):
+                jets_at[k] = jet
+                continue
+            keep, ring = keeps[k], slices[k][3][0]
+            n = np.count_nonzero(keep)
+            if not isinstance(jet, SingularityError) or jet.mask is None \
+                    or not jet.mask[:n].any() or jet.mask[n:].any():
+                raise jet
+            keep[np.flatnonzero(keep)[jet.mask[:n]]] = False
+            if keep.any() or ring.size:
+                retry.append(k)
+        asked = retry
+
     rows, locations, rejected, fronts = [], [], [], []
     start = 0
-    for t, x, y in samples.slices(boundary):
-        ring = _front_ring(boundary, t, n_front)
-        jet, keep = _jet_slice(jets, t, x, y, ring)
+    for (t, x, y, ring), keep, jet in zip(slices, keeps, jets_at):
         rejected += (start + np.flatnonzero(~keep)).tolist()
         start += x.size
         if jet is None:
@@ -282,11 +347,13 @@ def governing_and_front_residuals(
                        for f in fronts]
 
 
+@Check
 def governing_residual(jets: JetProvider, triplet: ConstitutiveTriplet,
                        phys: PhysConstants, samples: SampleSet,
                        boundary: BoundaryCircle) -> ResidualReport:
-    return governing_and_front_residuals(jets, triplet, phys, samples,
-                                         boundary, 0)[0]
+    report, _ = yield from governing_and_front_residuals.plan(
+        jets, triplet, phys, samples, boundary, 0)
+    return report
 
 
 def boundary_residual_at(jet: FieldJet, boundary: BoundaryCircle,

@@ -420,16 +420,25 @@ def reduced_profiles_of(sol: SolutionFamily):
 
     The profiles are the t = 1 slice along the positive x-axis, which is
     exact for every implemented family (all are radial with zero swirl
-    angle deviation).
+    angle deviation); the reduced check reads them off the family's own
+    jet there (``fields.family``).
     """
     from .reduction import ReducedProfiles
 
-    def fields(r):
-        alpha, vel, p = sol.radial(1.0, r * r)
-        return alpha, r * vel, p, 0.0
-
-    return ReducedProfiles(fields=fields, triplet=sol.triplet(),
+    return ReducedProfiles(fields=_AxisSlice(sol), triplet=sol.triplet(),
                            phys=sol.phys(), steady=sol.steady)
+
+
+class _AxisSlice:
+    """The profiles (lam, R, P, Phi) of r of a ``family``: its t = 1 slice
+    along the positive x-axis, with no swirl."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def __call__(self, r):
+        alpha, vel, p = self.family.radial(1.0, r * r)
+        return alpha, r * vel, p, 0.0
 
 
 FAMILY_IDS = {cls.family_id: cls for cls in

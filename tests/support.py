@@ -10,11 +10,12 @@ directory on ``sys.path`` because ``tests/`` is not a package.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 
-from tumorsym import solutions
+from tumorsym import solutions, symmetry
 from tumorsym.jets import JET_ENTRIES, Field
 from tumorsym.numerics.dual import Dual, Taylor, seed1, value
 from tumorsym.residuals import (SampleSet, governing_and_front_residuals,
@@ -56,11 +57,12 @@ def front_reports(jets, sol, boundary, times, n_front=64):
         boundary, n_front)[1]
 
 
-def annulus_and_ring(sol, t):
-    """The default annulus at time t and the 64-point ring on the front."""
-    yield next(SampleSet(times=(t,)).slices(sol.boundary()))[1:]
+def annulus_and_ring(sol, t, samples=SampleSet(), n_ring=64):
+    """The annulus of ``samples`` (the default) at time t and the
+    ``n_ring``-point ring on the front."""
+    yield next(replace(samples, times=(t,)).slices(sol.boundary()))[1:]
     rad = sol.boundary().radius(t)
-    theta = 2.0 * np.pi * np.arange(64) / 64
+    theta = 2.0 * np.pi * np.arange(n_ring) / n_ring
     yield (np.array([rad * math.cos(a) for a in theta.tolist()]),
            np.array([rad * math.sin(a) for a in theta.tolist()]))
 
@@ -78,15 +80,19 @@ class ConstantState(Field):
 
 
 class CartesianView(Field):
-    """A field seen through ``values`` alone: ``analytic_jet`` then makes
-    its Cartesian passes even for a family with a closed form ``radial``,
-    the reference of the radial pass."""
+    """A field seen through ``values`` and ``alpha`` alone:
+    ``analytic_jet`` then makes its stacked Cartesian pass even for a
+    family with a closed form ``radial`` or a group element's pull of one,
+    the reference of the radial pass and of the push."""
 
     def __init__(self, field):
         self.field = field
 
     def values(self, t, x, y):
         return self.field.values(t, x, y)
+
+    def alpha(self, t, x, y):
+        return self.field.alpha(t, x, y)
 
 
 # -- the jet oracle -----------------------------------------------------------
@@ -158,6 +164,64 @@ def _oracle_point(sol, t, x, y, out):
         p_yy=2 * P1 + ty * ty * P2)
     for e, v in entries.items():
         out[e].append(v)
+
+
+# the time functions the tests' elements use, in mpmath; any other time
+# function of an element is a lambda in plain arithmetic, which mpf passes
+_MP_TIME_FUNCTIONS = {math.sin: mp.sin, math.cos: mp.cos}
+_MP_ACTION = dict(
+    cos=mp.cos, sin=mp.sin,
+    _tcall=lambda fn, dfn, t: _MP_TIME_FUNCTIONS.get(fn, fn)(t))
+
+
+def transformed_oracle(field, t, x, y, dps=40):
+    """The 21 jet entries of ``field``, a group element's pull of a family
+    (``TransformedField``), at time t and the float points (x, y), as mpf
+    lists: the element's own ``pull_values`` evaluated on mpf, with
+    ``symmetry``'s cos, sin and ``_tcall`` and the family's kernels (see
+    :func:`jet_oracle`) replaced by mpmath's, and every partial derivative
+    by ``mp.diff`` at ``dps`` digits.  It reads the element's finite
+    action alone, never a pushed derivative."""
+    saved = {k: getattr(solutions, k) for k in _MP_KERNELS}
+    saved_action = {k: getattr(symmetry, k) for k in _MP_ACTION}
+    out = {e: [] for e in JET_ENTRIES}
+    try:
+        for k, f in _MP_KERNELS.items():
+            setattr(solutions, k, f)
+        for k, f in _MP_ACTION.items():
+            setattr(symmetry, k, f)
+        with mp.workdps(dps):
+            T = mp.mpf(t)
+            for xi, yi in zip(np.ravel(x).tolist(), np.ravel(y).tolist()):
+                _transformed_point(field, T, mp.mpf(xi), mp.mpf(yi), out)
+    finally:
+        for k, f in saved.items():
+            setattr(solutions, k, f)
+        for k, f in saved_action.items():
+            setattr(symmetry, k, f)
+    return out
+
+
+def _transformed_point(field, t, x, y, out):
+    memo = {}
+
+    def values(s, u, v):
+        key = s, u, v, mp.mp.prec
+        if key not in memo:
+            memo[key] = field.values(s, u, v)
+        return memo[key]
+
+    names = ("alpha", "u1", "u2", "p")
+    for k, name in enumerate(names):
+        def f(u, v, k=k):
+            return values(t, u, v)[k]
+        out[name].append(f(x, y))
+        for suffix, orders in (("_x", (1, 0)), ("_y", (0, 1)),
+                               ("_xx", (2, 0)), ("_xy", (1, 1)),
+                               ("_yy", (0, 2))):
+            if name + suffix in out:
+                out[name + suffix].append(mp.diff(f, (x, y), orders))
+    out["alpha_t"].append(mp.diff(lambda s: values(s, x, y)[0], t))
 
 
 def oracle_errors(jet, oracle):

@@ -427,8 +427,8 @@ def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed(monkeypatch):
     for the time seed, per jet."""
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
     calls = _count_calls(monkeypatch, sol, ("values", "alpha"))
-    field = TransformedField(Rotation(f=math.sin, fdot=math.cos, eps=1.0),
-                             sol)
+    field = CartesianView(TransformedField(
+        Rotation(f=math.sin, fdot=math.cos, eps=1.0), sol))
     t, x, y = _slice(sol)
     analytic_jet(field, t, x, y)
     assert calls == ["values", "alpha"]
@@ -483,7 +483,7 @@ ORBIT = {
     ("steady432", "rotation"): 5.2071545920812095e-11,
     ("stationary413s", "rotation-sin"): 5.70996320818221e-11,
     ("full413", "galilei"): 0.0021479959681978502,
-    ("moving442", "scale"): 7.767852743513493e-11,
+    ("moving442", "scale"): 1.1717406303701772e-10,
 }
 
 

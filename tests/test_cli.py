@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, example, given, settings, \
 from tumorsym import cli, jets
 from tumorsym.cli import main
 from tumorsym.jets import AnalyticEngine
+from tumorsym.numerics.dd import DD
+from tumorsym.numerics.dual import Dual, value
 from tumorsym.solutions import FAMILY_IDS
 
 from support import NON_UNIT_PARAMS, PARAMS
@@ -278,33 +280,80 @@ def test_verify_takes_one_family_jet_per_sample_time(tmp_path, capsys,
     assert calls == [0.5, 1.0, 2.0]
 
 
-def test_verify_reports_a_repeated_time_once_and_gates_it_twice(tmp_path,
-                                                                capsys):
-    """``times = 1.0, 1.0`` samples the annulus twice; the front report
-    of t = 1 is printed and written once, and its gate fails once per
-    listed time."""
-    outputs = {}
-    for times in ("1.0", "1.0, 1.0"):
-        out = tmp_path / times.replace(", ", "_")
-        cfg = _write(tmp_path, FIG34_BODY.replace("times = 1.0",
-                                                  f"times = {times}")
-                     + "\n[tolerances]\nboundary = 1e-30\n")
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        outputs[times] = (json.loads((out / "verify.json").read_text()),
-                          captured.out)
-    (once, out_once), (twice, out_twice) = outputs.values()
-    assert twice["boundary"] == once["boundary"]
-    assert list(twice["boundary"]) == ["1.0"]
-    assert out_twice.count("boundary t=1.0 ") == 1
-    assert out_twice.splitlines()[4:] == out_once.splitlines()[4:]
-    assert twice["governing"]["sample_count"] \
-        == 2 * once["governing"]["sample_count"]
-    boundary_fails = [f for f in twice["failures"]
-                      if f.startswith("boundary")]
-    assert len(boundary_fails) == 2 and boundary_fails[0] == boundary_fails[1]
-    assert boundary_fails[:1] == [f for f in once["failures"]
-                                  if f.startswith("boundary")]
+def test_verify_rejects_a_repeated_sample_time(tmp_path, capsys):
+    """A repeated time would sample its annulus twice (twice the points in
+    ``sample_count`` and L2) while ``verify.json`` keeps one front report
+    for it: the config is an error, before any check."""
+    cfg = _write(tmp_path, FIG34_BODY.replace("times = 1.0",
+                                              "times = 1.0, 2.0, 1.0"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sample times must be distinct, got 1.0, 2.0, 1.0\n")
+    assert not out.exists()
+
+
+def _record_passes(monkeypatch):
+    """The list that records, in order, each second-order ``radial`` pass
+    of a family (on double-double points) as ("pass", t), each float
+    one as ("float", t), and each time seed of ``radial_alpha`` as
+    ("seed", t)."""
+    calls = []
+    for cls in FAMILY_IDS.values():
+        radial, radial_alpha = cls.radial, cls.radial_alpha
+
+        def counted(self, t, w, radial=radial):
+            kind = "pass" if isinstance(w.c0, DD) else "float"
+            calls.append((kind, value(t)))
+            return radial(self, t, w)
+
+        def seeded(self, t, w, radial_alpha=radial_alpha):
+            if isinstance(t, Dual):
+                calls.append(("seed", value(t)))
+            return radial_alpha(self, t, w)
+
+        monkeypatch.setattr(cls, "radial", counted)
+        monkeypatch.setattr(cls, "radial_alpha", seeded)
+    return calls
+
+
+# the six configs of the benchmark's verify workload: the five families at
+# the acceptance parameters and stationary413s with an overridden s0
+_BENCH_CONFIGS = {
+    **{fid: _family_body(fid, **params) for fid, params in PARAMS.items()},
+    "stationary413s+s0": _family_body("stationary413s",
+                                      **PARAMS["stationary413s"])
+    + "s0 = -0.8\n"}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_CONFIGS))
+def test_verify_is_one_pass_and_one_time_seed(tmp_path, capsys,
+                                              monkeypatch, name):
+    """The governing annulus, the front ring, the orbit's source points
+    and the reduced radii share one pass and one time seed at t = 1; the
+    reduced front conditions take one float pass at delta."""
+    calls = _record_passes(monkeypatch)
+    cfg = _write(tmp_path, _BENCH_CONFIGS[name]
+                 + "\n[samples]\ntimes = 1.0\nn_r = 12\nn_theta = 8\n")
+    assert main(["verify", "--config", cfg]) in (0, 1)
+    capsys.readouterr()
+    assert calls == [("pass", 1.0), ("seed", 1.0), ("float", 1.0)]
+
+
+def test_verify_makes_one_pass_per_source_time(tmp_path, capsys,
+                                               monkeypatch):
+    """A time translation by 0.5 adds the source times 0.5, 1.5 and 3.5 to
+    the sample times 1, 2 and 4: six passes and six time seeds, the
+    reduced radii joining the pass at t = 1."""
+    calls = _record_passes(monkeypatch)
+    cfg = _write(tmp_path, FIG34_BODY.replace("times = 1.0",
+                                              "times = 1.0, 2.0, 4.0")
+                 + "\n[orbit]\nelement = time-translation\n")
+    assert main(["verify", "--config", cfg]) == 0
+    capsys.readouterr()
+    times = [1.0, 2.0, 4.0, 0.5, 1.5, 3.5]
+    assert calls == [c for t in times for c in (("pass", t), ("seed", t))] \
+        + [("float", 1.0)]
 
 
 def test_verify_detects_overridden_link(tmp_path, capsys):
