@@ -51,7 +51,7 @@ Ei integrals are never carried under the time seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class SingularityError(ValueError):
 @dataclass(frozen=True)
 class FieldJet:
     """The jet on one time slice: ``x``, ``y`` and the 21 entries are
-    float arrays of one shape, one element per point; ``t`` is a float.
-    The jet of a radial pass also keeps its unrounded ``rows``."""
+    float arrays of one shape, one element per point; ``t`` is a float."""
 
     t: float
     x: np.ndarray
@@ -106,25 +105,22 @@ class FieldJet:
     p_y: np.ndarray
     p_xx: np.ndarray
     p_yy: np.ndarray
-    # a radial pass's unrounded double-double partials (alpha_t, rows),
-    # which the push of a group element's pull continues from
-    rows: tuple = field(default=None, repr=False, compare=False)
 
     def cut(self, n):
         """The jets of the first ``n`` points and of the rest (:meth:`at`)."""
         return self.at(slice(None, n)), self.at(slice(n, None))
 
     def at(self, points):
-        """The jet of the ``points`` (a slice) alone, without ``rows``;
-        every entry of a jet is elementwise, so it has the bits of a jet
-        taken on those points alone."""
+        """The jet of the ``points`` (a slice) alone; every entry of a jet
+        is elementwise, so it has the bits of a jet taken on those points
+        alone."""
         return FieldJet(t=self.t, **{k: getattr(self, k)[points]
                                      for k in ("x", "y") + JET_ENTRIES})
 
 
 # the 21 field entries: everything but the point itself
 JET_ENTRIES = tuple(f.name for f in fields(FieldJet)
-                    if f.name not in ("t", "x", "y", "rows"))
+                    if f.name not in ("t", "x", "y"))
 
 
 class Field:
@@ -154,9 +150,9 @@ def radial_argument(t, x, y):
     return w
 
 
-@np.errstate(all="ignore")
 def analytic_jet(field: Field, t, x, y) -> FieldJet:
-    """Jet via forward-mode AD on degree-2 Taylor numbers.
+    """Jet via forward-mode AD on degree-2 Taylor numbers: the one-slice
+    case of :func:`analytic_jets`, whose error it raises.
 
     ``x`` and ``y`` are equal-length float arrays of points at the one
     time ``t`` (a single point is taken as a one-element array); every
@@ -174,38 +170,19 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     entries for the gates to judge, without a warning.
 
     A field with a closed form ``radial(t, w)`` takes one second-order
-    pass in w and one time seed (:func:`_radial_rows`); its points may
-    also be double-double arrays, the unrounded source points of a pull,
-    and the jet keeps its unrounded partials in ``rows``.  A group
+    pass in w and one time seed (:func:`_radial_rows`).  A group
     element's pull of such a field (one with ``prolong``) takes that pass
     at its source points and pushes it through the element's second
     prolongation: first derivatives by the Jacobian A of the point map,
     second derivatives by A^T H A, alpha_t = tau' alpha_t + grad alpha .
     d/dt point.  Any other field (a lifted one, or one seen through
     ``values`` alone) takes one ``values()`` call on three seeded copies
-    of the points and the time seed (:func:`_cartesian_jet`).  Slices
-    asked together (:func:`analytic_jets`) share one pass per radial
-    field and source time.
+    of the points and the time seed (:func:`_cartesian_jet`).
     """
-    if hasattr(field, "radial"):
-        x, y = (v if isinstance(v, DD) else DD.of(np.atleast_1d(v))
-                for v in (x, y))
-        t = DD.of(t)
-        alpha_t, rows = _radial_rows(field, t, x, y,
-                                     radial_argument(t, x, y))
-        return _field_jet(value(t), value(x), value(y), alpha_t, rows,
-                          keep=True)
-    if _pushed(field):
-        jet, = analytic_jets([(field, t, x, y)])
-        if isinstance(jet, Exception):
-            raise jet
-        return jet
-    return _cartesian_jet(field, DD.of(t), *map(DD.of, np.atleast_1d(x, y)))
-
-
-def _pushed(field):
-    """Whether ``field`` is a group element's pull of a radial field."""
-    return hasattr(field, "prolong") and hasattr(field.source, "radial")
+    jet, = analytic_jets([(field, t, x, y)])
+    if isinstance(jet, Exception):
+        raise jet
+    return jet
 
 
 @np.errstate(all="ignore")
@@ -218,12 +195,13 @@ def analytic_jets(requests):
 
     A slice of a radial field is that field's points at its own time, and
     a slice of a pull of one is that field's source points at the source
-    time (``prolong``).  All slices of one radial field and source time
-    share one :func:`analytic_jet` call on their joined points, one pass
-    and one time seed (univariate Taylor propagation over the points a run
+    time (``prolong``), kept in double-double.  All slices of one radial
+    field and source time share one pass and one time seed on their
+    joined points (univariate Taylor propagation over the points a run
     needs); each slice's part is cut out of it, and a pull's part is
-    pushed.  Every step is elementwise, so each slice has the bits of its
-    own pass.  Any other field takes its own stacked pass.
+    pushed from the pass's unrounded rows.  Every step is elementwise,
+    so each slice has the bits of its own pass.  Any other field takes
+    its own stacked pass.
     """
     out = [None] * len(requests)
     groups = {}
@@ -232,7 +210,8 @@ def analytic_jets(requests):
         try:
             if hasattr(field, "radial"):
                 source, (s, sx, sy), push = field, (t, x, y), None
-            elif _pushed(field):
+            elif hasattr(field, "prolong") and hasattr(field.source,
+                                                       "radial"):
                 source = field.source
                 (s, sx, sy), push = field.prolong(t, x, y)
             else:
@@ -244,39 +223,51 @@ def analytic_jets(requests):
             continue
         key = DD.of(s)
         members, points = groups.setdefault(
-            (id(source), key.hi, key.lo), (source, s, [], []))[2:]
+            (id(source), key.hi, key.lo), (source, key, [], []))[2:]
         members.append((i, t, x, y, push))
         points.append((sx, sy))
     for source, s, members, points in groups.values():
-        for (i, t, x, y, push), (jet, part) in zip(
-                members, _shared_jets(source, s, points)):
+        for (i, t, x, y, push), (jet, unrounded, part) in zip(
+                members, _shared_passes(source, s, points)):
             if isinstance(jet, Exception):
                 out[i] = jet
             elif push is None:
                 out[i] = jet.at(part)
             else:
-                out[i] = _field_jet(t, value(x), value(y),
-                                    *push(*_take(jet.rows, part)))
+                try:  # a pull may overflow where its point map does not
+                    out[i] = _field_jet(t, value(x), value(y),
+                                        *push(*_take(unrounded, part)))
+                except (ValueError, ArithmeticError) as e:
+                    out[i] = e
     return out
 
 
-def _shared_jets(source, t, points):
-    """For each (x, y) of ``points``, a jet of ``source`` at time t and the
-    slice of it that holds those points: one :func:`analytic_jet` call on
-    all of them, or, if that call raises, each its own, so an error (in
-    place of the jet) stays with its slice."""
+def _shared_passes(source, t, points):
+    """For each (x, y) of ``points``, double-double points of the radial
+    field ``source`` at the time t: a pass there as (jet, (alpha_t, rows),
+    part), the rounded jet and its unrounded partials, with the slice
+    ``part`` of it that holds those points.  One pass takes all the
+    points, or, if it raises, each (x, y) takes its own, so an error (in
+    place of the jet) stays with its points."""
     whole = slice(None)
     try:
         if len(points) == 1:
-            return [(analytic_jet(source, t, *points[0]), whole)]
-        joined = analytic_jet(source, t, *map(_join, zip(*points)))
+            return [(*_radial_pass(source, t, *points[0]), whole)]
+        joined = _radial_pass(source, t, *map(_join, zip(*points)))
     except (ValueError, ArithmeticError) as e:
         if len(points) == 1:
-            return [(e, whole)]
-        return [_shared_jets(source, t, [p])[0] for p in points]
+            return [(e, None, whole)]
+        return [_shared_passes(source, t, [p])[0] for p in points]
     ends = np.cumsum([x.hi.size for x, _ in points]).tolist()
-    return [(joined, slice(end - x.hi.size, end))
+    return [(*joined, slice(end - x.hi.size, end))
             for (x, _), end in zip(points, ends)]
+
+
+def _radial_pass(field, t, x, y):
+    """The jet of a radial field at the DD points x, y and the DD time t,
+    and the unrounded (alpha_t, rows) it is rounded from."""
+    unrounded = _radial_rows(field, t, x, y, radial_argument(t, x, y))
+    return _field_jet(value(t), value(x), value(y), *unrounded), unrounded
 
 
 def _join(parts):
@@ -410,13 +401,12 @@ def _alpha_t(field, t, x, y):
     return taylor(field.alpha(seed1(t), x, y))[1]
 
 
-def _field_jet(t, x, y, alpha_t, rows, keep=False) -> FieldJet:
+def _field_jet(t, x, y, alpha_t, rows) -> FieldJet:
     """The one assembly of a jet from its partials: ``rows`` holds, for
     alpha, u1, u2 and p, the tuple (f, f_x, f_y, f_xx, f_yy, f_xy), of
     which alpha reads the first three and p the first five.  Every entry
     is read with ``value``, and an entry that does not depend on the point
-    (a constant) takes the shape of ``x``.  ``keep`` keeps the unrounded
-    partials in the jet's ``rows``."""
+    (a constant) takes the shape of ``x``."""
     (a, a_x, a_y, *_), (u1, u1_x, u1_y, u1_xx, u1_yy, u1_xy), \
         (u2, u2_x, u2_y, u2_xx, u2_yy, u2_xy), \
         (p, p_x, p_y, p_xx, p_yy, *_) = rows
@@ -430,7 +420,7 @@ def _field_jet(t, x, y, alpha_t, rows, keep=False) -> FieldJet:
         v = value(v)
         return v if np.ndim(v) else np.full(x.shape, v)
 
-    return FieldJet(t=t, x=x, y=y, rows=(alpha_t, rows) if keep else None,
+    return FieldJet(t=t, x=x, y=y,
                     **{k: entry(v) for k, v in entries.items()})
 
 

@@ -263,21 +263,14 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
 
 def test_verify_takes_one_family_jet_per_sample_time(tmp_path, capsys,
                                                     monkeypatch):
-    """The annulus and the front ring of a time share one jet."""
-    calls = []
-    family_jet = jets.analytic_jet
-
-    def counted(field, t, x, y):
-        if isinstance(field, FAMILY_IDS["stationary413s"]):
-            calls.append(t)
-        return family_jet(field, t, x, y)
-
-    monkeypatch.setattr(jets, "analytic_jet", counted)
+    """The annulus and the front ring of a time share one jet: one
+    second-order pass of the family per sample time."""
+    calls = _record_passes(monkeypatch)
     cfg = _write(tmp_path, FIG34_BODY.replace("times = 1.0",
                                               "times = 0.5, 1.0, 2.0"))
     assert main(["verify", "--config", cfg]) == 0
     capsys.readouterr()
-    assert calls == [0.5, 1.0, 2.0]
+    assert [t for kind, t in calls if kind == "pass"] == [0.5, 1.0, 2.0]
 
 
 def test_verify_rejects_a_repeated_sample_time(tmp_path, capsys):
@@ -574,8 +567,8 @@ def test_an_output_directory_is_made_before_any_jet(tmp_path, capsys,
     a pseudo file system that the path check trusts), the run ends with
     exit 2 and a message before any jet is taken."""
     jets_taken = []
-    taken = jets.analytic_jet
-    monkeypatch.setattr(jets, "analytic_jet", lambda *a: jets_taken.append(
+    taken = jets.analytic_jets
+    monkeypatch.setattr(jets, "analytic_jets", lambda *a: jets_taken.append(
         a) or taken(*a))
 
     def makedirs(*args, **kwargs):
@@ -745,7 +738,8 @@ _OUTSIDE = ("the element maps the samples outside the field's domain: ")
 @pytest.mark.parametrize("element, eps, cause", [
     ("time-translation", 1.0, "t must be positive, got 0.0"),
     ("scale", 400.0, "math range error"),
-], ids=["time-translation-to-t0", "scale-overflow"])
+    ("scale", 200.0, "math range error"),
+], ids=["time-translation-to-t0", "scale-overflow", "scale-pull-overflow"])
 def test_orbit_outside_the_field_domain_fails_the_check(tmp_path, capsys,
                                                        element, eps, cause):
     """An element that maps the samples where the field cannot be
