@@ -17,12 +17,12 @@ mode), three kinds of field three ways:
   *Evaluating Derivatives*, 2008, ch. 13).
 - A group element's pull of a radial field (``symmetry.TransformedField``)
   takes that pass at its source points, kept in double-double, and
-  pushes the unrounded rows through the element's second prolongation
-  (Olver, *Applications of Lie Groups to Differential Equations*, 1993,
-  ch. 2): with A the Jacobian of the element's point map, first
-  derivatives push by A, second derivatives by A^T H A, and alpha_t =
-  tau' alpha_t + grad alpha . d/dt point, before the element's pull maps
-  the values.
+  pushes its cut of the unrounded rows through the element's second
+  prolongation (Olver, *Applications of Lie Groups to Differential
+  Equations*, 1993, ch. 2): with A the Jacobian of the element's point
+  map, first derivatives push by A, second derivatives by A^T H A, and
+  alpha_t = tau' alpha_t + grad alpha . d/dt point, before the element's
+  pull maps the values.
 - Any other field (a lifted one, or a field seen through ``values``
   alone) takes one second-order pass on three stacked copies of the
   points, seeded along (1, 0), (0, 1) and (1, 1), whose second
@@ -32,14 +32,17 @@ mode), three kinds of field three ways:
 The jets a run needs are asked for together (:func:`analytic_jets`):
 every slice of a radial field or of a pull of it is a set of that field's
 points at one source time, so a run makes one pass and one time seed per
-radial field and distinct source time, over all its points.  Every pass
-reads its coefficients with the one reader of seeded results,
-``numerics.dual.taylor``.  The finite-difference engine rebuilds the
-spatial entries from values only: one array call takes the 5 x 5 grid
-x + i h, y + j h (i, j in -2..2) around every point of a slice, which
-holds every point the fourth-order stencils read; it serves only as the
-independent reference of ``cross_engine_check``.  Every path hands its
-partials to one assembly of the jet.
+radial field and distinct source time, over all its points.  Each slice
+cuts its own points out of that pass's unrounded double-double rows (a
+DD array indexes and joins itself, ``numerics.dd``), a pull's cut is
+pushed, and each cut is rounded once, so a slice has the bits of its
+own pass.  Every pass reads its coefficients with the one reader of
+seeded results, ``numerics.dual.taylor``.  The finite-difference engine
+rebuilds the spatial entries from values only: one array call takes the
+5 x 5 grid x + i h, y + j h (i, j in -2..2) around every point of a
+slice, which holds every point the fourth-order stencils read; it serves
+only as the independent reference of ``cross_engine_check``.  Every
+path hands its partials to one assembly of the jet.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
 carry fractional powers of t that make time differencing unreliable.  Its
@@ -107,15 +110,12 @@ class FieldJet:
     p_yy: np.ndarray
 
     def cut(self, n):
-        """The jets of the first ``n`` points and of the rest (:meth:`at`)."""
-        return self.at(slice(None, n)), self.at(slice(n, None))
-
-    def at(self, points):
-        """The jet of the ``points`` (a slice) alone; every entry of a jet
-        is elementwise, so it has the bits of a jet taken on those points
-        alone."""
-        return FieldJet(t=self.t, **{k: getattr(self, k)[points]
-                                     for k in ("x", "y") + JET_ENTRIES})
+        """The jets of the first ``n`` points and of the rest; every entry
+        of a jet is elementwise, so each has the bits of a jet taken on
+        its points alone."""
+        return tuple(FieldJet(t=self.t, **{k: getattr(self, k)[points]
+                                           for k in ("x", "y") + JET_ENTRIES})
+                     for points in (slice(None, n), slice(n, None)))
 
 
 # the 21 field entries: everything but the point itself
@@ -198,10 +198,11 @@ def analytic_jets(requests):
     time (``prolong``), kept in double-double.  All slices of one radial
     field and source time share one pass and one time seed on their
     joined points (univariate Taylor propagation over the points a run
-    needs); each slice's part is cut out of it, and a pull's part is
-    pushed from the pass's unrounded rows.  Every step is elementwise,
-    so each slice has the bits of its own pass.  Any other field takes
-    its own stacked pass.
+    needs).  Each slice cuts its own points out of the pass's unrounded
+    rows, a pull's cut is pushed, and the cut is rounded once
+    (:func:`_field_jet`).  Every step is elementwise, so each slice has
+    the bits of its own pass.  Any other field takes its own stacked
+    pass.
     """
     out = [None] * len(requests)
     groups = {}
@@ -227,62 +228,42 @@ def analytic_jets(requests):
         members.append((i, t, x, y, push))
         points.append((sx, sy))
     for source, s, members, points in groups.values():
-        for (i, t, x, y, push), (jet, unrounded, part) in zip(
+        for (i, t, x, y, push), cut in zip(
                 members, _shared_passes(source, s, points)):
-            if isinstance(jet, Exception):
-                out[i] = jet
-            elif push is None:
-                out[i] = jet.at(part)
-            else:
-                try:  # a pull may overflow where its point map does not
-                    out[i] = _field_jet(t, value(x), value(y),
-                                        *push(*_take(unrounded, part)))
-                except (ValueError, ArithmeticError) as e:
-                    out[i] = e
+            if isinstance(cut, Exception):
+                out[i] = cut
+                continue
+            try:  # a pull may overflow where its point map does not
+                out[i] = _field_jet(value(t), value(x), value(y),
+                                    *(cut if push is None else push(*cut)))
+            except (ValueError, ArithmeticError) as e:
+                out[i] = e
     return out
 
 
 def _shared_passes(source, t, points):
     """For each (x, y) of ``points``, double-double points of the radial
-    field ``source`` at the time t: a pass there as (jet, (alpha_t, rows),
-    part), the rounded jet and its unrounded partials, with the slice
-    ``part`` of it that holds those points.  One pass takes all the
-    points, or, if it raises, each (x, y) takes its own, so an error (in
-    place of the jet) stays with its points."""
-    whole = slice(None)
+    field ``source`` at the time t, its own cut of the unrounded
+    (alpha_t, rows) of a pass there (:func:`_radial_rows`).  One pass
+    takes all the points, or, if it raises, each (x, y) takes its own, so
+    an error (in place of the cut) stays with its points."""
     try:
-        if len(points) == 1:
-            return [(*_radial_pass(source, t, *points[0]), whole)]
-        joined = _radial_pass(source, t, *map(_join, zip(*points)))
+        x, y = points[0] if len(points) == 1 else map(DD.join, zip(*points))
+        rows = _radial_rows(source, t, x, y, radial_argument(t, x, y))
     except (ValueError, ArithmeticError) as e:
         if len(points) == 1:
-            return [(e, None, whole)]
+            return [e]
         return [_shared_passes(source, t, [p])[0] for p in points]
     ends = np.cumsum([x.hi.size for x, _ in points]).tolist()
-    return [(*joined, slice(end - x.hi.size, end))
+    return [_take(rows, slice(end - x.hi.size, end))
             for (x, _), end in zip(points, ends)]
 
 
-def _radial_pass(field, t, x, y):
-    """The jet of a radial field at the DD points x, y and the DD time t,
-    and the unrounded (alpha_t, rows) it is rounded from."""
-    unrounded = _radial_rows(field, t, x, y, radial_argument(t, x, y))
-    return _field_jet(value(t), value(x), value(y), *unrounded), unrounded
-
-
-def _join(parts):
-    """One DD array of the DD arrays ``parts``, end to end."""
-    return DD(*(np.concatenate([np.broadcast_to(getattr(p, k), p.hi.shape)
-                                for p in parts]) for k in ("hi", "lo")))
-
-
 def _take(v, s):
-    """The points ``s`` of rows: a tuple of them, a DD, an array, or a
+    """The points ``s`` of rows: a tuple of them, a DD or an array, or a
     constant, which every point shares."""
     if isinstance(v, tuple):
         return tuple(_take(e, s) for e in v)
-    if isinstance(v, DD):
-        return DD(_take(v.hi, s), _take(v.lo, s))
     return v[s] if np.ndim(v) else v
 
 
@@ -299,14 +280,6 @@ def _stacked_values(field, t, x, y, copies):
         raise SingularityError(str(e), mask) from None
 
 
-def _blocks(v, copies):
-    """A stacked result cut into its copies; a constant stays a scalar."""
-    if isinstance(v, DD):
-        return [DD(hi, lo) for hi, lo in zip(_blocks(v.hi, copies),
-                                              _blocks(v.lo, copies))]
-    return v.reshape(copies, -1) if np.ndim(v) else (v,) * copies
-
-
 def _cartesian_jet(field, t, x, y):
     """The jet of a field that is neither radial nor a pull of a radial
     field from one second-order ``values()`` call on three copies of the
@@ -316,14 +289,17 @@ def _cartesian_jet(field, t, x, y):
     and f_xy = c2(1, 1) - c2(1, 0) - c2(0, 1), subtracted in double-double
     before rounding; plus the time seed."""
 
+    n = x.hi.size
+
     def seed(*copies):
-        return np.repeat(np.array(copies, dtype=float), x.hi.size)
+        return np.repeat(np.array(copies, dtype=float), n)
 
     sx = Taylor(DD.of(np.tile(x.hi, 3)), seed(1, 0, 1), 0.0)
     sy = Taylor(DD.of(np.tile(y.hi, 3)), seed(0, 1, 1), 0.0)
     rows = []
     for z in _stacked_values(field, t, sx, sy, 3):
-        f, d, h = (_blocks(c, 3) for c in taylor(z))
+        f, d, h = ([_take(c, slice(k * n, (k + 1) * n)) for k in range(3)]
+                   for c in taylor(z))
         # doubling after rounding has the bits of doubling the DD
         rows.append((f[0], d[0], d[1], 2.0 * value(h[0]),
                      2.0 * value(h[1]), h[2] - (h[0] + h[1])))

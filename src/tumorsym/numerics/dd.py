@@ -15,12 +15,15 @@ seed whose own error stays in the result, so against mpmath they are off
 by 2e-17 to 1.1e-16 relative (``DD(3.3e-5).expm1()`` by 9.0e-17).  A
 formula that cancels after them keeps that error, amplified.
 
-The words hi and lo may be floats or equal-shape numpy arrays: every
-operation is elementwise, so a DD of arrays gives, element for element, the
-bits of the DD of each element alone.  Elementary functions therefore take
-their double seeds from libm (``math``) one element at a time; numpy's
-vector kernels differ from libm in the last bit for a few percent of
-inputs.
+The words hi and lo may be floats or equal-shape numpy arrays, or an
+array hi with a float lo that every element shares (as ``DD.of`` makes
+it): every operation is elementwise, so a DD of arrays gives, element for
+element, the bits of the DD of each element alone.  Elementary functions
+therefore take their double seeds from libm (``math``) one element at a
+time; numpy's vector kernels differ from libm in the last bit for a few
+percent of inputs.  The array layout lives here alone: a DD indexes both
+words (``d[index]``), and :meth:`DD.join` joins DDs, arrays and floats end
+to end or stacks them on a new axis.
 """
 
 from __future__ import annotations
@@ -126,6 +129,33 @@ class DD:
         if isinstance(x, np.ndarray):
             return DD(x.astype(float, copy=False))
         return DD(float(x))
+
+    @staticmethod
+    def join(parts, shape=None):
+        """One DD of ``parts`` (DDs, arrays or floats): end to end, a float
+        as one element; or, given a ``shape``, each broadcast to it and
+        stacked on a new first axis."""
+        parts = [DD.of(p) for p in parts]
+        if shape is None:
+            shapes = [np.shape(p.hi) or (1,) for p in parts]
+            glue = np.concatenate
+        else:
+            shapes, glue = [shape] * len(parts), np.stack
+        return DD(*(glue([np.broadcast_to(getattr(p, k), s)
+                          for p, s in zip(parts, shapes)])
+                    for k in ("hi", "lo")))
+
+    @property
+    def ndim(self):
+        """The axes of ``hi`` (``np.ndim`` reads it): 0 for a float."""
+        return np.ndim(self.hi)
+
+    def __getitem__(self, index):
+        """The elements ``index`` of both words; a float ``lo`` (as
+        :meth:`of` makes it for an array) is every element's."""
+        lo = self.lo
+        return DD(self.hi[index],
+                  lo[index] if isinstance(lo, np.ndarray) else lo)
 
     def to_float(self) -> float:
         return self.hi + self.lo

@@ -120,10 +120,8 @@ def reduced_ode_residual(profiles: ReducedProfiles,
     family = getattr(profiles.fields, "family", None)
     if family is None:
         with np.errstate(all="ignore"):
-            (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = [
-                [value(c) for c in taylor(f)]
-                for f in profiles.fields(Taylor(DD.of(r), 1.0, 0.0))]
-        R2, P2, F2 = 2.0 * R2, 2.0 * P2, 2.0 * F2  # f'' from f''/2
+            (L, L1, _), (R, R1, R2), (_, P1, P2), (F, F1, F2) = \
+                _profile_jet(profiles, DD.of(r))
     else:
         jet, = yield [(JetProvider(family), 1.0, r, np.zeros_like(r))]
         jet = settled(jet)
@@ -132,6 +130,14 @@ def reduced_ode_residual(profiles: ReducedProfiles,
         F = F1 = F2 = 0.0
     return _reduced_report(profiles, r, rejected,
                            L, L1, R, R1, R2, P1, P2, F, F1, F2)
+
+
+def _profile_jet(profiles, r):
+    """(f, f', f'') of each profile (lam, R, P, Phi) at r, a float or a
+    DD array, rounded, from one ``fields`` call at a degree-2 Taylor
+    seed."""
+    return [(value(f), value(d1), 2.0 * value(d2))  # f'' from f''/2
+            for f, d1, d2 in map(taylor, profiles.fields(Taylor(r, 1.0, 0.0)))]
 
 
 @np.errstate(all="ignore")
@@ -196,9 +202,7 @@ class BcResiduals:
 def reduced_bc_residual(profiles: ReducedProfiles,
                         delta: float) -> BcResiduals:
     lamv = profiles.phys.lam
-    _, (R, R1, _), (P, _, _), (F, F1, _) = [
-        [value(c) for c in taylor(f)]
-        for f in profiles.fields(Taylor(delta, 1.0, 0.0))]
+    _, (R, R1, _), (P, _, _), (F, F1, _) = _profile_jet(profiles, delta)
     kin = profiles.gamma * delta + R * cos(F)
     t1 = (2.0 + lamv) * delta * R1 + R * ((1.0 + lamv) * cos(2.0 * F) - 1.0)
     t2 = R * ((2.0 + lamv) * delta * F1 - (1.0 + lamv) * sin(2.0 * F))

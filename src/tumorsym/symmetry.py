@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .core_model import ConstitutiveTriplet, PhysConstants, PowerLawTriplet
 from .jets import Field, JetProvider
 from .numerics.dd import DD
-from .numerics.dual import Taylor, cos, lift, seed1, sin, taylor
+from .numerics.dual import Taylor, cos, lift, seed1, sin, taylor, value
 from .residuals import Check, ResidualReport, SampleSet, governing_residual
 from .solutions import SolutionFamily
 
@@ -41,11 +39,7 @@ def _tcall(fn: Callable, dfn: Optional[Callable], t):
     """
     if dfn is None:
         dfn = lambda tv: 0.0
-    return lift(t, lambda tv: fn(_plain(tv)), lambda tv: dfn(_plain(tv)))
-
-
-def _plain(z):
-    return z.to_float() if isinstance(z, DD) else z
+    return lift(t, lambda tv: fn(value(tv)), lambda tv: dfn(value(tv)))
 
 
 class _Action:
@@ -226,21 +220,6 @@ def _times(a, b):
     return DD.of(a) * b
 
 
-def _slots(values, shape):
-    """The DD whose rows are ``values`` (DDs, arrays or floats), each
-    broadcast to ``shape``: the derivative slots of a push, or the fields
-    it pushes together."""
-    dds = [DD.of(v) for v in values]
-    return DD(*(np.stack([np.broadcast_to(getattr(v, k), shape) for v in dds])
-                for k in ("hi", "lo")))
-
-
-def _part(v, index):
-    """``v[index]`` of a DD made by :func:`_slots`; a constant is every
-    part."""
-    return DD(v.hi[index], v.lo[index]) if isinstance(v, DD) else v
-
-
 class TransformedField(Field):
     """The pull of a field by a group element: again a field, so jets and
     residuals apply to it unchanged.  Its analytic jet is the source's
@@ -288,9 +267,9 @@ class TransformedField(Field):
         def push(alpha_t, rows):
             (A, A_x, A_y), *fields = rows
             # u1, u2 and p stacked: each entry a DD of shape (3,) + shape
-            f, f_x, f_y, f_xx, f_yy, f_xy = (_slots(e, shape)
+            f, f_x, f_y, f_xx, f_yy, f_xy = (DD.join(e, shape)
                                              for e in zip(*fields))
-            slots = _slots((
+            slots = DD.join((
                 _lin((a, f_x), (b, f_y)), _lin((c, f_x), (d, f_y)), 0.0,
                 _lin((_times(a, a), f_xx), (_times(b, b), f_yy),
                      (2.0 * _times(a, b), f_xy)),
@@ -299,16 +278,16 @@ class TransformedField(Field):
                 _lin((_times(a, c), f_xx), (_times(b, d), f_yy),
                      (_times(a, d) + _times(b, c), f_xy))), (3,) + shape)
             pulled = elem.pull(
-                t, Taylor(sx, _slots((a, c, sx_t, 0.0, 0.0, 0.0), shape), 0.0),
-                Taylor(sy, _slots((b, d, sy_t, 0.0, 0.0, 0.0), shape), 0.0),
-                [Taylor(A, _slots((
+                t,
+                Taylor(sx, DD.join((a, c, sx_t, 0.0, 0.0, 0.0), shape), 0.0),
+                Taylor(sy, DD.join((b, d, sy_t, 0.0, 0.0, 0.0), shape), 0.0),
+                [Taylor(A, DD.join((
                     _lin((a, A_x), (b, A_y)), _lin((c, A_x), (d, A_y)),
                     _lin((s_t, alpha_t), (sx_t, A_x), (sy_t, A_y)),
                     0.0, 0.0, 0.0), shape), 0.0),
-                 *(Taylor(_part(f, k), _part(slots, (slice(None), k)), 0.0)
-                   for k in range(3))])
+                 *(Taylor(f[k], slots[:, k], 0.0) for k in range(3))])
             (A, (A_x, A_y, A_t, *_)), *others = [
-                (v, [_part(d1, k) for k in range(6)])
+                (v, [d1[k] for k in range(6)])
                 for v, d1, _ in map(taylor, pulled)]
             return A_t, ((A, A_x, A_y), *(
                 (v, v_x, v_y, v_xx, v_yy, v_xy)

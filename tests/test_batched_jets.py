@@ -8,10 +8,11 @@ import pytest
 
 from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FdEngine, Field,
                            FieldJet, JetProvider, SingularityError,
-                           analytic_jet, fd_jet)
+                           analytic_jet, analytic_jets, fd_jet,
+                           radial_argument)
 from tumorsym.numerics import fd_derivative
 from tumorsym.numerics.dd import DD
-from tumorsym.numerics.dual import Dual, seed1
+from tumorsym.numerics.dual import Dual, exp, seed1, value
 from tumorsym.residuals import (SampleSet, _front_report,
                                 cross_engine_check,
                                 governing_and_front_residuals,
@@ -300,6 +301,45 @@ def test_the_shared_pass_has_the_bits_of_separate_jets(fid):
                     == _bits(getattr(alone, entry)), entry
         assert front == _front_report(t, xr, yr, analytic_jet(sol, t, xr, yr),
                                       sol.boundary(), sol.phys(), "analytic")
+
+
+class _BoundedRadial(Field):
+    """A radial field whose ``radial`` raises past w = 1; ``sizes``
+    records the points of each call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def radial(self, t, w):
+        self.sizes.append(np.size(value(w)))
+        if np.any(value(w) > 1.0):
+            raise ValueError("w past 1")
+        return t * exp(-w), w * t, w * w
+
+    def values(self, t, x, y):
+        alpha, vel, p = self.radial(t, radial_argument(t, x, y))
+        return alpha, x * vel, y * vel, p
+
+
+def test_a_failing_shared_pass_falls_back_to_a_pass_per_slice():
+    """The joined pass raises, so each slice takes its own: the slice
+    inside w = 1 has the bits of its own jet, the one past it its own
+    error."""
+    field = _BoundedRadial()
+    inside = np.array([0.3, -0.5, 0.1]), np.array([0.2, 0.4, -0.6])
+    past = np.array([0.9, 1.2]), np.array([0.8, -0.3])
+    got_in, got_past = analytic_jets([(field, 1.5, *inside),
+                                      (field, 1.5, *past)])
+    # the joined pass, the inside pass and its time seed, the past pass
+    assert field.sizes == [5, 3, 3, 2]
+    alone = analytic_jet(field, 1.5, *inside)
+    assert got_in.t == alone.t == 1.5
+    for entry in ("x", "y") + JET_ENTRIES:
+        assert _bits(getattr(got_in, entry)) \
+            == _bits(getattr(alone, entry)), entry
+    assert isinstance(got_past, ValueError) and str(got_past) == "w past 1"
+    with pytest.raises(ValueError, match="^w past 1$"):
+        analytic_jet(field, 1.5, *past)
 
 
 def test_only_annulus_points_are_rejected():

@@ -387,6 +387,60 @@ def test_dd_log_exp_roundtrip():
         assert z.to_float() == pytest.approx(v, rel=5e-16)
 
 
+# -- the array layout of a DD: indexing and joining both words --------------
+
+def _words(z):
+    """The bits of both words of a DD of arrays."""
+    return [np.asarray(w, dtype=float).view(np.int64).tolist()
+            for w in (z.hi, z.lo)]
+
+
+def test_dd_index_shares_a_float_lo():
+    hi = np.array([1.0, 2.0, 3.0, 4.0])
+    lo = np.array([1e-17, -2e-17, 3e-17, -4e-17])
+    z = DD.of(hi)
+    assert z.lo == 0.0 and z.ndim == 1
+    part = z[1:3]
+    assert part.hi.tolist() == [2.0, 3.0] and part.lo == 0.0
+    assert (z[2].hi, z[2].lo) == (3.0, 0.0)
+    stacked = DD(np.stack((hi, -hi)), np.stack((lo, -lo)))
+    assert _words(stacked[:, 1:]) == _words(DD(np.stack((hi, -hi))[:, 1:],
+                                               np.stack((lo, -lo))[:, 1:]))
+    assert _words(stacked[1]) == _words(DD(-hi, -lo))
+    assert DD(2.0, 1e-17).ndim == 0
+
+
+def test_dd_join_end_to_end_is_numpy_concatenation():
+    """``DD.of`` parts, whose lo is a float, join with parts that carry an
+    array lo: each word is numpy's concatenation of the parts' words, a
+    float lo broadcast to its part, a float as one element."""
+    a = np.array([0.5, -1.5, 2.5])
+    b, b_lo = np.array([3.0, 4.0]), np.array([1e-17, -3e-17])
+    c = np.array([-0.0, 7.0])
+    got = DD.join([DD.of(a), DD(b, b_lo), c, 9.0])
+    assert _words(got) == _words(DD(
+        np.concatenate((a, b, c, [9.0])),
+        np.concatenate((np.zeros(3), b_lo, np.zeros(2), [0.0]))))
+    one = DD.join([DD(b, b_lo)])
+    assert _words(one) == _words(DD(b, b_lo))
+
+
+def test_dd_join_to_a_shape_is_numpy_stack():
+    """Floats, arrays and DDs, each broadcast to the shape and stacked on
+    a new first axis."""
+    shape = (2, 3)
+    row = np.array([1.0, 2.0, 3.0])
+    grid = np.arange(6.0).reshape(shape)
+    lo = np.full(shape, 1e-20)
+    got = DD.join([0.25, row, DD.of(grid), DD(grid, lo)], shape)
+    want = DD(np.stack([np.full(shape, 0.25), np.broadcast_to(row, shape),
+                        grid, grid]),
+              np.stack([np.zeros(shape), np.zeros(shape), np.zeros(shape),
+                        lo]))
+    assert got.hi.shape == got.lo.shape == (4,) + shape
+    assert _words(got) == _words(want)
+
+
 
 @pytest.mark.parametrize("f, libm", [(exp, math.exp), (expm1, math.expm1)],
                          ids=["exp", "expm1"])
