@@ -8,13 +8,14 @@ of points at one time t, and every entry comes back as an array of that
 shape; a single point is a one-element slice.  The analytic engine builds
 jets from evaluations on degree-2 Taylor numbers
 (``numerics.dual.Taylor``) over whole arrays of points (vector forward
-mode), three kinds of field three ways:
+mode), two kinds of field two ways:
 
-- A radial field, one with a closed form ``radial(t, w) -> (alpha, vel,
-  p)`` in w = x^2 + y^2 (every solution family), takes one second-order
-  pass in w, and the chain rule in double-double gives the Cartesian
-  entries (univariate Taylor propagation, Griewank and Walther,
-  *Evaluating Derivatives*, 2008, ch. 13).
+- A radial field (:class:`RadialField`: every solution family, and the
+  lift of radial profiles) states its closed form ``radial(t, w)`` in
+  w = x^2 + y^2.  It takes one second-order pass in w, and the chain
+  rule in double-double gives the Cartesian entries (univariate Taylor
+  propagation, Griewank and Walther, *Evaluating Derivatives*, 2008,
+  ch. 13).
 - A group element's pull of a radial field (``symmetry.TransformedField``)
   takes that pass at its source points, kept in double-double, and
   pushes its cut of the unrounded rows through the element's second
@@ -23,11 +24,9 @@ mode), three kinds of field three ways:
   map, first derivatives push by A, second derivatives by A^T H A, and
   alpha_t = tau' alpha_t + grad alpha . d/dt point, before the element's
   pull maps the values.
-- Any other field (a lifted one, or a field seen through ``values``
-  alone) takes one second-order pass on three stacked copies of the
-  points, seeded along (1, 0), (0, 1) and (1, 1), whose second
-  coefficients give the mixed entry by interpolation (Griewank, Utke and
-  Walther, *Math. Comp.* 69, 2000).
+
+Any other field has no analytic jet; the finite-difference engine takes
+any field.
 
 The jets a run needs are asked for together (:func:`analytic_jets`):
 every slice of a radial field or of a pull of it is a set of that field's
@@ -46,9 +45,9 @@ path hands its partials to one assembly of the jet.
 The one time derivative a residual reads, alpha_t (only the mass equation
 has a time derivative), always comes from the analytic path: two families
 carry fractional powers of t that make time differencing unreliable.  Its
-seed evaluates alpha alone, ``Field.alpha``: a family's closed form
+seed evaluates alpha alone, ``Field.alpha``: a radial field's closed form
 ``radial_alpha``, a group element's pull of the source's alpha, or
-``values()[0]`` for any other field; the velocity, the pressure and its
+``values()[0]`` for any other field; a family's velocity, pressure and
 Ei integrals are never carried under the time seed.
 """
 
@@ -62,9 +61,9 @@ from .numerics import fd_derivative
 from .numerics.dd import DD
 from .numerics.dual import Taylor, seed1, taylor, value
 
-__all__ = ["FieldJet", "Field", "AnalyticEngine", "FdEngine",
-           "JetProvider", "SingularityError", "JET_ENTRIES", "analytic_jets",
-           "provider_jets"]
+__all__ = ["FieldJet", "Field", "RadialField", "AnalyticEngine",
+           "FdEngine", "JetProvider", "SingularityError", "JET_ENTRIES",
+           "analytic_jets", "provider_jets"]
 
 
 class SingularityError(ValueError):
@@ -124,8 +123,10 @@ JET_ENTRIES = tuple(f.name for f in fields(FieldJet)
 
 
 class Field:
-    """Base class for jet-capable fields; subclasses implement ``values``,
-    and may implement ``alpha`` to give alpha without the other fields."""
+    """Base class of fields; subclasses implement ``values``, and may
+    implement ``alpha`` to give alpha without the other fields.  The
+    analytic engine takes a :class:`RadialField` and a group element's
+    pull of one; the finite-difference engine takes any field."""
 
     def values(self, t, x, y):
         raise NotImplementedError
@@ -133,6 +134,31 @@ class Field:
     def alpha(self, t, x, y):
         """alpha alone at (t, x, y): what a time seed evaluates."""
         return self.values(t, x, y)[0]
+
+
+class RadialField(Field):
+    """A field stated in w = x^2 + y^2: ``radial(t, w)`` returns (alpha,
+    vel, p), or (alpha, vel, p, swirl) for a field that turns, with
+    u = vel (x, y) + swirl (-y, x); ``radial_alpha(t, w)`` returns alpha
+    alone.  ``values`` and ``alpha`` read them at the w of the points,
+    after the domain checks of :func:`radial_argument`."""
+
+    def radial(self, t, w):
+        raise NotImplementedError
+
+    def radial_alpha(self, t, w):
+        return self.radial(t, w)[0]
+
+    def values(self, t, x, y):
+        """The fields at (t, x, y), arrays of points allowed."""
+        alpha, vel, p, *swirl = self.radial(t, radial_argument(t, x, y))
+        if not swirl:
+            return alpha, x * vel, y * vel, p
+        s, = swirl
+        return alpha, x * vel - y * s, y * vel + x * s, p
+
+    def alpha(self, t, x, y):
+        return self.radial_alpha(t, radial_argument(t, x, y))
 
 
 def radial_argument(t, x, y):
@@ -169,15 +195,14 @@ def analytic_jet(field: Field, t, x, y) -> FieldJet:
     of the tests bounds each family's error).  Overflow leaves inf or NaN
     entries for the gates to judge, without a warning.
 
-    A field with a closed form ``radial(t, w)`` takes one second-order
-    pass in w and one time seed (:func:`_radial_rows`).  A group
-    element's pull of such a field (one with ``prolong``) takes that pass
-    at its source points and pushes it through the element's second
-    prolongation: first derivatives by the Jacobian A of the point map,
-    second derivatives by A^T H A, alpha_t = tau' alpha_t + grad alpha .
-    d/dt point.  Any other field (a lifted one, or one seen through
-    ``values`` alone) takes one ``values()`` call on three seeded copies
-    of the points and the time seed (:func:`_cartesian_jet`).
+    Two kinds of field have an analytic jet, each its own way.  A
+    :class:`RadialField` takes one second-order pass in w and one time
+    seed (:func:`_radial_rows`).  A group element's pull of one (a field
+    with ``prolong``) takes that pass at its source points and pushes it
+    through the element's second prolongation: first derivatives by the
+    Jacobian A of the point map, second derivatives by A^T H A, alpha_t
+    = tau' alpha_t + grad alpha . d/dt point.  Any other field raises a
+    TypeError; the finite-difference engine takes it.
     """
     jet, = analytic_jets([(field, t, x, y)])
     if isinstance(jet, Exception):
@@ -201,23 +226,23 @@ def analytic_jets(requests):
     needs).  Each slice cuts its own points out of the pass's unrounded
     rows, a pull's cut is pushed, and the cut is rounded once
     (:func:`_field_jet`).  Every step is elementwise, so each slice has
-    the bits of its own pass.  Any other field takes its own stacked
-    pass.
+    the bits of its own pass.  A field of any other kind raises a
+    TypeError.
     """
     out = [None] * len(requests)
     groups = {}
     for i, (field, t, x, y) in enumerate(requests):
+        pull = hasattr(field, "prolong")
+        if not isinstance(field.source if pull else field, RadialField):
+            raise TypeError(f"a {type(field).__name__} is neither a radial "
+                            "field nor a pull of one: no analytic jet")
         x, y = map(DD.of, np.atleast_1d(x, y))
         try:
-            if hasattr(field, "radial"):
-                source, (s, sx, sy), push = field, (t, x, y), None
-            elif hasattr(field, "prolong") and hasattr(field.source,
-                                                       "radial"):
+            if pull:
                 source = field.source
                 (s, sx, sy), push = field.prolong(t, x, y)
             else:
-                out[i] = _cartesian_jet(field, DD.of(t), x, y)
-                continue
+                source, (s, sx, sy), push = field, (t, x, y), None
             radial_argument(s, sx, sy)  # the slice's own domain checks
         except (ValueError, ArithmeticError) as e:
             out[i] = e
@@ -280,58 +305,43 @@ def _stacked_values(field, t, x, y, copies):
         raise SingularityError(str(e), mask) from None
 
 
-def _cartesian_jet(field, t, x, y):
-    """The jet of a field that is neither radial nor a pull of a radial
-    field from one second-order ``values()`` call on three copies of the
-    points (vector forward mode): the seeds, 0/1 arrays in the first-order
-    coefficients, point copy 0 along (1, 0), copy 1 along (0, 1) and copy
-    2 along (1, 1), so their second coefficients c2 give f_xx / 2, f_yy / 2
-    and f_xy = c2(1, 1) - c2(1, 0) - c2(0, 1), subtracted in double-double
-    before rounding; plus the time seed."""
-
-    n = x.hi.size
-
-    def seed(*copies):
-        return np.repeat(np.array(copies, dtype=float), n)
-
-    sx = Taylor(DD.of(np.tile(x.hi, 3)), seed(1, 0, 1), 0.0)
-    sy = Taylor(DD.of(np.tile(y.hi, 3)), seed(0, 1, 1), 0.0)
-    rows = []
-    for z in _stacked_values(field, t, sx, sy, 3):
-        f, d, h = ([_take(c, slice(k * n, (k + 1) * n)) for k in range(3)]
-                   for c in taylor(z))
-        # doubling after rounding has the bits of doubling the DD
-        rows.append((f[0], d[0], d[1], 2.0 * value(h[0]),
-                     2.0 * value(h[1]), h[2] - (h[0] + h[1])))
-    return _field_jet(value(t), value(x), value(y),
-                      _alpha_t(field, t, x, y), rows)
-
-
 def _radial_rows(field, t, x, y, w):
-    """The rows of a radial field (alpha, x V, y V, P) of w = x^2 + y^2 at
+    """The rows of a radial field (alpha, u1, u2, p) of w = x^2 + y^2 at
     the double-double points x, y (w formed from them) from one
     second-order pass of ``field.radial`` in w, and its time seed, as
     (alpha_t, rows) for :func:`_field_jet`, unrounded: the chain rule in
-    double-double gives every Cartesian entry, e.g. u1_xx = 6x V' +
-    4x^3 V'' and p_xx = 2P' + 4x^2 P'', from the coefficients V' and
-    V''/2 of the pass.  The pressure row ends with p_xy, which only a
-    push reads."""
-    (A, A1, _), (V, V1, V2), (P, P1, P2) = map(
+    double-double gives every Cartesian entry from the coefficients f'
+    and f''/2 of each function f of w, e.g. f_xx = 2f' + 4x^2 f'', and
+    the product rule those of x f and y f, e.g. (x f)_xx = x f_xx +
+    2 f_x.  u1 = x vel - y swirl and u2 = y vel + x swirl; a field
+    without swirl takes the vel rows alone.  The pressure row ends with
+    p_xy, which only a push reads."""
+    (A, A1, _), vel, P, *swirl = map(
         taylor, field.radial(t, Taylor(w, 1.0, 0.0)))
-    tx, ty = x + x, y + y  # dw/dx, dw/dy; V2 and P2 are V''/2 and P''/2
+    tx, ty = x + x, y + y  # dw/dx, dw/dy
     txx, tyy, txy = tx * tx, ty * ty, (tx + tx) * ty
-    v_x, v_y = tx * V1, ty * V1
-    v_xx = 2.0 * (V1 + txx * V2)
-    v_xy = txy * V2
-    v_yy = 2.0 * (V1 + tyy * V2)
+
+    def partials(f):
+        """(f, f_x, f_y, f_xx, f_yy, f_xy) from (f, f', f''/2) in w."""
+        F, F1, F2 = f
+        return (F, tx * F1, ty * F1, 2.0 * (F1 + txx * F2),
+                2.0 * (F1 + tyy * F2), txy * F2)
+
+    def times_xy(f):
+        """The rows of x f and of y f."""
+        F, f_x, f_y, f_xx, f_yy, f_xy = partials(f)
+        return ((x * F, x * f_x + F, x * f_y, x * f_xx + 2.0 * f_x,
+                 x * f_yy, x * f_xy + f_y),
+                (y * F, y * f_x, y * f_y + F, y * f_xx, y * f_yy + 2.0 * f_y,
+                 y * f_xy + f_x))
+
+    u1, u2 = times_xy(vel)
+    if swirl:
+        xs, ys = times_xy(*swirl)
+        u1 = tuple(a - b for a, b in zip(u1, ys))
+        u2 = tuple(a + b for a, b in zip(u2, xs))
     return _alpha_t(field, t, x, y), (
-        (A, tx * A1, ty * A1),
-        (x * V, x * v_x + V, x * v_y, x * v_xx + 2.0 * v_x, x * v_yy,
-         x * v_xy + v_y),
-        (y * V, y * v_x, y * v_y + V, y * v_xx, y * v_yy + 2.0 * v_y,
-         y * v_xy + v_x),
-        (P, tx * P1, ty * P1, 2.0 * (P1 + txx * P2),
-         2.0 * (P1 + tyy * P2), txy * P2))
+        (A, tx * A1, ty * A1), u1, u2, partials(P))
 
 
 @np.errstate(all="ignore")
@@ -373,7 +383,7 @@ def fd_jet(field: Field, t, x, y, h) -> FieldJet:
 
 def _alpha_t(field, t, x, y):
     """The time derivative of alpha from one ``alpha()`` call seeded in t,
-    unrounded: the one time seed of the radial, Cartesian and FD paths."""
+    unrounded: the one time seed of the radial and FD paths."""
     return taylor(field.alpha(seed1(t), x, y))[1]
 
 

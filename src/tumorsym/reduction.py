@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core_model import ConstitutiveTriplet, PhysConstants, PowerLawParams
-from .jets import Field, JetProvider, radial_argument
+from .jets import JetProvider, RadialField
 from .numerics import (IntegrationError, QuadratureSpec, ode_integrate,
                        quad_adaptive)
 from .numerics.dd import DD
@@ -60,31 +60,28 @@ class ReducedProfiles:
         return (p.m + 1.0) / (2.0 * (p.n - 1.0))
 
 
-class LiftedField(Field):
-    """Profiles lifted to a (t, x, y) field: the inverse of the scale
-    ansatz (no time factors for steady profiles), then the polar map.
-    The polar map needs no angle: the velocity is the unit radial vector
-    (w1, w2) / r turned by the flow angle Phi and scaled by the speed R."""
+class LiftedField(RadialField):
+    """Profiles lifted to a (t, x, y) field, stated in w = x^2 + y^2: the
+    inverse of the scale ansatz (no time factors for steady profiles,
+    whose gamma is 0), then the polar map at the scaled radius r =
+    sqrt(w t^(2 gamma)).  The polar map needs no angle: the velocity is
+    the unit radial vector turned by the flow angle Phi and scaled by the
+    speed R, so vel = R cos Phi / r and swirl = R sin Phi / r, each times
+    t^(-gamma-1) t^gamma = 1/t for unsteady profiles."""
 
     def __init__(self, profiles: ReducedProfiles):
         self.profiles = profiles
 
-    def values(self, t, x, y):
-        if value(t) <= 0.0:
-            raise ValueError("lifted field needs t > 0")
+    def radial(self, t, w):
         prof = self.profiles
-        g = prof.gamma  # 0 for steady profiles: t ** g is exactly 1
-        w1, w2 = x * t ** g, y * t ** g
-        r = sqrt(radial_argument(t, w1, w2))  # rejects the origin first
+        r = sqrt(w * t ** (2.0 * prof.gamma))  # t ** 0.0 is exactly 1
         lam, R, p, Phi = prof.fields(r)
-        c, s = R * cos(Phi) / r, R * sin(Phi) / r
-        u1, u2 = c * w1 - s * w2, s * w1 + c * w2
+        vel, swirl = R * cos(Phi) / r, R * sin(Phi) / r
         if prof.steady:
-            return lam, u1, u2, p
+            return lam, vel, p, swirl
         n = prof.triplet.params.n
-        tu = t ** (-g - 1.0)
-        return (t ** (1.0 / (1.0 - n)) * lam, tu * u1, tu * u2,
-                t ** (n / (1.0 - n)) * p)
+        return (t ** (1.0 / (1.0 - n)) * lam, vel / t,
+                t ** (n / (1.0 - n)) * p, swirl / t)
 
 
 def lift_profiles(profiles: ReducedProfiles) -> LiftedField:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core_model import (GeneralTriplet, PhysConstants, PowerLawParams,
                          PowerLawTriplet, s0_link)
-from .jets import Field, SingularityError, radial_argument
+from .jets import RadialField, SingularityError
 from .numerics import exp_over_z_integral
 from .numerics.dual import exp, expm1, lift, log, sqrt
 
@@ -89,7 +89,7 @@ def _pressure_integral(a_coef, w, delta):
 # the families
 # ---------------------------------------------------------------------------
 
-class SolutionFamily(Field):
+class SolutionFamily(RadialField):
     """Common surface: fields + triplet + boundary + reduction metadata.
 
     A family class is the one home of its facts: the constructor's
@@ -99,9 +99,9 @@ class SolutionFamily(Field):
     keyword arguments of :meth:`triplet` are the derived constants a run
     may override (:meth:`overridable`), ``derived`` lists, in report
     order, the derived attributes that ``validate`` prints, and ``radial``
-    states the closed form once: u = (x, y) * vel, with alpha from
-    ``radial_alpha``, the one home of alpha that a time seed evaluates
-    alone (only the mass equation has a time derivative).
+    states the closed form once, without swirl: u = (x, y) * vel, with
+    alpha from ``radial_alpha``, the one home of alpha that a time seed
+    evaluates alone (only the mass equation has a time derivative).
     """
 
     family_id: str
@@ -127,17 +127,6 @@ class SolutionFamily(Field):
 
     def boundary(self) -> BoundaryCircle:
         return BoundaryCircle(self.delta, self.kappa)
-
-    def values(self, t, x, y):
-        """The fields at (t, x, y), arrays of points allowed, from the
-        family's ``radial(t, w) -> (alpha, vel, p)`` at w = x^2 + y^2."""
-        alpha, vel, p = self.radial(t, radial_argument(t, x, y))
-        return alpha, x * vel, y * vel, p
-
-    def alpha(self, t, x, y):
-        """alpha alone at (t, x, y), from the family's ``radial_alpha(t,
-        w)``, the closed form that ``radial`` itself returns."""
-        return self.radial_alpha(t, radial_argument(t, x, y))
 
 
 class PowerLawFamily(SolutionFamily):

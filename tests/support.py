@@ -1,9 +1,9 @@
 """Helpers that only the tests use: the acceptance parameter sets and one
 non-unit set per family, the default annulus and front ring of a time,
-exact rest states, a values-only view of a field (the Cartesian jet
-reference), an mpmath oracle of a family's jet, dual-number derivatives,
-observed convergence orders, and reference residuals of the paper's
-reduction conditions and of the front's invariance criterion.
+exact rest states, the stacked Cartesian pass (the reference of the
+radial and pushed jets), an mpmath oracle of a family's jet, dual-number
+derivatives, observed convergence orders, and reference residuals of the
+paper's reduction conditions and of the front's invariance criterion.
 
 The tests import them as ``from support import ...``; pytest puts this
 directory on ``sys.path`` because ``tests/`` is not a package.
@@ -16,8 +16,10 @@ import mpmath as mp
 import numpy as np
 
 from tumorsym import solutions, symmetry
-from tumorsym.jets import JET_ENTRIES, Field
-from tumorsym.numerics.dual import Dual, Taylor, seed1, value
+from tumorsym.jets import (JET_ENTRIES, RadialField, _alpha_t, _field_jet,
+                           _stacked_values, _take)
+from tumorsym.numerics.dd import DD
+from tumorsym.numerics.dual import Dual, Taylor, seed1, taylor, value
 from tumorsym.residuals import (SampleSet, governing_and_front_residuals,
                                 nan_max)
 from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
@@ -67,32 +69,64 @@ def annulus_and_ring(sol, t, samples=SampleSet(), n_ring=64):
            np.array([rad * math.sin(a) for a in theta.tolist()]))
 
 
-class ConstantState(Field):
-    """Spatially uniform rest state; exact whenever S(alpha0) = 0."""
+class ConstantState(RadialField):
+    """Spatially uniform rest state; exact whenever S(alpha0) = 0.  Its
+    ``values`` hold at the origin too; its analytic jets take the radial
+    pass, which rejects the origin as it does for every radial field."""
 
     def __init__(self, alpha0, p0=0.0):
         self.alpha0 = alpha0
         self.p0 = p0
+
+    def radial(self, t, w):
+        return self.alpha0, 0.0, self.p0
 
     def values(self, t, x, y):
         zero = 0.0 * (x + y + t)
         return self.alpha0 + zero, zero, zero, self.p0 + zero
 
 
-class CartesianView(Field):
-    """A field seen through ``values`` and ``alpha`` alone:
-    ``analytic_jet`` then makes its stacked Cartesian pass even for a
-    family with a closed form ``radial`` or a group element's pull of one,
-    the reference of the radial pass and of the push."""
+# -- the stacked Cartesian pass -----------------------------------------------
 
-    def __init__(self, field):
-        self.field = field
+@np.errstate(all="ignore")
+def cartesian_jet(field, t, x, y):
+    """The jet of any field, seen through ``values`` and ``alpha`` alone,
+    from one second-order ``values()`` call on three stacked copies of
+    the points (vector forward mode) and the time seed: the independent
+    reference of the radial chain rule and of the push of
+    ``analytic_jet``, and the analytic engine of a field with ``values``
+    alone.  The seeds, 0/1 arrays in the first-order coefficients, point
+    copy 0 along (1, 0), copy 1 along (0, 1) and copy 2 along (1, 1), so
+    their second coefficients c2 give f_xx / 2, f_yy / 2 and f_xy =
+    c2(1, 1) - c2(1, 0) - c2(0, 1), subtracted in double-double before
+    rounding (Griewank, Utke and Walther, *Math. Comp.* 69, 2000)."""
+    x, y = map(DD.of, np.atleast_1d(x, y))
+    t = DD.of(t)
+    n = x.hi.size
 
-    def values(self, t, x, y):
-        return self.field.values(t, x, y)
+    def seed(*copies):
+        return np.repeat(np.array(copies, dtype=float), n)
 
-    def alpha(self, t, x, y):
-        return self.field.alpha(t, x, y)
+    sx = Taylor(DD.of(np.tile(x.hi, 3)), seed(1, 0, 1), 0.0)
+    sy = Taylor(DD.of(np.tile(y.hi, 3)), seed(0, 1, 1), 0.0)
+    rows = []
+    for z in _stacked_values(field, t, sx, sy, 3):
+        f, d, h = ([_take(c, slice(k * n, (k + 1) * n)) for k in range(3)]
+                   for c in taylor(z))
+        # doubling after rounding has the bits of doubling the DD
+        rows.append((f[0], d[0], d[1], 2.0 * value(h[0]),
+                     2.0 * value(h[1]), h[2] - (h[0] + h[1])))
+    return _field_jet(value(t), value(x), value(y),
+                      _alpha_t(field, t, x, y), rows)
+
+
+class CartesianEngine:
+    """The jet engine of the stacked pass (:func:`cartesian_jet`)."""
+
+    descriptor = "analytic"
+
+    def jet(self, field, t, x, y):
+        return cartesian_jet(field, t, x, y)
 
 
 # -- the jet oracle -----------------------------------------------------------

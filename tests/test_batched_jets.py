@@ -1,15 +1,16 @@
 """Batched jets: one evaluation over all points at a time gives, bit for
 bit, the jets and residuals of the point-by-point evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from tumorsym.jets import (JET_ENTRIES, AnalyticEngine, FdEngine, Field,
-                           FieldJet, JetProvider, SingularityError,
-                           analytic_jet, analytic_jets, fd_jet,
-                           radial_argument)
+                           FieldJet, JetProvider, RadialField,
+                           SingularityError, analytic_jet, analytic_jets,
+                           fd_jet)
 from tumorsym.numerics import fd_derivative
 from tumorsym.numerics.dd import DD
 from tumorsym.numerics.dual import Dual, exp, seed1, value
@@ -23,8 +24,8 @@ from tumorsym.symmetry import (Galilei, PressureShift, Rotation, Scale,
                                TimeTranslation, TransformedField,
                                orbit_residual)
 
-from support import NON_UNIT_PARAMS, PARAMS, CartesianView, \
-    annulus_and_ring
+from support import NON_UNIT_PARAMS, ORDERS, PARAMS, CartesianEngine, \
+    annulus_and_ring, cartesian_jet
 
 
 def _bits(values):
@@ -32,8 +33,8 @@ def _bits(values):
 
 
 def _fields():
-    """The five families (radial pass) and a field of every other kind
-    (stacked Cartesian pass): each group element, and a lifted field."""
+    """The radial fields (the five families and a lifted field) and the
+    pulls (each group element, and a turned lift)."""
     for fid, params in PARAMS.items():
         sol = FAMILY_IDS[fid](**params)
         yield fid, sol, sol
@@ -52,7 +53,10 @@ def _fields():
     m442 = FAMILY_IDS["moving442"](**PARAMS["moving442"])
     scale = Scale(eps=0.3, m=m442.m, n=m442.n)
     yield "scale", TransformedField(scale, m442), m442
-    yield "lifted", lift_profiles(reduced_profiles_of(sol)), sol
+    lifted = lift_profiles(reduced_profiles_of(sol))
+    yield "lifted", lifted, sol
+    yield "lifted-rotation", TransformedField(elements["rotation"], lifted), \
+        sol
 
 
 class _PointwiseEngine:
@@ -115,18 +119,20 @@ def test_residual_reports_equal_pointwise_engine(fid):
 
 
 def _single_point_paths():
-    """The three jet paths: the radial pass of a family, the stacked
-    Cartesian pass of a transformed field, and finite differences."""
+    """The jet paths: the radial pass of a family, the push of a
+    transformed field, finite differences, and the tests' stacked
+    Cartesian pass of the transformed field."""
     sol = FAMILY_IDS["moving444"](**PARAMS["moving444"])
     rotated = TransformedField(Rotation(f=math.sin, fdot=math.cos, eps=1.0),
                                sol)
     h = 2e-4 * sol.boundary().radius(1.0)
     return {"radial": (analytic_jet, sol),
-            "cartesian": (analytic_jet, rotated),
+            "pushed": (analytic_jet, rotated),
+            "cartesian": (cartesian_jet, rotated),
             "fd": (lambda *a: fd_jet(*a, h), sol)}
 
 
-@pytest.mark.parametrize("path", ["radial", "cartesian", "fd"])
+@pytest.mark.parametrize("path", ["radial", "pushed", "cartesian", "fd"])
 def test_a_single_point_is_a_one_element_slice(path):
     """A float point goes in and comes out as a one-element array, with
     the bits of its entry in the batch."""
@@ -171,13 +177,30 @@ EXACT_RADIAL = ("full413", "moving442", "moving444")
 MIXED = ("u1_xy", "u2_xy")
 
 
+def _swirling_lift(sol):
+    """The lift of the profiles of the family ``sol`` with the flow angle
+    Phi(r) = 0.3 + 0.5 r^2 in place of 0: a field that turns, whose swirl
+    rows the families never reach."""
+    profiles = reduced_profiles_of(sol)
+
+    def fields(r):
+        lam, R, P, _ = profiles.fields(r)
+        return lam, R, P, 0.3 + 0.5 * r * r
+
+    return lift_profiles(dataclasses.replace(profiles, fields=fields))
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("fid", sorted(PARAMS))
-def test_radial_jet_matches_the_cartesian_passes(fid, t):
+@pytest.mark.parametrize("name", sorted(PARAMS) + [
+    "moving442-swirl", "stationary413s-swirl"])
+def test_radial_jet_matches_the_cartesian_passes(name, t):
+    """The families, and two swirling lifts under their family's bounds."""
+    fid, _, swirl = name.partition("-")
     sol = FAMILY_IDS[fid](**PARAMS[fid])
+    field = _swirling_lift(sol) if swirl else sol
     for x, y in annulus_and_ring(sol, t):
-        radial = analytic_jet(sol, t, x, y)
-        cartesian = analytic_jet(CartesianView(sol), t, x, y)
+        radial = analytic_jet(field, t, x, y)
+        cartesian = cartesian_jet(field, t, x, y)
         assert radial.t == cartesian.t == t
         for entry in ("x", "y") + JET_ENTRIES:
             got, want = getattr(radial, entry), getattr(cartesian, entry)
@@ -192,6 +215,26 @@ def test_radial_jet_matches_the_cartesian_passes(fid, t):
             else:
                 assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), \
                     entry
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("fid", ["moving442", "stationary413s"])
+def test_a_pull_of_a_lift_matches_the_cartesian_pass(fid, t):
+    """The push of a turned swirling lift agrees with its stacked pass to
+    double-double rounding of the largest entry of each derivative order
+    at each point."""
+    sol = FAMILY_IDS[fid](**PARAMS[fid])
+    field = TransformedField(Rotation(f=math.sin, fdot=math.cos, eps=1.0),
+                             _swirling_lift(sol))
+    for x, y in annulus_and_ring(sol, t):
+        pushed = analytic_jet(field, t, x, y)
+        cartesian = cartesian_jet(field, t, x, y)
+        for names in ORDERS.values():
+            scale = np.max([np.abs(getattr(cartesian, e)) for e in names],
+                           axis=0)
+            for e in names:
+                gap = np.abs(getattr(pushed, e) - getattr(cartesian, e))
+                assert np.all(gap <= 1e-28 * scale), e
 
 
 def _count_calls(monkeypatch, field, names):
@@ -228,16 +271,17 @@ def test_radial_and_cartesian_passes_reject_the_origin_alike(fid):
     x = np.array([0.3, 0.0, -0.2, 0.0, 0.5])
     y = np.array([0.1, 0.0, 0.4, 0.0, -0.5])
     masks = []
-    for field in (sol, CartesianView(sol)):
+    for jet in (analytic_jet, cartesian_jet):
         with pytest.raises(SingularityError) as err:
-            analytic_jet(field, 1.0, x, y)
+            jet(sol, 1.0, x, y)
         masks.append(np.flatnonzero(err.value.mask).tolist())
         with pytest.raises(ValueError, match="t must be positive, got 0.0"):
-            analytic_jet(field, 0.0, x, y)
+            jet(sol, 0.0, x, y)
     assert masks == [[1, 3], [1, 3]]
     args = (sol.triplet(), sol.phys(), _WithOrigin(), sol.boundary())
     radial = governing_residual(JetProvider(sol), *args)
-    cartesian = governing_residual(JetProvider(CartesianView(sol)), *args)
+    cartesian = governing_residual(JetProvider(sol, CartesianEngine()),
+                                   *args)
     assert radial.rejected == cartesian.rejected == (5,)
     assert radial.sample_count == cartesian.sample_count == 96
     if fid in EXACT_RADIAL:
@@ -255,7 +299,7 @@ def test_a_lifted_field_rejects_the_origin_as_its_family_does():
     with pytest.raises(SingularityError) as err:
         lifted.values(1.0, 0.0, 0.0)
     assert err.value.mask is None
-    with pytest.raises(ValueError, match="lifted field needs t > 0"):
+    with pytest.raises(ValueError, match="t must be positive, got 0.0"):
         lifted.values(0.0, 0.0, 0.0)
 
 
@@ -303,7 +347,7 @@ def test_the_shared_pass_has_the_bits_of_separate_jets(fid):
                                       sol.boundary(), sol.phys(), "analytic")
 
 
-class _BoundedRadial(Field):
+class _BoundedRadial(RadialField):
     """A radial field whose ``radial`` raises past w = 1; ``sizes``
     records the points of each call."""
 
@@ -315,10 +359,6 @@ class _BoundedRadial(Field):
         if np.any(value(w) > 1.0):
             raise ValueError("w past 1")
         return t * exp(-w), w * t, w * w
-
-    def values(self, t, x, y):
-        alpha, vel, p = self.radial(t, radial_argument(t, x, y))
-        return alpha, x * vel, y * vel, p
 
 
 def test_a_failing_shared_pass_falls_back_to_a_pass_per_slice():
@@ -467,12 +507,12 @@ def test_a_cartesian_jet_is_one_stacked_pass_and_a_time_seed(monkeypatch):
     for the time seed, per jet."""
     sol = FAMILY_IDS["stationary413s"](**PARAMS["stationary413s"])
     calls = _count_calls(monkeypatch, sol, ("values", "alpha"))
-    field = CartesianView(TransformedField(
-        Rotation(f=math.sin, fdot=math.cos, eps=1.0), sol))
+    field = TransformedField(Rotation(f=math.sin, fdot=math.cos, eps=1.0),
+                             sol)
     t, x, y = _slice(sol)
-    analytic_jet(field, t, x, y)
+    cartesian_jet(field, t, x, y)
     assert calls == ["values", "alpha"]
-    one = analytic_jet(field, t, x[0], y[0])
+    one = cartesian_jet(field, t, x[0], y[0])
     assert calls == ["values", "alpha"] * 2
     assert all(getattr(one, e).shape == (1,) for e in JET_ENTRIES)
 

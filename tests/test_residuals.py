@@ -22,8 +22,8 @@ from tumorsym.solutions import FAMILY_IDS
 from tumorsym.solutions import (BoundaryCircle, Full413, Stationary413s,
                                 Steady432)
 
-from support import (FIG34, NON_UNIT_PARAMS, PARAMS, ConstantState,
-                     front_reports)
+from support import (FIG34, NON_UNIT_PARAMS, PARAMS, CartesianEngine,
+                     ConstantState, front_reports)
 
 
 def _provider(sol):
@@ -215,7 +215,8 @@ class _OriginEverywhere(Field):
 def test_a_slice_with_every_point_rejected_has_no_valid_samples():
     sol = Stationary413s(**FIG34)
     with pytest.raises(ValueError, match="^no valid samples$"):
-        governing_residual(_provider(_OriginEverywhere()), sol.triplet(),
+        governing_residual(JetProvider(_OriginEverywhere(),
+                                       CartesianEngine()), sol.triplet(),
                            sol.phys(), SampleSet(n_r=2, n_theta=2),
                            sol.boundary())
 
@@ -243,12 +244,22 @@ class _ScaledGradEngine:
 
 
 def test_cross_engine_polynomial():
-    a = JetProvider(_Poly(), AnalyticEngine())
+    a = JetProvider(_Poly(), CartesianEngine())
     # a generous step: the scheme is exact on these polynomials, so only
     # rounding is left and a larger h suppresses it
     f = JetProvider(_Poly(), FdEngine(h=0.1))
     assert cross_engine_check(a, f, SampleSet(),
                               BoundaryCircle(delta=1.0)) <= 1e-12
+
+
+def test_a_field_with_values_alone_has_no_analytic_jet():
+    """Only a radial field and a pull of one have an analytic jet; the
+    finite-difference engine takes any field."""
+    x, y = np.array([0.3, -0.2]), np.array([0.1, 0.4])
+    with pytest.raises(TypeError, match="^a _Poly is neither a radial"):
+        analytic_jet(_Poly(), 1.0, x, y)
+    jet = FdEngine(h=0.1).jet(_Poly(), 1.0, x, y)
+    assert np.all(np.abs(jet.p_x - y) <= 1e-12)
 
 
 def test_cross_engine_closed_form():
